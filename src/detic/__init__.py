@@ -43,6 +43,7 @@ from .exactmath import (
     polygon_contains,
     polygon_vertices,
 )
+from .gf2 import NotBinaryError
 from .oracle import LinearScheme, SearchBudgetError, exhaustive_search, rank_decodable
 from .regions import (
     ClassifyResult,

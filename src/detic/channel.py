@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactmath import Rat, format_rat
-from .gf2 import BitVec, DimensionMismatchError, shift_down, shift_up, zero_pad
+from .gf2 import BitVec, DimensionMismatchError, shift_down, shift_up, to_bits, zero_pad
 
 
 class BadShapeError(ValueError):
@@ -77,15 +77,17 @@ def make_channel(k: int, n: int, alpha, beta) -> ChannelParams:
     return ChannelParams(k, n, alpha, beta)
 
 
-def _check_input(ch: ChannelParams, x: BitVec) -> None:
-    if x.shape[0] != ch.n:
-        raise DimensionMismatchError(f"input length {x.shape[0]} != N = {ch.n}")
+def _check_input(ch: ChannelParams, x: BitVec) -> BitVec:
+    """x as a uint8 input of N bits; raises NotBinaryError on an entry other than 0 or 1."""
+    x = np.asarray(x)
+    if x.shape != (ch.n,):
+        raise DimensionMismatchError(f"input shape {x.shape} != N = {ch.n}")
+    return to_bits(x, "input")
 
 
 def signal_v(ch: ChannelParams, x: BitVec) -> BitVec:
     """Up-shifted interference image: zero-pad, then shift up by (alpha-1)N."""
-    _check_input(ch, x)
-    return shift_up(zero_pad(x), ch.up_shift)
+    return shift_up(zero_pad(_check_input(ch, x)), ch.up_shift)
 
 
 def signal_w(ch: ChannelParams, x: BitVec) -> BitVec:
@@ -93,8 +95,7 @@ def signal_w(ch: ChannelParams, x: BitVec) -> BitVec:
 
     Only the top beta*N pipes of x stay above the bottom of the 2N window.
     """
-    _check_input(ch, x)
-    return shift_down(zero_pad(x), ch.down_shift)
+    return shift_down(zero_pad(_check_input(ch, x)), ch.down_shift)
 
 
 def extract_top(ch: ChannelParams, x: BitVec) -> BitVec:
@@ -107,24 +108,26 @@ def extract_top(ch: ChannelParams, x: BitVec) -> BitVec:
         raise UndefinedTopPartError(
             f"top part undefined: alpha - beta = {format_rat(ch.alpha - ch.beta)} >= 1"
         )
-    _check_input(ch, x)
+    x = _check_input(ch, x)
     size = int((1 - (ch.alpha - ch.beta)) * ch.n)
     return np.array(x[:size], copy=True)
 
 
 def transmit(ch: ChannelParams, inputs: list[BitVec]) -> list[BitVec]:
-    """All K received signals; receiver i hears senders i (direct), i+1 (up), i-1 (down)."""
+    """All K received signals; receiver i hears senders i (direct), i+1 (up), i-1 (down).
+
+    Every input must hold N entries of 0 or 1 (NotBinaryError otherwise); the
+    outputs are uint8 whatever the input dtype.
+    """
     if len(inputs) != ch.k:
         raise DimensionMismatchError(f"need {ch.k} inputs, got {len(inputs)}")
-    for x in inputs:
-        _check_input(ch, x)
-    outputs = []
-    for i in range(ch.k):
-        direct = zero_pad(inputs[i])
-        up = signal_v(ch, inputs[(i + 1) % ch.k])
-        down = signal_w(ch, inputs[(i - 1) % ch.k])
-        outputs.append(direct ^ up ^ down)
-    return outputs
+    padded = [zero_pad(_check_input(ch, x)) for x in inputs]
+    return [
+        padded[i]
+        ^ shift_up(padded[(i + 1) % ch.k], ch.up_shift)
+        ^ shift_down(padded[(i - 1) % ch.k], ch.down_shift)
+        for i in range(ch.k)
+    ]
 
 
 def interleave_expand(ch: ChannelParams, l_uses: int) -> ChannelParams:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error.  Parameters are
 exact rationals ("8/5"); *-decimal variants accept terminating decimals.
-Payloads go to standard output as JSON, CSV, or SVG.
+Payloads go to standard output as JSON, CSV, or SVG.  `simulate` refuses runs
+beyond its size budget (SIMULATE_MAX_*) before doing any work.
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 
+# Size budget of `simulate`, from the compiled decoder's cost on a 2-vCPU
+# x86_64 VM: compiling one receiver's schedule takes up to about 40 us per
+# pipe (0.15-0.25 s and about 20 MB of working memory at N = 6000, growing
+# faster than N), and a trial then costs about 0.3 us * (N + 200) per
+# receiver (encode, transmit and decode).  At the limits a run takes under
+# half a minute.
+SIMULATE_MAX_N = 6000
+SIMULATE_MAX_COMPILE = 200_000  # N * K
+SIMULATE_MAX_DECODE = 50_000_000  # K * trials * (N + 200)
+
 
 class UsageError(ValueError):
     pass
@@ -49,17 +60,24 @@ def _fail(code: int, message: str, **extra) -> int:
     return code
 
 
+def _parse_decimal(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator: {text!r}") from None
+
+
 def _parse_point(args) -> tuple[Fraction, Fraction]:
     if args.alpha is not None:
         alpha = parse_rat(args.alpha)
     elif getattr(args, "alpha_decimal", None) is not None:
-        alpha = Fraction(args.alpha_decimal)
+        alpha = _parse_decimal(args.alpha_decimal)
     else:
         raise UsageError("missing --alpha")
     if args.beta is not None:
         beta = parse_rat(args.beta)
     elif getattr(args, "beta_decimal", None) is not None:
-        beta = Fraction(args.beta_decimal)
+        beta = _parse_decimal(args.beta_decimal)
     else:
         raise UsageError("missing --beta")
     return alpha, beta
@@ -67,7 +85,10 @@ def _parse_point(args) -> tuple[Fraction, Fraction]:
 
 def _load_table(args):
     path = args.table or os.environ.get("DETIC_TABLE") or None
-    return reg.load_region_table(path)
+    try:
+        return reg.load_region_table(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read region table {path}: {exc.strerror or exc}") from None
 
 
 def _point_args(sub) -> None:
@@ -98,16 +119,19 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _plan(args, table):
-    """Shared classify -> layout -> counts pipeline for plan/simulate/render."""
+def _plan(args, table, check_n=None):
+    """Shared classify -> layout -> counts pipeline for plan/simulate/render;
+    `check_n(n)` may refuse the pipe count before the layout is looked up."""
     alpha, beta = _parse_point(args)
     res = reg.classify(alpha, beta, table)
     if not res.covered:
         return None, _fail(EXIT_CHECK, "point is not covered by the region catalog",
                            alpha=format_rat(alpha), beta=format_rat(beta))
-    layout = layout_for(res.region)
     need = minimal_n(res.region, res.eps, res.delta)
     n = args.n if args.n is not None else need
+    if check_n is not None:
+        check_n(n)
+    layout = layout_for(res.region)
     try:
         assign = build_assignment(layout, res.region, alpha, beta, n)
     except NonIntegralBlocksError as exc:
@@ -135,9 +159,21 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _check_simulate_size(n: int, k: int, trials: int) -> None:
+    if trials < 0:
+        raise UsageError(f"--trials must be >= 0, got {trials}")
+    for name, value, limit in (
+        ("N", n, SIMULATE_MAX_N),
+        ("N*K", n * k, SIMULATE_MAX_COMPILE),
+        ("K*trials*(N+200)", k * trials * (n + 200), SIMULATE_MAX_DECODE),
+    ):
+        if value > limit:
+            raise UsageError(f"{name} = {value} exceeds the simulate budget {name} <= {limit}")
+
+
 def cmd_simulate(args) -> int:
     table = _load_table(args)
-    planned, err = _plan(args, table)
+    planned, err = _plan(args, table, lambda n: _check_simulate_size(n, args.k, args.trials))
     if err is not None:
         return err
     res, layout, assign, _ = planned
@@ -323,7 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="pipe count N (default: minimal integral N)")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("simulate", help="encode, transmit, and peel-decode random messages")
+    p = sub.add_parser(
+        "simulate",
+        help="encode, transmit, and peel-decode random messages",
+        description="Encode, transmit, and peel-decode random messages at every receiver. "
+        f"Refuses (exit 2) N > {SIMULATE_MAX_N}, N*K > {SIMULATE_MAX_COMPILE} or "
+        f"K*trials*(N+200) > {SIMULATE_MAX_DECODE} before doing any work.",
+    )
     _point_args(p)
     p.add_argument("--n", type=int, help="pipe count N (default: minimal integral N)")
     p.add_argument("--k", type=int, default=3, help="number of pairs (default 3)")

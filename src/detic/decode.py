@@ -18,16 +18,23 @@ remains a restricted linear solver (success still implies rank decodability).
 Passes use snapshot semantics: a pass only consumes knowledge committed by
 earlier passes.  Success means the receiver's own pair's message bits are all
 known; interference is only ever decoded as a means of removal.
+
+The schedule is therefore compiled once per receiver view, on first use, into
+a `PeelProgram` kept on the view: the fixpoint runs without bit values and
+tracks each bit and aggregate as the XOR of the received levels it came from,
+so the own bits and every consistency check are rows of a sparse GF(2) matrix
+over the received word, replayed on each word as a gather and XOR of levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from .channel import ChannelParams
-from .gf2 import BitVec, DimensionMismatchError
+from .gf2 import BitVec, DimensionMismatchError, to_bits
 from .scheme import AssignmentMatrix, TWIN_FIRST, TWIN_SECOND
 
 DIRECT = "direct"
@@ -77,8 +84,13 @@ class ReceiverView:
     assign: AssignmentMatrix
     blocks: tuple[PlacedBlock, ...]
 
+    @cached_property
+    def program(self) -> PeelProgram:
+        """The peeling schedule, compiled on first use."""
+        return _compile(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PeelStep:
     pass_index: int
     rule: str
@@ -116,23 +128,15 @@ class DecodeTrace:
         return {"passes": self.passes, "steps": [s.to_json_dict() for s in self.steps]}
 
 
-def _path_senders(ch: ChannelParams, receiver: int) -> dict[str, int]:
+def _paths(ch: ChannelParams, receiver: int) -> list[tuple[str, int, int, int]]:
+    """(path, sender, 0-based level of pipe 0, pipes that land) per path."""
     if not 1 <= receiver <= ch.k:
         raise DimensionMismatchError(f"receiver {receiver} outside 1..{ch.k}")
-    return {
-        DIRECT: receiver,
-        V_PATH: receiver % ch.k + 1,
-        W_PATH: (receiver - 2) % ch.k + 1,
-    }
-
-
-def _path_base(ch: ChannelParams, path: str) -> int:
-    """0-based receive level of pipe 0 on this path."""
-    if path == DIRECT:
-        return ch.n
-    if path == V_PATH:
-        return ch.n - ch.up_shift
-    return ch.n + ch.down_shift
+    return [
+        (DIRECT, receiver, ch.n, ch.n),
+        (V_PATH, receiver % ch.k + 1, ch.n - ch.up_shift, ch.n),
+        (W_PATH, (receiver - 2) % ch.k + 1, ch.n + ch.down_shift, ch.surviving_pipes),
+    ]
 
 
 def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> ReceiverView:
@@ -145,11 +149,8 @@ def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) ->
     """
     if assign.n != ch.n:
         raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
-    senders = _path_senders(ch, receiver)
     blocks: list[PlacedBlock] = []
-    for path in (DIRECT, V_PATH, W_PATH):
-        base = _path_base(ch, path)
-        limit = ch.surviving_pipes if path == W_PATH else ch.n
+    for path, sender, base, limit in _paths(ch, receiver):
         for seg in assign.segments:
             if not seg.role.is_data or seg.count == 0:
                 continue
@@ -158,7 +159,7 @@ def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) ->
                 continue
             blocks.append(
                 PlacedBlock(
-                    sender=senders[path],
+                    sender=sender,
                     path=path,
                     symbol_id=seg.role.symbol_id,
                     level_top=base + seg.pipe_lo + 1,
@@ -185,265 +186,262 @@ def reconstruct_output(view: ReceiverView, messages: list[np.ndarray]) -> BitVec
     return y
 
 
-def _level_contributors(view: ReceiverView) -> dict[int, list[tuple[int, int]]]:
-    """0-based level -> [(sender, pipe0)] over data pipes of all three paths."""
-    ch = view.params
-    assign = view.assign
-    senders = _path_senders(ch, view.receiver)
-    levels: dict[int, list[tuple[int, int]]] = {}
-    for path in (DIRECT, V_PATH, W_PATH):
-        base = _path_base(ch, path)
-        limit = ch.surviving_pipes if path == W_PATH else ch.n
-        for p in range(limit):
-            if assign.pipe_to_bit[p] is None:
-                continue
-            levels.setdefault(base + p, []).append((senders[path], p))
-    return levels
-
-
-def _symbol_of_pipe(assign: AssignmentMatrix, pipe: int) -> int:
+def _symbols(assign: AssignmentMatrix) -> tuple[list, set[int], dict[int, tuple[int, ...]]]:
+    """Each pipe's symbol, the twin symbols, and each symbol's sorted bits;
+    without segment metadata (e.g. search witnesses) a bit is its own symbol."""
+    if not assign.segments:
+        pipe_symbol = [bit + 1 if bit is not None else 0 for bit in assign.pipe_to_bit]
+        twins = {bit + 1 for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
+        return pipe_symbol, twins, {bit + 1: (bit,) for bit in range(assign.m)}
+    pipe_symbol: list[int | None] = [None] * assign.n
+    twins: set[int] = set()
+    bits: dict[int, set[int]] = {}
     for seg in assign.segments:
-        if seg.pipe_lo <= pipe < seg.pipe_hi:
-            return seg.role.symbol_id
-    # No segment metadata (e.g. search witnesses): one symbol per bit.
-    bit = assign.pipe_to_bit[pipe]
-    return bit + 1 if bit is not None else 0
+        sym = seg.role.symbol_id
+        pipe_symbol[seg.pipe_lo : seg.pipe_hi] = [sym] * seg.count
+        if seg.role.kind in (TWIN_FIRST, TWIN_SECOND):
+            twins.add(sym)
+        if seg.role.is_data:
+            bits.setdefault(sym, set()).update(assign.pipe_to_bit[seg.pipe_lo : seg.pipe_hi])
+    return pipe_symbol, twins, {sym: tuple(sorted(b)) for sym, b in bits.items()}
 
 
-def _twin_symbols(assign: AssignmentMatrix) -> set[int]:
-    if assign.segments:
-        return {
-            seg.role.symbol_id
-            for seg in assign.segments
-            if seg.role.kind in (TWIN_FIRST, TWIN_SECOND)
-        }
-    return {
-        bit + 1 for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2
-    }
+Bit = tuple[int, int]  # (sender, bit index); an aggregate is keyed by its two bits, sorted
+
+# Failed-check messages by origin kind; an origin is (kind, a, b).
+_LEVEL_DISAGREES, _BIT_CONFLICT, _AGGREGATE_CONFLICT = range(3)
+_MESSAGES = (
+    "level {0}: received word disagrees with decoded bits",
+    "bit {1} of sender {0} resolves to conflicting values",
+    "level {0}: aggregate resolves to conflicting values",
+)
 
 
-def _symbol_bits(assign: AssignmentMatrix) -> dict[int, set[int]]:
-    out: dict[int, set[int]] = {}
-    if assign.segments:
-        for seg in assign.segments:
-            if seg.role.is_data and seg.count:
-                out.setdefault(seg.role.symbol_id, set()).update(
-                    range(seg.bit_lo, seg.bit_lo + seg.count)
-                )
-    else:
-        for bit in range(assign.m):
-            out[bit + 1] = {bit}
-    return out
+@dataclass(frozen=True)
+class PeelProgram:
+    """One receiver's peeling schedule, compiled against its received word y.
+
+    Row i of the sparse GF(2) matrix (CSR, int32) is the XOR of the 0-based
+    levels indices[indptr[i]:indptr[i + 1]] of y.  The first `own` rows are
+    the receiver's own bits (all m on success, none otherwise); each later
+    row is a consistency check, in execution order, that must read 0 (a
+    repeat can never fail first, so it is dropped), its failure named by
+    `origins[j]` = (kind, a, b).  The `quiet` levels, which no data pipe
+    reaches, must read 0 too and are checked last.
+    """
+
+    success: bool
+    trace: DecodeTrace
+    own: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    origins: np.ndarray
+    quiet: np.ndarray
 
 
-Bit = tuple[int, int]  # (sender, bit index)
+# A program lives as long as its view, and the receivers of one channel
+# compile mostly equal tuples and rows: keep one copy of each, and take level
+# numbers above 256 from one pool instead of an int object per trace entry.
+@lru_cache(maxsize=256)
+def _shared(value):
+    return value
 
 
-@dataclass
-class _PeelState:
-    known: dict[int, np.ndarray]
-    values: dict[int, np.ndarray] | None
-    pairs: dict[frozenset, int] = field(default_factory=dict)  # {bit, bit} -> XOR value
-    steps: list[PeelStep] = field(default_factory=list)
+@cache
+def _int_pool(bits: int) -> tuple[int, ...]:
+    return tuple(range(1 << bits))
 
 
-def _reduce_level(
-    unknowns: list[Bit], acc: int, pairs: dict[frozenset, int]
+def _int32s(values: list[int]) -> np.ndarray:
+    return np.frombuffer(_shared(np.array(values, dtype=np.int32).tobytes()), dtype=np.int32)
+
+
+def _csr(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows from level sets held as int masks (bit l set = level l)."""
+    indptr = [0]
+    indices: list[int] = []
+    for mask in masks:
+        while mask:
+            low = mask & -mask
+            indices.append(low.bit_length() - 1)
+            mask ^= low
+        indptr.append(len(indices))
+    return _int32s(indptr), _int32s(indices)
+
+
+def _cancel_pairs(
+    unknowns: list[Bit], acc: int, pairs: dict[tuple[Bit, Bit], int], partners: dict[Bit, list[Bit]]
 ) -> tuple[list[Bit], int]:
-    """Cancel known pair-aggregates out of a level's unknown set, canonically."""
+    """Cancel known aggregates out of a level's unknowns, smallest pair first
+    (one sorted sweep is the whole fixpoint: the live set only shrinks)."""
     live = set(unknowns)
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(pairs, key=sorted):
-            if pair <= live:
-                live -= pair
-                acc ^= pairs[pair]
-                changed = True
+    inside = {tuple(sorted((u, v))) for u in unknowns for v in partners.get(u, ()) if v in live}
+    for u, v in sorted(inside):
+        if u in live and v in live:
+            live -= {u, v}
+            acc ^= pairs[(u, v)]
     return sorted(live), acc
 
 
-def _run_peel(view: ReceiverView, y: BitVec | None) -> tuple[bool, DecodeTrace, _PeelState]:
+def _compile(view: ReceiverView) -> PeelProgram:
+    """Run the fixpoint once, without bit values.  Each known bit or aggregate
+    is an int mask of the received levels whose XOR is its value; a check is
+    a mask whose XOR must be 0."""
     ch = view.params
-    assign = view.assign
-    bits_mode = y is not None
-    if bits_mode and y.shape[0] != 2 * ch.n:
-        raise DimensionMismatchError(f"received word length {y.shape[0]} != 2N = {2 * ch.n}")
-    levels = _level_contributors(view)
-    pipe_bit = assign.pipe_to_bit
-    y_list = [int(v) for v in y] if bits_mode else None
-    level_items = [
-        (level0, [(s, p, pipe_bit[p]) for s, p in levels[level0]])
-        for level0 in sorted(levels)
-    ]
-    state = _PeelState(
-        known={s: np.zeros(assign.m, dtype=bool) for s in range(1, ch.k + 1)},
-        values={s: np.zeros(assign.m, dtype=np.uint8) for s in range(1, ch.k + 1)}
-        if bits_mode
-        else None,
-    )
-    known = {s: [False] * assign.m for s in range(1, ch.k + 1)}
-    values = {s: [0] * assign.m for s in range(1, ch.k + 1)} if bits_mode else None
-    twin_syms = _twin_symbols(assign)
-    sym_bits = _symbol_bits(assign)
+    pipe_bit = view.assign.pipe_to_bit
+    paths = _paths(ch, view.receiver)
+    base_of = {s: base for _, s, base, _ in paths}
+    landing = [False] * (2 * ch.n)
+    for _, _, base, limit in paths:
+        for p in range(limit):
+            if pipe_bit[p] is not None:
+                landing[base + p] = True
+    first_pipe = [pipes[0] if pipes else None for pipes in view.assign.bit_pipes()]
+    symbols = _symbols(view.assign)
+    level_number = _int_pool((2 * ch.n).bit_length())
+
+    known: dict[Bit, int] = {}
+    pairs: dict[tuple[Bit, Bit], int] = {}
+    partners: dict[Bit, list[Bit]] = {}  # pairs indexed by each endpoint
+    checks: dict[int, tuple[int, int, int]] = {}  # mask -> origin, in execution order
+    steps: list[PeelStep] = []
+
+    def check(mask: int, kind: int, a: int, b: int = 0) -> None:
+        if mask and mask not in checks:
+            checks[mask] = (kind, a, b)
 
     pass_index = 0
     while True:
         pass_index += 1
-        resolved: dict[Bit, tuple[int, int, int]] = {}  # bit -> (level0, pipe, value)
-        new_pairs: dict[frozenset, int] = {}
-        for level0, contribs in level_items:
-            acc = y_list[level0] if bits_mode else 0
+        resolved: dict[Bit, tuple[int, int, int]] = {}  # bit -> (level0, pipe, mask)
+        new_pairs: dict[tuple[Bit, Bit], int] = {}
+        for level0, hit in enumerate(landing):
+            if not hit:
+                continue
+            acc = 1 << level0
             unknowns: list[Bit] = []
-            pipe_of: dict[Bit, int] = {}
-            for s, p, bit in contribs:
-                if known[s][bit]:
-                    if bits_mode:
-                        acc ^= values[s][bit]
-                else:
+            for _, s, base, limit in paths:
+                p = level0 - base
+                bit = pipe_bit[p] if 0 <= p < limit else None
+                if bit is None:
+                    continue
+                mask = known.get((s, bit))
+                if mask is None:
                     # One path per sender per receiver, so a (sender, bit)
                     # appears at most once per level.
                     unknowns.append((s, bit))
-                    pipe_of[(s, bit)] = p
-            if state.pairs and len(unknowns) > 1:
-                unknowns, acc = _reduce_level(unknowns, acc, state.pairs)
-            if len(unknowns) == 0:
-                if bits_mode and acc != 0:
-                    raise InconsistentSignalError(
-                        f"level {level0 + 1}: received word disagrees with decoded bits"
-                    )
+                else:
+                    acc ^= mask
+            if partners and len(unknowns) > 1:
+                unknowns, acc = _cancel_pairs(unknowns, acc, pairs, partners)
+            if not unknowns:
+                check(acc, _LEVEL_DISAGREES, level0 + 1)
             elif len(unknowns) == 1:
                 b = unknowns[0]
                 prior = resolved.get(b)
                 if prior is not None:
-                    if bits_mode and prior[2] != acc:
-                        raise InconsistentSignalError(
-                            f"bit {b[1]} of sender {b[0]} resolves to conflicting values"
-                        )
-                    continue
-                resolved[b] = (level0, pipe_of.get(b, _any_pipe(assign, b[1])), acc)
+                    check(prior[2] ^ acc, _BIT_CONFLICT, b[0], b[1])
+                else:
+                    resolved[b] = (level0, level0 - base_of[b[0]], acc)
             elif len(unknowns) == 2:
-                key = frozenset(unknowns)
-                if key not in state.pairs and key not in new_pairs:
+                key = tuple(sorted(unknowns))
+                if key in new_pairs:
+                    check(new_pairs[key] ^ acc, _AGGREGATE_CONFLICT, level0 + 1)
+                elif key not in pairs:
                     new_pairs[key] = acc
-                elif bits_mode and key in new_pairs and new_pairs[key] != acc:
-                    raise InconsistentSignalError(
-                        f"level {level0 + 1}: aggregate resolves to conflicting values"
-                    )
         # A known aggregate with one known endpoint reveals the other.
-        for pair in sorted(state.pairs, key=sorted):
-            (s1, b1), (s2, b2) = sorted(pair)
-            k1, k2 = known[s1][b1], known[s2][b2]
-            if k1 == k2:
-                continue
-            target = (s2, b2) if k1 else (s1, b1)
-            source = (s1, b1) if k1 else (s2, b2)
-            if target in resolved:
-                continue
-            value = 0
-            if bits_mode:
-                value = state.pairs[pair] ^ values[source[0]][source[1]]
-            resolved[target] = (-1, _any_pipe(assign, target[1]), value)
+        for (u, v), mask in sorted(pairs.items()):
+            ku, kv = known.get(u), known.get(v)
+            if (ku is None) != (kv is None):
+                target, source = (v, ku) if kv is None else (u, kv)
+                if target not in resolved:
+                    resolved[target] = (-1, first_pipe[target[1]], mask ^ source)
         if not resolved and not new_pairs:
             break
-        if resolved:
-            _record_steps(state, view, resolved, pass_index, twin_syms, sym_bits, known)
-        for (s, bit), (_, _, value) in resolved.items():
-            known[s][bit] = True
-            if bits_mode:
-                values[s][bit] = value
-        state.pairs.update(new_pairs)
+        steps += _pass_steps(resolved, pass_index, known, symbols, level_number)
+        for b, (_, _, mask) in resolved.items():
+            known[b] = mask
+        for key, mask in new_pairs.items():
+            pairs[key] = mask
+            partners.setdefault(key[0], []).append(key[1])
+            partners.setdefault(key[1], []).append(key[0])
 
-    for s in range(1, ch.k + 1):
-        state.known[s][:] = known[s]
-        if bits_mode:
-            state.values[s][:] = values[s]
-    success = bool(state.known[view.receiver].all())
-    return success, DecodeTrace(tuple(state.steps)), state
+    own = [known.get((view.receiver, bit)) for bit in range(view.assign.m)]
+    if None in own:
+        own = []
+    indptr, indices = _csr(own + list(checks))
+    return PeelProgram(
+        success=len(own) == view.assign.m,
+        trace=DecodeTrace(tuple(steps)),
+        own=len(own),
+        indptr=indptr,
+        indices=indices,
+        origins=_int32s([a for origin in checks.values() for a in origin]).reshape(-1, 3),
+        # Levels whose contributors are all known were checked by the last
+        # pass; the rest of the residual is that no other level reads 1.
+        quiet=_int32s([level0 for level0, hit in enumerate(landing) if not hit]),
+    )
 
 
-def _any_pipe(assign: AssignmentMatrix, bit: int) -> int:
-    for p, b in enumerate(assign.pipe_to_bit):
-        if b == bit:
-            return p
-    raise ValueError(f"bit {bit} carried by no pipe")
-
-
-def _record_steps(
-    state: _PeelState,
-    view: ReceiverView,
-    resolved: dict[Bit, tuple[int, int, int]],
-    pass_index: int,
-    twin_syms: set[int],
-    sym_bits: dict[int, set[int]],
-    known: dict[int, list[bool]],
-) -> None:
-    assign = view.assign
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (sender, symbol) -> [(bit, level0)]
+def _pass_steps(
+    resolved: dict, pass_index: int, known: dict, symbols: tuple, level_number: tuple[int, ...]
+) -> list[PeelStep]:
+    """Trace steps of one pass: the bits it resolved, grouped by (sender, symbol)."""
+    pipe_symbol, twin_syms, sym_bits = symbols
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # -> [(bit, level0)]
     via_pair: set[tuple[int, int]] = set()
     for (s, bit), (level0, pipe, _) in resolved.items():
-        sym = _symbol_of_pipe(assign, pipe)
-        groups.setdefault((s, sym), []).append((bit, level0))
+        key = (s, pipe_symbol[pipe])
+        groups.setdefault(key, []).append((bit, level0))
         if level0 < 0:
-            via_pair.add((s, sym))
+            via_pair.add(key)
     pass_steps = []
     for (s, sym), items in sorted(groups.items()):
         bits = tuple(sorted(b for b, _ in items))
-        lvls = tuple(sorted(l + 1 for _, l in items if l >= 0))
-        full = not any(known[s][b] for b in sym_bits[sym]) and set(bits) == sym_bits[sym]
+        lvls = tuple(sorted(level_number[l + 1] for _, l in items if l >= 0))
+        full = bits == sym_bits[sym] and not any((s, b) in known for b in bits)
         if (s, sym) in via_pair:
             rule = RULE_MIXED
-        elif full and sym not in twin_syms:
+        elif full:
             rule = RULE_DIRECT
-        elif sym in twin_syms:
-            rule = RULE_DIRECT if full else RULE_TWIN
         else:
-            rule = RULE_MIXED
-        pass_steps.append(PeelStep(pass_index, rule, s, sym, bits, lvls))
+            rule = RULE_TWIN if sym in twin_syms else RULE_MIXED
+        pass_steps.append(PeelStep(pass_index, rule, s, sym, _shared(bits), _shared(lvls)))
     # Whole-block readouts first, then twin progress, then aggregate work.
     order = {RULE_DIRECT: 0, RULE_TWIN: 1, RULE_MIXED: 2}
     pass_steps.sort(key=lambda st: (order[st.rule], st.sender, st.symbol_id))
-    state.steps.extend(pass_steps)
+    return pass_steps
 
 
 def peel_structure(view: ReceiverView) -> tuple[bool, DecodeTrace]:
     """Value-free peeling: does the schedule recover the receiver's own bits?"""
-    success, trace, _ = _run_peel(view, None)
-    return success, trace
+    return view.program.success, view.program.trace
 
 
 def peel_bits(view: ReceiverView, y: BitVec) -> tuple[np.ndarray | None, DecodeTrace]:
-    """Run the peeling schedule on an actual received word.
+    """Replay the compiled peeling schedule on an actual received word.
 
-    Returns the receiver's own m message bits (None on failure) and the
-    trace; the schedule never depends on the bit values.  Raises
-    InconsistentSignalError when y is not a codeword image.
+    Returns the receiver's own m message bits as uint8 (None on failure) and
+    the trace.  Raises DimensionMismatchError unless y has 2N entries,
+    NotBinaryError on an entry other than 0 or 1, and InconsistentSignalError
+    (first failing check) when y is not a codeword image.
     """
-    success, trace, state = _run_peel(view, y)
-    _check_residual(view, state, y)
-    if not success:
-        return None, trace
-    return np.array(state.values[view.receiver], copy=True), trace
-
-
-def _check_residual(view: ReceiverView, state: _PeelState, y: BitVec) -> None:
-    """Fully-known levels must reproduce y; data-free levels must be zero."""
-    levels = _level_contributors(view)
-    for level0 in range(2 * view.params.n):
-        contribs = levels.get(level0)
-        if contribs is None:
-            if int(y[level0]) != 0:
-                raise InconsistentSignalError(f"level {level0 + 1}: nonzero outside all blocks")
-            continue
-        acc = int(y[level0])
-        complete = True
-        for s, p in contribs:
-            bit = view.assign.pipe_to_bit[p]
-            if state.known[s][bit]:
-                acc ^= int(state.values[s][bit])
-            else:
-                complete = False
-        if complete and acc != 0:
-            raise InconsistentSignalError(
-                f"level {level0 + 1}: received word disagrees with decoded bits"
-            )
+    y = np.asarray(y)
+    if y.shape != (2 * view.params.n,):
+        raise DimensionMismatchError(f"received word shape {y.shape} != ({2 * view.params.n},)")
+    y = to_bits(y, "received word")
+    program = view.program
+    prefix = np.zeros(program.indices.size + 1, dtype=np.uint8)  # so an empty row reads 0
+    np.bitwise_xor.accumulate(np.take(y, program.indices), out=prefix[1:])
+    values = np.take(prefix, program.indptr[1:]) ^ np.take(prefix, program.indptr[:-1])
+    failed = values[program.own :]
+    if np.count_nonzero(failed):
+        kind, a, b = program.origins[failed.argmax()]
+        raise InconsistentSignalError(_MESSAGES[kind].format(a, b))
+    stray = np.take(y, program.quiet)
+    if np.count_nonzero(stray):
+        level = program.quiet[stray.argmax()] + 1
+        raise InconsistentSignalError(f"level {level}: nonzero outside all blocks")
+    if not program.success:
+        return None, program.trace
+    return values[: program.own], program.trace

@@ -31,7 +31,10 @@ def parse_rat(text: str) -> Rat:
     s = text.strip().replace("−", "-")  # tolerate unicode minus
     if not _RAT_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rat(x: Rat) -> str:

@@ -20,6 +20,24 @@ class ShiftRangeError(ValueError):
     """Shift amount outside 0..len."""
 
 
+class NotBinaryError(ValueError):
+    """A bit vector holds an entry other than 0 or 1."""
+
+
+def to_bits(v: np.ndarray, what: str) -> BitVec:
+    """v as a uint8 bit vector after checking every entry is 0 or 1.
+
+    The check comes before any cast, so a 2 or a 256 is refused, not wrapped.
+    """
+    if v.dtype == np.uint8:
+        if v.size and v.max() > 1:
+            raise NotBinaryError(f"{what} has entries outside {{0, 1}}")
+        return v
+    if not np.all((v == 0) | (v == 1)):
+        raise NotBinaryError(f"{what} has entries outside {{0, 1}}")
+    return v.astype(np.uint8)
+
+
 def bitvec(bits) -> BitVec:
     v = np.asarray(bits, dtype=np.uint8)
     if v.ndim != 1 or not np.all(v <= 1):

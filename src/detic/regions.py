@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -81,8 +82,22 @@ def _builtin_table_text() -> str:
 
 
 def load_region_table(path: str | Path | None = None) -> tuple[RegionSpec, ...]:
-    """Load and validate the catalog, preserving printed row order."""
-    text = Path(path).read_text() if path is not None else _builtin_table_text()
+    """Load and validate the catalog, preserving printed row order.
+
+    The built-in catalog is parsed once per process (the table is immutable);
+    an explicit path is read on every call.
+    """
+    if path is None:
+        return _builtin_table()
+    return _parse_table(Path(path).read_text())
+
+
+@cache
+def _builtin_table() -> tuple[RegionSpec, ...]:
+    return _parse_table(_builtin_table_text())
+
+
+def _parse_table(text: str) -> tuple[RegionSpec, ...]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -556,10 +557,14 @@ def layout_for(region: RegionSpec, frozen: dict[str, Layout] | None = None) -> L
     """Frozen layout when available, otherwise a fresh derivation."""
     if frozen is not None and region.id in frozen:
         return frozen[region.id]
+    return _builtin_layout(region) or infer_roles(region)
+
+
+@lru_cache(maxsize=64)
+def _builtin_layout(region: RegionSpec) -> Layout | None:
+    """The region's layout from the built-in layouts.json, parsed once per
+    process and region (layouts are immutable); None when it has none."""
     try:
-        cached = load_frozen_layouts([region])
+        return load_frozen_layouts([region]).get(region.id)
     except (FileNotFoundError, ValueError):
-        cached = {}
-    if region.id in cached:
-        return cached[region.id]
-    return infer_roles(region)
+        return None

@@ -15,7 +15,7 @@ from detic.channel import (
     signal_w,
     transmit,
 )
-from detic.gf2 import bitvec
+from detic.gf2 import NotBinaryError, bitvec
 
 # Family anchor points of the region catalog.
 ANCHORS = [(F(2), F(0)), (F(6, 5), F(2, 5)), (F(4, 3), F(2, 3)), (F(2), F(2, 3))]
@@ -136,6 +136,29 @@ class TestTransmit:
         lhs = transmit(ch, [a ^ b for a, b in zip(xs, xs2)])
         rhs = [a ^ b for a, b in zip(transmit(ch, xs), transmit(ch, xs2))]
         for a, b in zip(lhs, rhs):
+            assert np.array_equal(a, b)
+
+
+class TestInputContract:
+    def test_non_binary_input_is_refused(self):
+        ch = make_channel(3, 4, F(2), F(0))
+        zeros = np.zeros(4, dtype=np.uint8)
+        with pytest.raises(NotBinaryError):
+            transmit(ch, [np.array([2, 0, 0, 0]), zeros, zeros])
+        with pytest.raises(NotBinaryError):
+            transmit(ch, [np.array([0, 0, 256, 0]), zeros, zeros])
+        with pytest.raises(NotBinaryError):
+            signal_v(ch, np.array([0, -1, 0, 0]))
+
+    @pytest.mark.parametrize("dtype", [np.int64, bool, np.float64])
+    def test_output_is_uint8_for_any_input_dtype(self, dtype):
+        rng = np.random.default_rng(15)
+        ch = make_channel(3, 4, F(3, 2), F(1, 2))
+        xs = [rng.integers(0, 2, 4, dtype=np.uint8) for _ in range(3)]
+        want = transmit(ch, xs)
+        got = transmit(ch, [x.astype(dtype) for x in xs])
+        for a, b in zip(got, want):
+            assert a.dtype == np.uint8
             assert np.array_equal(a, b)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from importlib import resources
@@ -49,6 +50,12 @@ class TestClassify:
     def test_bad_literal_is_usage_error(self, capsys):
         code, out = run(capsys, "classify", "--alpha", "1.6", "--beta", "9/10")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--alpha-decimal"])
+    def test_zero_denominator_is_usage_error(self, capsys, flag):
+        code, out = run(capsys, "classify", flag, "1/0", "--beta", "1/2")
+        assert code == 2
+        assert "zero denominator" in json.loads(out)["error"]
 
 
 class TestPlan:
@@ -109,6 +116,34 @@ class TestSimulate:
         code, out = run(capsys, "simulate", "--alpha", "4/3", "--beta", "2/3", "--k", "2")
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_oversized_n_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "simulate", "--alpha", "8/5", "--beta", "9/10",
+            "--n", "60000", "--k", "3", "--trials", "1",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "N <= 6000" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "n,k,trials,budget",
+        [
+            ("6000", "40", "0", "N*K <="),
+            ("6000", "3", "3000", "K*trials*(N+200) <="),
+            ("20", "3", "80000", "K*trials*(N+200) <="),
+            ("60", "3", "-1", ">= 0"),
+        ],
+        ids=["compile", "decode", "per-trial", "negative-trials"],
+    )
+    def test_size_budget(self, capsys, n, k, trials, budget):
+        code, out = run(
+            capsys, "simulate", "--alpha", "8/5", "--beta", "9/10",
+            "--n", n, "--k", k, "--trials", trials,
+        )
+        assert code == 2
+        assert budget in json.loads(out)["error"]
 
 
 class TestVerify:
@@ -179,6 +214,14 @@ class TestTableOverride:
         )
         assert code == 0
         assert json.loads(out)["region"] == "-"
+
+    def test_missing_table_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out = run(
+            capsys, "--table", str(missing), "classify", "--alpha", "8/5", "--beta", "9/10"
+        )
+        assert code == 2
+        assert str(missing) in json.loads(out)["error"]
 
     def test_env_fallback(self, capsys, tmp_path, monkeypatch):
         rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())

@@ -11,6 +11,7 @@ from detic.decode import (
     receiver_view,
     reconstruct_output,
 )
+from detic.gf2 import NotBinaryError
 from detic.oracle import LinearScheme, rank_decodable
 from detic.scheme import (
     AssignmentMatrix,
@@ -154,6 +155,20 @@ class TestPeelBits:
         bad[0] ^= 1  # level 1 carries no block at this point
         with pytest.raises(InconsistentSignalError):
             peel_bits(receiver_view(df_assign, df_channel, 1), bad)
+
+    def test_non_binary_word_is_refused(self, df_assign, df_channel):
+        y = np.zeros(2 * df_channel.n, dtype=np.int64)
+        y[70] = 2
+        with pytest.raises(NotBinaryError):
+            peel_bits(receiver_view(df_assign, df_channel, 1), y)
+
+    def test_bits_are_uint8_for_any_word_dtype(self, df_assign, df_channel):
+        rng = np.random.default_rng(26)
+        msgs = [rng.integers(0, 2, df_assign.m, dtype=np.uint8) for _ in range(3)]
+        y = transmit(df_channel, [df_assign.encode(d) for d in msgs])[0]
+        got, _ = peel_bits(receiver_view(df_assign, df_channel, 1), y.astype(np.int64))
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, msgs[0])
 
     def test_failure_returns_none(self):
         ch = make_channel(3, 1, F(1), F(0))

@@ -1,0 +1,75 @@
+"""Property tests of the compiled peeling decoder at random catalog points.
+
+Each example draws a region, a rational point strictly inside it, a multiple
+of that point's minimal N (at most MAX_N), K in 3..7, any receiver and the
+messages, then checks that the frozen layout's compiled decoder returns the
+sent bits with the value-free trace, and that peel success implies rank
+decodability.
+"""
+
+import math
+from fractions import Fraction as F
+from functools import cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from detic.channel import make_channel, transmit
+from detic.decode import peel_bits, peel_structure, receiver_view
+from detic.exactmath import polygon_vertices
+from detic.oracle import LinearScheme, rank_decodable
+from detic.regions import load_region_table
+from detic.scheme import _strict_interior, build_assignment, load_frozen_layouts, minimal_n
+
+MAX_N = 120
+DENOMINATORS = range(2, 17)
+
+
+@cache
+def interior_points() -> dict[str, tuple[tuple[F, F], ...]]:
+    """Per region id, the (eps, delta) of every strictly interior lattice
+    point with a small denominator whose minimal N is at most MAX_N."""
+    points = {}
+    for spec in load_region_table():
+        verts = polygon_vertices(spec.polygon)
+        eps_lo, eps_hi = min(v[0] for v in verts), max(v[0] for v in verts)
+        delta_lo, delta_hi = min(v[1] for v in verts), max(v[1] for v in verts)
+        seen, inside = set(), []
+        for den in DENOMINATORS:
+            for i in range(math.ceil(eps_lo * den), math.floor(eps_hi * den) + 1):
+                for j in range(math.ceil(delta_lo * den), math.floor(delta_hi * den) + 1):
+                    eps, delta = F(i, den), F(j, den)
+                    if (eps, delta) in seen or not _strict_interior(spec, eps, delta):
+                        continue
+                    seen.add((eps, delta))
+                    if minimal_n(spec, eps, delta) <= MAX_N:
+                        inside.append((eps, delta))
+        points[spec.id] = tuple(inside)
+    return points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compiled_decoder_returns_sent_bits(data):
+    spec = data.draw(st.sampled_from(load_region_table()), label="region")
+    eps, delta = data.draw(st.sampled_from(interior_points()[spec.id]), label="point")
+    need = minimal_n(spec, eps, delta)
+    n = need * data.draw(st.integers(1, MAX_N // need), label="multiple of minimal N")
+    k = data.draw(st.integers(3, 7), label="K")
+    receiver = data.draw(st.integers(1, k), label="receiver")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="message seed")
+
+    alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
+    assign = build_assignment(load_frozen_layouts([spec])[spec.id], spec, alpha, beta, n)
+    ch = make_channel(k, n, alpha, beta)
+    rng = np.random.default_rng(seed)
+    messages = [rng.integers(0, 2, assign.m, dtype=np.uint8) for _ in range(k)]
+    y = transmit(ch, [assign.encode(d) for d in messages])[receiver - 1]
+
+    ok, trace = peel_structure(receiver_view(assign, ch, receiver))
+    got, bit_trace = peel_bits(receiver_view(assign, ch, receiver), y)
+    assert bit_trace == trace
+    assert ok and got is not None
+    assert np.array_equal(got, messages[receiver - 1])
+    assert rank_decodable(LinearScheme(ch, assign))

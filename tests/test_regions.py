@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from detic import regions
 from detic.exactmath import Affine2
 from detic.regions import (
     OutOfSquareError,
@@ -22,6 +23,19 @@ ROW_IDS = [
 
 
 class TestLoad:
+    def test_builtin_catalog_is_parsed_once(self, monkeypatch):
+        reads = []
+        text = regions._builtin_table_text()
+        monkeypatch.setattr(regions, "_builtin_table_text", lambda: reads.append(1) or text)
+        regions._builtin_table.cache_clear()
+        try:
+            results = [classify(F(8, 5), F(9, 10)) for _ in range(5)]
+        finally:
+            regions._builtin_table.cache_clear()
+        assert len(reads) == 1
+        assert all(res == results[0] for res in results)
+        assert results[0].region.id == "Df"
+
     def test_row_ids_in_printed_order(self, table):
         assert [spec.id for spec in table] == ROW_IDS
 
