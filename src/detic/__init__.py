@@ -63,6 +63,7 @@ from .scheme import (
     NonIntegralBlocksError,
     NoValidLayoutError,
     OutsideRegionError,
+    PipeCountError,
     build_assignment,
     check_validity,
     infer_roles,

@@ -25,11 +25,11 @@ from .render import atlas_csv, atlas_svg, render_scheme
 from .scheme import (
     NonIntegralBlocksError,
     build_assignment,
+    check_points,
     check_validity,
     layout_for,
     load_frozen_layouts,
     minimal_n,
-    validation_points,
 )
 
 EXIT_OK = 0
@@ -252,15 +252,10 @@ def _verify_oracle(table) -> tuple[bool, dict]:
     ok = True
     for spec in table:
         layout = layout_for(spec, frozen)
-        points = validation_points(spec)
-        region_ok = True
-        for eps, delta in points:
-            alpha = spec.anchor_alpha + eps
-            beta = spec.anchor_beta + delta
-            n = minimal_n(spec, eps, delta)
-            assign = build_assignment(layout, spec, alpha, beta, n)
-            ch = make_channel(3, n, alpha, beta)
-            region_ok &= rank_decodable(LinearScheme(ch, assign))
+        points = check_points(spec)
+        region_ok = all(
+            rank_decodable(LinearScheme(point.ch, point.assignment(layout))) for point in points
+        )
         ok &= region_ok
         detail.append({"region": spec.id, "points": len(points), "rankDecodable": region_ok})
     return ok, {"detail": detail}

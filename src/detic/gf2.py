@@ -1,10 +1,14 @@
 """Dense linear algebra over the binary field on numpy uint8 arrays.
 
 Vectors and matrices hold {0,1} entries; index 0 is the top signal level.
-All operations return fresh arrays; inputs are never modified.
+All operations return fresh arrays; inputs are never modified.  Elimination
+(`pivot_bits`, behind `rank` and the rank oracle) runs on rows packed into
+Python ints.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -104,37 +108,27 @@ def zero_pad(v: BitVec) -> BitVec:
     return np.concatenate([zeros(v.shape[0]), v])
 
 
-def shift_rows_up(m: BitMat, s: int) -> BitMat:
-    out = np.zeros_like(m)
-    if s < m.shape[0]:
-        out[: m.shape[0] - s] = m[s:]
-    return out
+def pivot_bits(rows: Iterable[int]) -> list[int]:
+    """Leading-bit positions of an echelon basis of the span of `rows`.
 
-
-def shift_rows_down(m: BitMat, s: int) -> BitMat:
-    out = np.zeros_like(m)
-    if s < m.shape[0]:
-        out[s:] = m[: m.shape[0] - s]
-    return out
+    Each row is a bit set packed into a Python int, so one XOR eliminates a
+    whole row at machine-word speed.  Every row is reduced by the basis row
+    that owns its leading bit until it vanishes or claims a new leading bit;
+    the number of positions returned is the GF(2) rank.
+    """
+    basis: dict[int, int] = {}
+    for v in rows:
+        while v:
+            top = v.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = v
+                break
+            v ^= pivot
+    return list(basis)
 
 
 def rank(m: BitMat) -> int:
-    """GF(2) rank via Gaussian elimination on a working copy."""
-    work = np.array(m, dtype=np.uint8, copy=True) % 2
-    n_rows, n_cols = work.shape
-    r = 0
-    for col in range(n_cols):
-        pivots = np.nonzero(work[r:, col])[0]
-        if pivots.size == 0:
-            continue
-        piv = r + pivots[0]
-        if piv != r:
-            work[[r, piv]] = work[[piv, r]]
-        mask = work[:, col].astype(bool)
-        mask[r] = False
-        if mask.any():
-            work[mask] ^= work[r]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    """GF(2) rank of a 2-D {0,1} matrix; the input is not modified."""
+    packed = np.packbits(np.asarray(m, dtype=np.uint8) % 2, axis=1)
+    return len(pivot_bits(int.from_bytes(row.tobytes(), "big") for row in packed))

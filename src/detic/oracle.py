@@ -1,10 +1,16 @@
 """Independent verification: exact rank decodability and exhaustive search.
 
 The rank criterion is decoder-agnostic: with uniform independent messages,
-receiver 1 can recover its pair's bits iff the direct image of the assignment
-is injective and meets the interference span trivially, i.e.
-rank([A|B|C]) = m + rank([B|C]) for the three placed images A, B, C.  By
+receiver 1 can recover its pair's bits iff the direct image A of the
+assignment is injective and meets the span of the interference images B (up
+path) and C (down path) trivially, i.e. rank([A|B|C]) = m + rank([B|C]).  By
 cyclic symmetry with a shared assignment, receiver 1 decides all receivers.
+
+The test is one elimination.  Each of the 2N receive levels becomes a row
+packed into a Python int, with the 2m interference columns [B|C] in the high
+bits and the m direct columns A in the low bits.  Leading-bit elimination
+then finds rank([B|C]) pivots in the high bits and rank([A|B|C]) pivots in
+all, so the scheme decodes iff exactly m pivots land in the low bits.
 
 The search enumerates every pipe labeling of the constrained scheme class at
 tiny N (each pipe: zero, a fresh bit, or a second use of a bit used once) and
@@ -16,10 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelParams
-from .gf2 import BitMat, rank, shift_rows_down, shift_rows_up
+from .gf2 import pivot_bits
 from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
 
 _SEARCH_N_LIMIT = 8
@@ -35,25 +39,25 @@ class LinearScheme:
     assign: AssignmentMatrix
 
 
-def placed_images(s: LinearScheme) -> tuple[BitMat, BitMat, BitMat]:
-    """2N x m images of the assignment on the direct, up, and down paths."""
-    ch = s.params
-    g = s.assign.to_matrix()
-    if g.shape[0] != ch.n:
-        raise ValueError(f"assignment N = {g.shape[0]} != channel N = {ch.n}")
-    zg = np.zeros((2 * ch.n, s.assign.m), dtype=np.uint8)
-    zg[ch.n :, :] = g
-    a = zg
-    b = shift_rows_up(zg, ch.up_shift)
-    c = shift_rows_down(zg, ch.down_shift)
-    return a, b, c
-
-
 def rank_decodable(s: LinearScheme) -> bool:
     """Exact decodability of the receiver's own bits under any linear decoder."""
-    a, b, c = placed_images(s)
-    interference = np.hstack([b, c])
-    return rank(np.hstack([a, interference])) == s.assign.m + rank(interference)
+    ch, assign = s.params, s.assign
+    n, m, up, down = ch.n, assign.m, ch.up_shift, ch.down_shift
+    if assign.n != n:
+        raise ValueError(f"assignment N = {assign.n} != channel N = {n}")
+    # Bit j on pipe p: column j of A at level n + p, column m + j of B at
+    # level n + p - up, column 2m + j of C at level n + p + down.
+    rows = [0] * (2 * n)
+    for p, j in enumerate(assign.pipe_to_bit):
+        if j is None:
+            continue
+        level = n + p
+        rows[level] |= 1 << j
+        if level >= up:
+            rows[level - up] |= 1 << (m + j)
+        if level + down < 2 * n:
+            rows[level + down] |= 1 << (2 * m + j)
+    return sum(1 for top in pivot_bits(rows) if top < m) == m
 
 
 def _labelings(n: int):

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .channel import make_channel
+from .channel import ChannelParams, make_channel
 from .exactmath import (
     Affine2,
     Rat,
@@ -54,6 +54,10 @@ class NonIntegralBlocksError(ValueError):
 
 class OutsideRegionError(ValueError):
     """Point not in the layout's region closure."""
+
+
+class PipeCountError(ValueError):
+    """Pipe count N below 1."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,15 @@ def minimal_n(region: RegionSpec, eps: Rat, delta: Rat) -> int:
 def instantiate(
     layout: Layout, region: RegionSpec, alpha: Rat, beta: Rat, n: int
 ) -> list[int]:
-    """Per-block pipe counts at N; requires the point in the region closure."""
+    """Per-block pipe counts at N; requires N >= 1 and the point in the region closure."""
+    return _pipe_counts([length for length, _ in layout.blocks], region, alpha, beta, n)
+
+
+def _pipe_counts(
+    lengths: Iterable[Affine2], region: RegionSpec, alpha: Rat, beta: Rat, n: int
+) -> list[int]:
+    if n < 1:
+        raise PipeCountError(f"N >= 1 required, got N = {n}")
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     eps, delta = region.offset(alpha, beta)
@@ -181,7 +193,7 @@ def instantiate(
             minimal_n=need,
         )
     counts = []
-    for length, _ in layout.blocks:
+    for length in lengths:
         c = affine_eval(length, eps, delta) * n
         if c < 0:
             raise OutsideRegionError(
@@ -205,7 +217,10 @@ def build_assignment(
     index), twin seconds take their partner's indices in reverse, zeros take
     nothing.
     """
-    counts = instantiate(layout, region, alpha, beta, n)
+    return _fill_pipes(layout, instantiate(layout, region, alpha, beta, n), n)
+
+
+def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatrix:
     pipe_to_bit: list[int | None] = [None] * n
     segments: list[Segment] = []
     first_bit_lo: dict[int, int] = {}  # block index -> bit_lo of the twin-first copy
@@ -216,15 +231,13 @@ def build_assignment(
         bit_lo: int | None = None
         if role.kind in (SINGLE, TWIN_FIRST):
             bit_lo = next_bit
-            for i in range(count):
-                pipe_to_bit[pipe_lo + i] = next_bit + i
+            pipe_to_bit[pipe_lo:pipe_hi] = range(next_bit, next_bit + count)
             next_bit += count
             if role.kind == TWIN_FIRST:
                 first_bit_lo[idx] = bit_lo
         elif role.kind == TWIN_SECOND:
             bit_lo = first_bit_lo[role.partner]
-            for i in range(count):
-                pipe_to_bit[pipe_lo + i] = bit_lo + count - 1 - i
+            pipe_to_bit[pipe_lo:pipe_hi] = range(bit_lo + count - 1, bit_lo - 1, -1)
         segments.append(Segment(pipe_lo, count, role, bit_lo))
         pipe_hi = pipe_lo
     assert pipe_hi == 0
@@ -235,6 +248,31 @@ def build_assignment(
         segments=tuple(segments),
         region_id=layout.region_id,
     )
+
+
+@dataclass(frozen=True)
+class CheckPoint:
+    """A validation point made ready for checking any layout of its region:
+    the channel (K = 3) at the point's minimal N and every block's pipe count."""
+
+    ch: ChannelParams
+    counts: tuple[int, ...]
+
+    def assignment(self, layout: Layout) -> AssignmentMatrix:
+        return _fill_pipes(layout, self.counts, self.ch.n)
+
+
+def check_points(region: RegionSpec) -> list[CheckPoint]:
+    """The region's validation points, each instantiated once; the pipe counts
+    depend only on the block lengths, which every layout of the region shares."""
+    out = []
+    for eps, delta in validation_points(region):
+        alpha = region.anchor_alpha + eps
+        beta = region.anchor_beta + delta
+        n = minimal_n(region, eps, delta)
+        counts = _pipe_counts(region.block_lens, region, alpha, beta, n)
+        out.append(CheckPoint(make_channel(3, n, alpha, beta), tuple(counts)))
+    return out
 
 
 @dataclass
@@ -388,21 +426,11 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     points.append(interior_sample(region))
     seen = set(points)
     lattice = []
-    lo_e = min(v[0] for v in verts)
-    hi_e = max(v[0] for v in verts)
-    lo_d = min(v[1] for v in verts)
-    hi_d = max(v[1] for v in verts)
     for den in _GRID_DENOMINATORS:
-        for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
-            eps = Fraction(i, den)
-            for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1):
-                delta = Fraction(j, den)
-                if (eps, delta) in seen or not _strict_interior(region, eps, delta):
-                    continue
-                n = minimal_n(region, eps, delta)
-                if n <= _GRID_N_CAP:
-                    seen.add((eps, delta))
-                    lattice.append((n, eps, delta))
+        for n, eps, delta in _interior_lattice(region, den):
+            if n <= _GRID_N_CAP and (eps, delta) not in seen:
+                seen.add((eps, delta))
+                lattice.append((n, eps, delta))
     # Cheap instances first so unfit candidates fail fast.
     points.extend((e, d) for _, e, d in sorted(lattice))
     return points
@@ -414,22 +442,12 @@ def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
     Scans small-denominator lattice points inside the bounding box and keeps
     the one minimizing (minimal N, denominator, eps, delta).
     """
-    verts = polygon_vertices(region.polygon)
-    lo_e = min(v[0] for v in verts)
-    hi_e = max(v[0] for v in verts)
-    lo_d = min(v[1] for v in verts)
-    hi_d = max(v[1] for v in verts)
     best: tuple[int, int, Rat, Rat] | None = None
     for den in (*range(2, 37), 40, 42, 45, 48, 60):
-        for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
-            eps = Fraction(i, den)
-            for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1):
-                delta = Fraction(j, den)
-                if not _strict_interior(region, eps, delta):
-                    continue
-                key = (minimal_n(region, eps, delta), den, eps, delta)
-                if best is None or key < best:
-                    best = key
+        for n, eps, delta in _interior_lattice(region, den):
+            key = (n, den, eps, delta)
+            if best is None or key < best:
+                best = key
         if best is not None and best[0] <= 12:
             break
     if best is None:
@@ -441,20 +459,63 @@ def _strict_interior(region: RegionSpec, eps: Rat, delta: Rat) -> bool:
     return all(affine_eval(h.expr, eps, delta) > 0 for h in region.polygon.halfplanes)
 
 
-def _decodes_everywhere(layout: Layout, region: RegionSpec, points: list[tuple[Rat, Rat]]) -> bool:
+def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, Rat]]:
+    """(minimal N, eps, delta) of every strictly interior point of the region
+    on the lattice (i/den, j/den) of its bounding box, in (eps, delta) order.
+
+    Exact integer arithmetic: a form scaled by `scale` has the value
+    num / (scale * den) at (i/den, j/den), whose sign is that of num and whose
+    denominator is (scale * den) / gcd(num, scale * den).
+    """
+    (lo_e, hi_e, lo_d, hi_d), scale, sides, values = _lattice_forms(region)
+    big = scale * den
+    for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
+        for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1):
+            if all(c0 * den + ce * i + cd * j > 0 for c0, ce, cd in sides):
+                n = math.lcm(
+                    *(big // math.gcd(c0 * den + ce * i + cd * j, big) for c0, ce, cd in values)
+                )
+                yield n, Fraction(i, den), Fraction(j, den)
+
+
+@lru_cache(maxsize=64)
+def _lattice_forms(region: RegionSpec) -> tuple:
+    """Bounding box, then the half-plane forms and the forms whose denominators
+    set the minimal N (alpha, beta, block lengths), times one common scale."""
+    verts = polygon_vertices(region.polygon)
+    box = (
+        min(v[0] for v in verts),
+        max(v[0] for v in verts),
+        min(v[1] for v in verts),
+        max(v[1] for v in verts),
+    )
+    sides = [h.expr for h in region.polygon.halfplanes]
+    values = [
+        Affine2(region.anchor_alpha, Fraction(1), Fraction(0)),
+        Affine2(region.anchor_beta, Fraction(0), Fraction(1)),
+        *region.block_lens,
+    ]
+    scale, scaled = _scaled(sides + values)
+    return box, scale, scaled[: len(sides)], scaled[len(sides) :]
+
+
+def _scaled(forms: list[Affine2]) -> tuple[int, list[tuple[int, int, int]]]:
+    """A common denominator of the forms, and the forms times it as integer triples."""
+    coefs = [(f.c0, f.c_eps, f.c_delta) for f in forms]
+    den = math.lcm(*(c.denominator for triple in coefs for c in triple))
+    return den, [tuple(int(c * den) for c in triple) for triple in coefs]
+
+
+def _decodes_everywhere(layout: Layout, points: list[CheckPoint]) -> bool:
     # Imported here: decode and oracle consume the types defined above.
     from .decode import peel_structure, receiver_view
     from .oracle import LinearScheme, rank_decodable
 
-    for eps, delta in points:
-        alpha = region.anchor_alpha + eps
-        beta = region.anchor_beta + delta
-        n = minimal_n(region, eps, delta)
-        assign = build_assignment(layout, region, alpha, beta, n)
-        ch = make_channel(3, n, alpha, beta)
-        if not rank_decodable(LinearScheme(ch, assign)):
+    for point in points:
+        assign = point.assignment(layout)
+        if not rank_decodable(LinearScheme(point.ch, assign)):
             return False
-        ok, _ = peel_structure(receiver_view(assign, ch, 1))
+        ok, _ = peel_structure(receiver_view(assign, point.ch, 1))
         if not ok:
             return False
     return True
@@ -463,12 +524,18 @@ def _decodes_everywhere(layout: Layout, region: RegionSpec, points: list[tuple[R
 def infer_roles(region: RegionSpec) -> Layout:
     """First role assignment (canonical order) that satisfies the rate
     identity symbolically and decodes at every validation point."""
-    points = validation_points(region)
+    points = check_points(region)
+    _, (*lens, rate) = _scaled([*region.block_lens, region.dsym])
     for raw in _role_candidates(region.block_lens):
-        layout = _to_layout(region, raw)
-        if layout.distinct_data_sum() != region.dsym:
+        # The rate identity: lengths of singles and twin firsts sum to dsym.
+        c0 = c_eps = c_delta = 0
+        for (a, b, c), r in zip(lens, raw):
+            if r == SINGLE or (r != ZERO and r[0] == "twin"):
+                c0, c_eps, c_delta = c0 + a, c_eps + b, c_delta + c
+        if (c0, c_eps, c_delta) != rate:
             continue
-        if _decodes_everywhere(layout, region, points):
+        layout = _to_layout(region, raw)
+        if _decodes_everywhere(layout, points):
             return layout
     raise NoValidLayoutError(
         f"region {region.id}: no role assignment is valid and decodable "

@@ -84,6 +84,13 @@ class TestPlan:
         assert code == 2
         assert payload["minimalN"] == 20
 
+    @pytest.mark.parametrize("command", ["plan", "simulate", "render"])
+    @pytest.mark.parametrize("n", ["0", "-20"])
+    def test_n_below_one_is_usage_error(self, capsys, command, n):
+        code, out = run(capsys, command, "--alpha", "8/5", "--beta", "9/10", "--n", n)
+        assert code == 2
+        assert json.loads(out) == {"error": f"N >= 1 required, got N = {n}"}
+
 
 class TestSimulate:
     def test_worked_example(self, capsys):

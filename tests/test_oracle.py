@@ -13,8 +13,8 @@ from detic.oracle import (
     rank_decodable,
     witness_blocks,
 )
-from detic.regions import dsym_at
-from detic.scheme import build_assignment
+from detic.regions import classify, dsym_at
+from detic.scheme import build_assignment, minimal_n
 
 
 class TestRankDecodable:
@@ -85,6 +85,25 @@ class TestExhaustiveSearch:
         alpha, beta = F(3, 2), F(3, 4)
         best_m, _ = exhaustive_search(make_channel(3, 8, alpha, beta))
         assert best_m == dsym_at(alpha, beta, table) * 8 == 5
+
+    @pytest.mark.parametrize(
+        "region,n,alpha,beta",
+        [
+            ("Bd", 9, F(10, 9), F(4, 9)),
+            ("Da", 9, F(13, 9), F(5, 9)),
+            ("Db", 10, F(13, 10), F(3, 5)),
+        ],
+    )
+    def test_search_matches_catalog_beyond_default_budget(self, table, region, n, alpha, beta):
+        # Points whose minimal N is N itself; the budget is raised explicitly.
+        res = classify(alpha, beta, table)
+        assert res.region.id == region
+        assert minimal_n(res.region, res.eps, res.delta) == n
+        ch = make_channel(3, n, alpha, beta)
+        best_m, witness = exhaustive_search(ch, max_n=10)
+        assert best_m == res.dsym_value * n
+        assert witness.m == best_m
+        assert rank_decodable(LinearScheme(ch, witness))
 
     def test_witness_is_canonical(self):
         ch = make_channel(3, 2, F(3, 2), F(1, 2))

@@ -12,7 +12,11 @@ from detic.scheme import (
     Layout,
     NonIntegralBlocksError,
     OutsideRegionError,
+    PipeCountError,
+    _interior_lattice,
+    _strict_interior,
     build_assignment,
+    check_points,
     check_validity,
     infer_roles,
     instantiate,
@@ -107,6 +111,14 @@ class TestInstantiate:
         counts = instantiate(frozen_layouts["Db"], spec, F(4, 3), F(3, 5), 30)
         assert counts == [9, 12, 9]
 
+    @pytest.mark.parametrize("n", [0, -20])
+    def test_refuses_n_below_one(self, regions_by_id, frozen_layouts, n):
+        # -20 is a multiple of the minimal N (20) at this point, so without
+        # the check it got as far as negative block counts.
+        for build in (instantiate, build_assignment):
+            with pytest.raises(PipeCountError, match=f"N = {n}$"):
+                build(frozen_layouts["Df"], regions_by_id["Df"], F(8, 5), F(9, 10), n)
+
 
 class TestBuildAssignment:
     def test_worked_example_rate(self, regions_by_id, frozen_layouts):
@@ -167,6 +179,18 @@ class TestBuildAssignment:
                 assert again == seg.pipe_lo + i
 
 
+class TestCheckPoints:
+    def test_assignment_matches_build_assignment(self, table, frozen_layouts):
+        for spec in table:
+            layout = frozen_layouts[spec.id]
+            points = check_points(spec)
+            assert len(points) == len(validation_points(spec)), spec.id
+            for point in points:
+                ch = point.ch
+                want = build_assignment(layout, spec, ch.alpha, ch.beta, ch.n)
+                assert point.assignment(layout) == want, (spec.id, ch.alpha, ch.beta)
+
+
 class TestLayoutSerialization:
     def test_roundtrip(self, table, frozen_layouts):
         for spec in table:
@@ -182,6 +206,20 @@ class TestValidationPoints:
                 alpha = spec.anchor_alpha + eps
                 beta = spec.anchor_beta + delta
                 assert alpha != 1 and beta != 1, spec.id
+
+    @pytest.mark.parametrize("den", [7, 12])
+    def test_lattice_scan_matches_exact_rationals(self, table, den):
+        # Every region's offsets lie in [-1, 1]^2, so this scan covers the
+        # bounding box the integer scan walks.
+        grid = [F(i, den) for i in range(-den, den + 1)]
+        for spec in table:
+            want = [
+                (minimal_n(spec, eps, delta), eps, delta)
+                for eps in grid
+                for delta in grid
+                if _strict_interior(spec, eps, delta)
+            ]
+            assert list(_interior_lattice(spec, den)) == want, spec.id
 
     def test_interior_sample_is_strictly_inside(self, table, frozen_interiors):
         from detic.exactmath import affine_eval
