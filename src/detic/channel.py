@@ -6,17 +6,27 @@ input in the bottom half, the next pair's input shifted up by (alpha-1)N, and
 the previous pair's input shifted down by (1-beta)N, XORed together.
 Cross-link strengths alpha in [1,2] and beta in [0,1] must give integral
 shifts at the chosen N.
+
+`paths` is the one placement rule: it says where each of a receiver's three
+senders lands.  The simulator (`transmit`, `signal_v`, `signal_w`), the
+receiver views and peeling schedules of `decode`, and the rank oracle all
+place pipes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .exactmath import Rat, format_rat
-from .gf2 import BitVec, DimensionMismatchError, shift_down, shift_up, to_bits, zero_pad
+from .gf2 import BitVec, DimensionMismatchError, to_bits
+
+DIRECT = "direct"
+V_PATH = "v"
+W_PATH = "w"
 
 
 class BadShapeError(ValueError):
@@ -34,17 +44,19 @@ class ChannelParams:
     alpha: Rat
     beta: Rat
 
-    @property
+    # Cached: `paths` reads the shifts on every placement, and each costs a
+    # few microseconds of Fraction arithmetic.
+    @cached_property
     def up_shift(self) -> int:
         """Integral upshift (alpha-1)N applied to the next pair's signal."""
         return int((self.alpha - 1) * self.n)
 
-    @property
+    @cached_property
     def down_shift(self) -> int:
         """Integral downshift (1-beta)N applied to the previous pair's signal."""
         return int((1 - self.beta) * self.n)
 
-    @property
+    @cached_property
     def surviving_pipes(self) -> int:
         """Number of top pipes that survive the downshift, beta*N."""
         return int(self.beta * self.n)
@@ -85,9 +97,36 @@ def _check_input(ch: ChannelParams, x: BitVec) -> BitVec:
     return to_bits(x, "input")
 
 
+def paths(ch: ChannelParams, receiver: int) -> list[tuple[str, int, int, int]]:
+    """(path, sender, 0-based level of pipe 0, pipes that land) per path of a receiver.
+
+    Pipe p of the path's sender lands at level base + p for p below the count:
+    the direct path is the zero-padded input in the bottom N levels, the V
+    path (sender receiver+1) sits (alpha-1)N higher, and the W path (sender
+    receiver-1) sits (1-beta)N lower, so only its top beta*N pipes stay
+    inside the 2N window.  The geometry is the same at every receiver.
+    """
+    if not 1 <= receiver <= ch.k:
+        raise DimensionMismatchError(f"receiver {receiver} outside 1..{ch.k}")
+    return [
+        (DIRECT, receiver, ch.n, ch.n),
+        (V_PATH, receiver % ch.k + 1, ch.n - ch.up_shift, ch.n),
+        (W_PATH, (receiver - 2) % ch.k + 1, ch.n + ch.down_shift, ch.surviving_pipes),
+    ]
+
+
+def _image(ch: ChannelParams, x: BitVec, path: str) -> BitVec:
+    """x alone in a 2N window, placed by one path."""
+    x = _check_input(ch, x)
+    _, _, base, count = next(p for p in paths(ch, 1) if p[0] == path)
+    y = np.zeros(2 * ch.n, dtype=np.uint8)
+    y[base : base + count] = x[:count]
+    return y
+
+
 def signal_v(ch: ChannelParams, x: BitVec) -> BitVec:
     """Up-shifted interference image: zero-pad, then shift up by (alpha-1)N."""
-    return shift_up(zero_pad(_check_input(ch, x)), ch.up_shift)
+    return _image(ch, x, V_PATH)
 
 
 def signal_w(ch: ChannelParams, x: BitVec) -> BitVec:
@@ -95,7 +134,7 @@ def signal_w(ch: ChannelParams, x: BitVec) -> BitVec:
 
     Only the top beta*N pipes of x stay above the bottom of the 2N window.
     """
-    return shift_down(zero_pad(_check_input(ch, x)), ch.down_shift)
+    return _image(ch, x, W_PATH)
 
 
 def extract_top(ch: ChannelParams, x: BitVec) -> BitVec:
@@ -121,13 +160,14 @@ def transmit(ch: ChannelParams, inputs: list[BitVec]) -> list[BitVec]:
     """
     if len(inputs) != ch.k:
         raise DimensionMismatchError(f"need {ch.k} inputs, got {len(inputs)}")
-    padded = [zero_pad(_check_input(ch, x)) for x in inputs]
-    return [
-        padded[i]
-        ^ shift_up(padded[(i + 1) % ch.k], ch.up_shift)
-        ^ shift_down(padded[(i - 1) % ch.k], ch.down_shift)
-        for i in range(ch.k)
-    ]
+    xs = [_check_input(ch, x) for x in inputs]
+    outputs = []
+    for receiver in range(1, ch.k + 1):
+        y = np.zeros(2 * ch.n, dtype=np.uint8)
+        for _, sender, base, count in paths(ch, receiver):
+            y[base : base + count] ^= xs[sender - 1][:count]
+        outputs.append(y)
+    return outputs
 
 
 def interleave_expand(ch: ChannelParams, l_uses: int) -> ChannelParams:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error.  Parameters are
 exact rationals ("8/5"); *-decimal variants accept terminating decimals.
-Payloads go to standard output as JSON, CSV, or SVG.  `simulate` refuses runs
-beyond its size budget (SIMULATE_MAX_*) before doing any work.
+Payloads go to standard output as JSON, CSV, or SVG.  `plan`, `simulate` and
+`render` refuse N > MAX_N, `simulate` also runs beyond its size budget
+(SIMULATE_MAX_*), and `atlas` grids above ATLAS_MAX_GRID, all before doing
+any work.
 """
 
 from __future__ import annotations
@@ -36,15 +38,17 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 
-# Size budget of `simulate`, from the compiled decoder's cost on a 2-vCPU
-# x86_64 VM: compiling one receiver's schedule takes up to about 40 us per
-# pipe (0.15-0.25 s and about 20 MB of working memory at N = 6000, growing
-# faster than N), and a trial then costs about 0.3 us * (N + 200) per
-# receiver (encode, transmit and decode).  At the limits a run takes under
-# half a minute.
-SIMULATE_MAX_N = 6000
+# Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling one
+# receiver's peeling schedule takes up to about 40 us per pipe (0.15-0.25 s
+# and about 20 MB of working memory at N = 6000, growing faster than N), and
+# a simulated trial then costs about 0.3 us * (N + 200) per receiver (encode,
+# transmit and decode), so a `simulate` run at the limits takes under half a
+# minute.  `render` at N = 60000 took 8.9 s and 1.46 GB.  An atlas point
+# costs about 0.4 ms, so the largest grid (40,401 points) takes 15-17 s.
+MAX_N = 6000
 SIMULATE_MAX_COMPILE = 200_000  # N * K
 SIMULATE_MAX_DECODE = 50_000_000  # K * trials * (N + 200)
+ATLAS_MAX_GRID = 201
 
 
 class UsageError(ValueError):
@@ -119,9 +123,9 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _plan(args, table, check_n=None):
+def _plan(args, table):
     """Shared classify -> layout -> counts pipeline for plan/simulate/render;
-    `check_n(n)` may refuse the pipe count before the layout is looked up."""
+    refuses N > MAX_N before the layout is looked up."""
     alpha, beta = _parse_point(args)
     res = reg.classify(alpha, beta, table)
     if not res.covered:
@@ -129,8 +133,8 @@ def _plan(args, table, check_n=None):
                            alpha=format_rat(alpha), beta=format_rat(beta))
     need = minimal_n(res.region, res.eps, res.delta)
     n = args.n if args.n is not None else need
-    if check_n is not None:
-        check_n(n)
+    if n > MAX_N:
+        raise UsageError(f"N = {n} exceeds the size budget N <= {MAX_N}")
     layout = layout_for(res.region)
     try:
         assign = build_assignment(layout, res.region, alpha, beta, n)
@@ -163,7 +167,6 @@ def _check_simulate_size(n: int, k: int, trials: int) -> None:
     if trials < 0:
         raise UsageError(f"--trials must be >= 0, got {trials}")
     for name, value, limit in (
-        ("N", n, SIMULATE_MAX_N),
         ("N*K", n * k, SIMULATE_MAX_COMPILE),
         ("K*trials*(N+200)", k * trials * (n + 200), SIMULATE_MAX_DECODE),
     ):
@@ -173,14 +176,12 @@ def _check_simulate_size(n: int, k: int, trials: int) -> None:
 
 def cmd_simulate(args) -> int:
     table = _load_table(args)
-    planned, err = _plan(args, table, lambda n: _check_simulate_size(n, args.k, args.trials))
+    planned, err = _plan(args, table)
     if err is not None:
         return err
     res, layout, assign, _ = planned
-    try:
-        ch = make_channel(args.k, assign.n, res.alpha, res.beta)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    _check_simulate_size(assign.n, args.k, args.trials)
+    ch = make_channel(args.k, assign.n, res.alpha, res.beta)
     rng = np.random.default_rng(args.seed)
     views = [receiver_view(assign, ch, r) for r in range(1, ch.k + 1)]
     failures = 0
@@ -306,8 +307,8 @@ def cmd_verify(args) -> int:
 
 def cmd_atlas(args) -> int:
     table = _load_table(args)
-    if args.grid < 2:
-        return _fail(EXIT_USAGE, "grid must be >= 2")
+    if not 2 <= args.grid <= ATLAS_MAX_GRID:
+        return _fail(EXIT_USAGE, f"grid must be in 2..{ATLAS_MAX_GRID}, got {args.grid}")
     rows = reg.atlas_rows(args.grid, table)
     if args.format == "csv":
         sys.stdout.write(atlas_csv(rows))
@@ -322,10 +323,7 @@ def cmd_render(args) -> int:
     if err is not None:
         return err
     res, layout, assign, _ = planned
-    try:
-        ch = make_channel(args.k, assign.n, res.alpha, res.beta)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    ch = make_channel(args.k, assign.n, res.alpha, res.beta)
     view = receiver_view(assign, ch, args.receiver)
     _, trace = peel_structure(view)
     title = (
@@ -344,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--table", help="override the region catalog JSON (env: DETIC_TABLE)")
     sub = parser.add_subparsers(dest="command", required=True)
+    n_help = f"pipe count N, at most {MAX_N}, else exit 2 (default: minimal integral N)"
 
     p = sub.add_parser("classify", help="region, rate, and converse bound at a point")
     _point_args(p)
@@ -351,18 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="layout and pipe counts at a point")
     _point_args(p)
-    p.add_argument("--n", type=int, help="pipe count N (default: minimal integral N)")
+    p.add_argument("--n", type=int, help=n_help)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser(
         "simulate",
         help="encode, transmit, and peel-decode random messages",
         description="Encode, transmit, and peel-decode random messages at every receiver. "
-        f"Refuses (exit 2) N > {SIMULATE_MAX_N}, N*K > {SIMULATE_MAX_COMPILE} or "
+        f"Refuses (exit 2) N > {MAX_N}, N*K > {SIMULATE_MAX_COMPILE} or "
         f"K*trials*(N+200) > {SIMULATE_MAX_DECODE} before doing any work.",
     )
     _point_args(p)
-    p.add_argument("--n", type=int, help="pipe count N (default: minimal integral N)")
+    p.add_argument("--n", type=int, help=n_help)
     p.add_argument("--k", type=int, default=3, help="number of pairs (default 3)")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -373,13 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("atlas", help="classify a rational grid over the square")
-    p.add_argument("--grid", type=int, required=True)
+    p.add_argument(
+        "--grid", type=int, required=True,
+        help=f"points per axis, 2..{ATLAS_MAX_GRID} (exit 2 outside)",
+    )
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.set_defaults(func=cmd_atlas)
 
     p = sub.add_parser("render", help="SVG of the transmit vector and a receiver view")
     _point_args(p)
-    p.add_argument("--n", type=int, help="pipe count N (default: minimal integral N)")
+    p.add_argument("--n", type=int, help=n_help)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--receiver", type=int, default=1)
     p.set_defaults(func=cmd_render)
@@ -391,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
 

@@ -33,13 +33,9 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, paths
 from .gf2 import BitVec, DimensionMismatchError, to_bits
 from .scheme import AssignmentMatrix, TWIN_FIRST, TWIN_SECOND
-
-DIRECT = "direct"
-V_PATH = "v"
-W_PATH = "w"
 
 RULE_DIRECT = "direct-readout"
 RULE_TWIN = "twin-peel"
@@ -128,29 +124,17 @@ class DecodeTrace:
         return {"passes": self.passes, "steps": [s.to_json_dict() for s in self.steps]}
 
 
-def _paths(ch: ChannelParams, receiver: int) -> list[tuple[str, int, int, int]]:
-    """(path, sender, 0-based level of pipe 0, pipes that land) per path."""
-    if not 1 <= receiver <= ch.k:
-        raise DimensionMismatchError(f"receiver {receiver} outside 1..{ch.k}")
-    return [
-        (DIRECT, receiver, ch.n, ch.n),
-        (V_PATH, receiver % ch.k + 1, ch.n - ch.up_shift, ch.n),
-        (W_PATH, (receiver - 2) % ch.k + 1, ch.n + ch.down_shift, ch.surviving_pipes),
-    ]
-
-
 def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> ReceiverView:
-    """Place every data segment of the three contributing signals.
+    """Place every data segment of the three contributing signals where
+    `channel.paths` puts their pipes.
 
-    Direct pipes land at levels N+p; the next pair's pipes are shifted up by
-    (alpha-1)N; the previous pair's pipes are shifted down by (1-beta)N and
-    only its top beta*N pipes stay inside the 2N window (segments straddling
-    that boundary are clipped).  Zero segments are omitted.
+    Segments straddling the bottom of the 2N window are clipped; zero
+    segments are omitted.
     """
     if assign.n != ch.n:
         raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
     blocks: list[PlacedBlock] = []
-    for path, sender, base, limit in _paths(ch, receiver):
+    for path, sender, base, limit in paths(ch, receiver):
         for seg in assign.segments:
             if not seg.role.is_data or seg.count == 0:
                 continue
@@ -289,10 +273,10 @@ def _compile(view: ReceiverView) -> PeelProgram:
     a mask whose XOR must be 0."""
     ch = view.params
     pipe_bit = view.assign.pipe_to_bit
-    paths = _paths(ch, view.receiver)
-    base_of = {s: base for _, s, base, _ in paths}
+    placed = paths(ch, view.receiver)
+    base_of = {s: base for _, s, base, _ in placed}
     landing = [False] * (2 * ch.n)
-    for _, _, base, limit in paths:
+    for _, _, base, limit in placed:
         for p in range(limit):
             if pipe_bit[p] is not None:
                 landing[base + p] = True
@@ -320,7 +304,7 @@ def _compile(view: ReceiverView) -> PeelProgram:
                 continue
             acc = 1 << level0
             unknowns: list[Bit] = []
-            for _, s, base, limit in paths:
+            for _, s, base, limit in placed:
                 p = level0 - base
                 bit = pipe_bit[p] if 0 <= p < limit else None
                 if bit is None:

@@ -73,17 +73,9 @@ class Affine2:
     def __neg__(self) -> "Affine2":
         return Affine2(-self.c0, -self.c_eps, -self.c_delta)
 
-    def scale(self, k) -> "Affine2":
-        k = Fraction(k)
-        return Affine2(self.c0 * k, self.c_eps * k, self.c_delta * k)
-
     @property
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c_eps == 0 and self.c_delta == 0
-
-    @property
-    def is_constant(self) -> bool:
-        return self.c_eps == 0 and self.c_delta == 0
 
 
 def affine_eval(f: Affine2, eps: Rat, delta: Rat) -> Rat:

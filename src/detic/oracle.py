@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import ChannelParams
+from .channel import ChannelParams, paths
 from .gf2 import pivot_bits
 from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
 
@@ -42,21 +42,15 @@ class LinearScheme:
 def rank_decodable(s: LinearScheme) -> bool:
     """Exact decodability of the receiver's own bits under any linear decoder."""
     ch, assign = s.params, s.assign
-    n, m, up, down = ch.n, assign.m, ch.up_shift, ch.down_shift
-    if assign.n != n:
-        raise ValueError(f"assignment N = {assign.n} != channel N = {n}")
-    # Bit j on pipe p: column j of A at level n + p, column m + j of B at
-    # level n + p - up, column 2m + j of C at level n + p + down.
-    rows = [0] * (2 * n)
-    for p, j in enumerate(assign.pipe_to_bit):
-        if j is None:
-            continue
-        level = n + p
-        rows[level] |= 1 << j
-        if level >= up:
-            rows[level - up] |= 1 << (m + j)
-        if level + down < 2 * n:
-            rows[level + down] |= 1 << (2 * m + j)
+    m = assign.m
+    if assign.n != ch.n:
+        raise ValueError(f"assignment N = {assign.n} != channel N = {ch.n}")
+    # Path i (direct A, up B, down C) puts bit j in column i*m + j.
+    rows = [0] * (2 * ch.n)
+    for i, (_, _, base, count) in enumerate(paths(ch, 1)):
+        for p, j in enumerate(assign.pipe_to_bit[:count]):
+            if j is not None:
+                rows[base + p] |= 1 << (i * m + j)
     return sum(1 for top in pivot_bits(rows) if top < m) == m
 
 

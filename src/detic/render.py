@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
+from .channel import DIRECT, V_PATH, W_PATH
 from .decode import DecodeTrace, ReceiverView
 from .scheme import TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
 
@@ -17,7 +18,7 @@ _SYMBOL_FILLS = [
     "#76b7b2", "#edc948", "#ff9da7", "#9c755f", "#bab0ac",
 ]
 _ZERO_FILL = "#d0d0d0"
-_PATH_TITLES = {"direct": "Direct", "v": "V (up-shifted)", "w": "W (down-shifted)"}
+_PATH_TITLES = {DIRECT: "Direct", V_PATH: "V (up-shifted)", W_PATH: "W (down-shifted)"}
 
 
 def _fill(symbol_id: int) -> str:
@@ -65,15 +66,6 @@ def _transmit_elems(assign: AssignmentMatrix, x0: float, y0: float, scale: float
     return body
 
 
-def render_transmit(assign: AssignmentMatrix, title: str = "") -> str:
-    """Vertical stack of the N transmit pipes, one rect per block."""
-    scale = max(4.0, 240.0 / max(assign.n, 1))
-    body = [_text(10, 18, title or f"transmit vector, N = {assign.n}")]
-    body += _transmit_elems(assign, 70.0, 30.0, scale)
-    height = int(30 + assign.n * scale + 30)
-    return _svg_doc(320, height, body)
-
-
 def render_scheme(
     view: ReceiverView, trace: DecodeTrace | None = None, title: str = ""
 ) -> str:
@@ -88,7 +80,7 @@ def render_scheme(
     assign = view.assign
     scale = max(3.0, 300.0 / (2 * ch.n))
     col_w, gap, x0, y0 = 90.0, 40.0, 200.0, 60.0
-    cols = {"direct": 0, "v": 1, "w": 2}
+    cols = {DIRECT: 0, V_PATH: 1, W_PATH: 2}
     body = [_text(10, 18, title or f"receiver {view.receiver}")]
     body.append(_text(60, y0 - 10, "X (sent)"))
     body += _transmit_elems(assign, 60.0, y0 + ch.n * scale, scale)

@@ -85,10 +85,6 @@ class Layout:
     region_id: str
     blocks: tuple[tuple[Affine2, BlockRole], ...]
 
-    @property
-    def symbol_count(self) -> int:
-        return max((r.symbol_id for _, r in self.blocks if r.symbol_id), default=0)
-
     def distinct_data_sum(self) -> Affine2:
         """Sum of block lengths counting each twin pair once."""
         total = Affine2.const(0)

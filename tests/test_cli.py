@@ -91,6 +91,14 @@ class TestPlan:
         assert code == 2
         assert json.loads(out) == {"error": f"N >= 1 required, got N = {n}"}
 
+    @pytest.mark.parametrize("command", ["plan", "render"])
+    def test_oversized_n_is_refused_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out = run(capsys, command, "--alpha", "8/5", "--beta", "9/10", "--n", "60000")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "N <= 6000" in json.loads(out)["error"]
+
 
 class TestSimulate:
     def test_worked_example(self, capsys):
@@ -183,6 +191,14 @@ class TestAtlas:
     def test_grid_too_small(self, capsys):
         code, _ = run(capsys, "atlas", "--grid", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["202", "100000000"])
+    def test_grid_too_large_is_refused_at_once(self, capsys, grid):
+        start = time.perf_counter()
+        code, out = run(capsys, "atlas", "--grid", grid)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "2..201" in json.loads(out)["error"]
 
 
 class TestRender:

@@ -1,113 +1,36 @@
 import numpy as np
-import pytest
 
-from detic.gf2 import (
-    DimensionMismatchError,
-    ShiftRangeError,
-    bitmat,
-    bitvec,
-    from_bit_string,
-    identity,
-    mat_apply,
-    rank,
-    shift_down,
-    shift_up,
-    to_bit_string,
-    zero_pad,
-)
+from detic.gf2 import pivot_bits
+
+
+def packed_rows(m: np.ndarray) -> list[int]:
+    """Each row of a {0,1} matrix as an int, column 0 in the high bit."""
+    return [int("".join(str(b) for b in row), 2) if m.shape[1] else 0 for row in m]
 
 
 def rank_bruteforce(m: np.ndarray) -> int:
     """Independent oracle: size of the row span as a power of two."""
-    rows = [int("".join(str(b) for b in row), 2) if m.shape[1] else 0 for row in m]
     span = {0}
-    for r in rows:
+    for r in packed_rows(m):
         span |= {s ^ r for s in span}
     return len(span).bit_length() - 1
 
 
-class TestMatApply:
-    def test_identity(self):
-        v = bitvec([1, 0, 1])
-        assert np.array_equal(mat_apply(identity(3), v), v)
-
-    def test_zero_pad_matrix_form(self):
-        # The zero-padding operator embeds N pipes into the bottom of 2N levels.
-        assert np.array_equal(zero_pad(bitvec([1, 0])), bitvec([0, 0, 1, 0]))
-
-    def test_hand_xor(self):
-        m = bitmat([[1, 1], [0, 1]])
-        assert np.array_equal(mat_apply(m, bitvec([1, 1])), bitvec([0, 1]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            mat_apply(identity(3), bitvec([1, 0]))
-
-    def test_distributes_over_xor(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            m = rng.integers(0, 2, size=(7, 5), dtype=np.uint8)
-            u = rng.integers(0, 2, size=5, dtype=np.uint8)
-            v = rng.integers(0, 2, size=5, dtype=np.uint8)
-            assert np.array_equal(mat_apply(m, u ^ v), mat_apply(m, u) ^ mat_apply(m, v))
-
-
-class TestShifts:
-    def test_shift_up_one(self):
-        assert np.array_equal(shift_up(bitvec([0, 0, 1, 0]), 1), bitvec([0, 1, 0, 0]))
-
-    def test_shift_up_zero_is_identity(self):
-        v = bitvec([1, 0, 1, 1])
-        assert np.array_equal(shift_up(v, 0), v)
-
-    def test_shift_up_drops_top(self):
-        assert np.array_equal(shift_up(bitvec([1, 0, 0, 0]), 1), bitvec([0, 0, 0, 0]))
-
-    def test_shift_down_one(self):
-        assert np.array_equal(shift_down(bitvec([0, 0, 1, 0]), 1), bitvec([0, 0, 0, 1]))
-
-    def test_shift_down_drops_bottom(self):
-        assert np.array_equal(shift_down(bitvec([0, 0, 0, 1]), 1), bitvec([0, 0, 0, 0]))
-
-    def test_range_errors(self):
-        with pytest.raises(ShiftRangeError):
-            shift_up(bitvec([1, 0]), 3)
-        with pytest.raises(ShiftRangeError):
-            shift_down(bitvec([1, 0]), -1)
-
-    def test_up_down_roundtrip(self):
-        # Up after down restores vectors whose bottom m entries are zero;
-        # down after up zeroes the top m entries and keeps the rest.
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            n = int(rng.integers(1, 12))
-            m = int(rng.integers(0, n + 1))
-            v = rng.integers(0, 2, size=n, dtype=np.uint8)
-            bottom_clear = v.copy()
-            if m:
-                bottom_clear[n - m :] = 0
-            assert np.array_equal(shift_up(shift_down(bottom_clear, m), m), bottom_clear)
-            expect = v.copy()
-            expect[:m] = 0
-            assert np.array_equal(shift_down(shift_up(v, m), m), expect)
+def rank(m: np.ndarray) -> int:
+    """GF(2) rank from the number of pivots `pivot_bits` finds."""
+    return len(pivot_bits(packed_rows(m)))
 
 
 class TestRank:
     def test_identity(self):
-        assert rank(identity(4)) == 4
+        assert rank(np.eye(4, dtype=np.uint8)) == 4
 
     def test_zero(self):
         assert rank(np.zeros((3, 5), dtype=np.uint8)) == 0
 
     def test_repeated_rows(self):
-        m = bitmat([[1, 1], [1, 1]])
+        m = np.array([[1, 1], [1, 1]], dtype=np.uint8)
         assert rank(m) == rank_bruteforce(m) == 1
-
-    def test_input_not_modified(self):
-        m = bitmat([[1, 1], [1, 0]])
-        before = m.copy()
-        rank(m)
-        assert np.array_equal(m, before)
 
     def test_matches_bruteforce_and_transpose(self):
         rng = np.random.default_rng(5)
@@ -123,14 +46,3 @@ class TestRank:
         for _ in range(20):
             m = rng.integers(0, 2, size=(64, 64), dtype=np.uint8)
             assert rank(m) == rank(m.T)
-
-
-class TestSerialization:
-    def test_bit_string_roundtrip(self):
-        v = bitvec([0, 0, 1, 0])
-        assert to_bit_string(v) == "0010"
-        assert np.array_equal(from_bit_string("0010"), v)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            from_bit_string("012")
