@@ -1,9 +1,12 @@
 """CLI payloads compared byte for byte with recorded outputs.
 
 The files under `data/cli/` were written by `detic` itself (one file per
-case, named by the case id) before the channel placement rule moved into
-`channel.paths`; any change to placement, decoding, the rank oracle or the
-search shows up here as a diff of the SVG or JSON text.
+case, named by the case id): the render, simulate, plan, oracle and search
+outputs before the channel placement rule moved into `channel.paths`, the
+catalog outputs (atlas, boundary audit, classify) while every region test
+still ran through `Fraction` arithmetic.  Any change to placement, decoding,
+the rank oracle, the search or the region catalog's evaluation shows up here
+as a diff of the SVG, CSV or JSON text.
 """
 
 from pathlib import Path
@@ -24,6 +27,17 @@ CASES = {
     "plan_n60.json": ("plan", *WORKED),
     "verify_oracle.json": ("verify", "--suite", "oracle"),
     "verify_search.json": ("verify", "--suite", "search"),
+    "verify_boundaries.json": ("verify", "--suite", "boundaries"),
+    "atlas_grid41.csv": ("atlas", "--grid", "41", "--format", "csv"),
+    "atlas_grid41.svg": ("atlas", "--grid", "41", "--format", "svg"),
+    # The worked example, an uncovered corner, a vertex of four closures, a
+    # point on Ba's strict edge (so Bg matches) and a 1/60 grid point where
+    # the closures of Aa and Bb meet.
+    "classify_worked.json": ("classify", "--alpha", "8/5", "--beta", "9/10"),
+    "classify_uncovered.json": ("classify", "--alpha", "1", "--beta", "1"),
+    "classify_vertex.json": ("classify", "--alpha", "9/7", "--beta", "3/7"),
+    "classify_strict_edge.json": ("classify", "--alpha", "19/14", "--beta", "19/42"),
+    "classify_two_closures.json": ("classify", "--alpha", "77/60", "--beta", "17/60"),
 }
 
 
