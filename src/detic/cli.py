@@ -44,7 +44,7 @@ EXIT_USAGE = 2
 # a simulated trial then costs about 0.3 us * (N + 200) per receiver (encode,
 # transmit and decode), so a `simulate` run at the limits takes under half a
 # minute.  `render` at N = 60000 took 8.9 s and 1.46 GB.  An atlas point
-# costs about 0.4 ms, so the largest grid (40,401 points) takes 15-17 s.
+# costs about 6-7 us, so the largest grid (40,401 points) takes under 0.5 s.
 MAX_N = 6000
 SIMULATE_MAX_COMPILE = 200_000  # N * K
 SIMULATE_MAX_DECODE = 50_000_000  # K * trials * (N + 200)

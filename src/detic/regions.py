@@ -10,9 +10,10 @@ loading revalidates all structural invariants and fails loudly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -22,9 +23,7 @@ from .exactmath import (
     HalfPlane,
     Polygon,
     Rat,
-    affine_eval,
     format_rat,
-    polygon_contains,
     polygon_has_interior,
     polygon_vertices,
 )
@@ -38,6 +37,51 @@ class OutOfSquareError(ValueError):
     """(alpha, beta) outside [1,2] x [0,1]."""
 
 
+def point_weights(alpha: Rat, beta: Rat) -> tuple[int, int, int]:
+    """Integer weights (q*s, p*s, r*q) of the point (alpha, beta) = (p/q, r/s)."""
+    q, s = alpha.denominator, beta.denominator
+    return q * s, alpha.numerator * s, beta.numerator * q
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """A region's half-planes, rate and values (alpha, beta, block lengths) in absolute
+    coordinates times one common denominator `den`, as integer triples (k, a, b).  Weights
+    w (w0 > 0) stand for (w1/w0, w2/w0), where a triple is (k*w0 + a*w1 + b*w2) / (den*w0)."""
+
+    den: int
+    sides: tuple[tuple[int, int, int, bool], ...]  # (k, a, b, strict)
+    rate: tuple[int, int, int]
+    values: tuple[tuple[int, int, int], ...]
+
+    def contains(self, w: tuple[int, int, int], closure: bool = False) -> bool:
+        """Membership, strictness as printed or relaxed (closure); strict v > 0 is v >= 1 (True)."""
+        w0, w1, w2 = w
+        for k, a, b, strict in self.sides:
+            if k * w0 + a * w1 + b * w2 < (strict and not closure):
+                return False
+        return True
+
+    def interior(self, w: tuple[int, int, int]) -> bool:
+        """Strictly inside every side, whatever its printed strictness."""
+        return all(k * w[0] + a * w[1] + b * w[2] > 0 for k, a, b, _ in self.sides)
+
+    def rate_at(self, w: tuple[int, int, int]) -> Rat:
+        k, a, b = self.rate
+        return Fraction(k * w[0] + a * w[1] + b * w[2], self.den * w[0])
+
+    def minimal_n(self, w: tuple[int, int, int]) -> int:
+        """Least common denominator of alpha, beta and every block length."""
+        big = self.den * w[0]
+        nums = (k * w[0] + a * w[1] + b * w[2] for k, a, b in self.values)
+        return math.lcm(*(big // math.gcd(v, big) for v in nums))
+
+    def block_counts(self, w: tuple[int, int, int], n: int) -> list[int]:
+        """Block lengths times N, exact when minimal_n(w) divides N."""
+        big = self.den * w[0]
+        return [(k * w[0] + a * w[1] + b * w[2]) * n // big for k, a, b in self.values[2:]]
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     id: str
@@ -46,14 +90,27 @@ class RegionSpec:
     polygon: Polygon
     dsym: Affine2
     block_lens: tuple[Affine2, ...]
+    form: IntegerForm = field(init=False, repr=False, compare=False)
 
-    def offset(self, alpha: Rat, beta: Rat) -> tuple[Rat, Rat]:
-        """Anchor-relative coordinates (eps, delta) of an absolute point."""
-        return Fraction(alpha) - self.anchor_alpha, Fraction(beta) - self.anchor_beta
+    def __post_init__(self):
+        a0, b0, halfplanes = self.anchor_alpha, self.anchor_beta, self.polygon.halfplanes
+        forms = [h.expr for h in halfplanes] + [self.dsym, *self.block_lens]
+        absolute = [(f.c0 - f.c_eps * a0 - f.c_delta * b0, f.c_eps, f.c_delta) for f in forms]
+        den = math.lcm(*(c.denominator for f in absolute for c in f))
+        ints = [tuple(int(c * den) for c in f) for f in absolute]
+        m = len(halfplanes)
+        sides = tuple((*f, h.strict) for f, h in zip(ints, halfplanes))
+        values = ((0, den, 0), (0, 0, den), *ints[m + 1 :])  # alpha, beta, block lengths
+        object.__setattr__(self, "form", IntegerForm(den, sides, ints[m], values))
 
     def contains(self, alpha: Rat, beta: Rat, closure: bool = False) -> bool:
-        eps, delta = self.offset(alpha, beta)
-        return polygon_contains(self.polygon, eps, delta, closure)
+        return self.form.contains(point_weights(Fraction(alpha), Fraction(beta)), closure)
+
+    @cached_property
+    def box(self) -> tuple[Rat, Rat, Rat, Rat]:
+        """Bounding box of the closure in (eps, delta): eps range, then delta range."""
+        eps, delta = zip(*polygon_vertices(self.polygon))
+        return min(eps), max(eps), min(delta), max(delta)
 
     def vertices_absolute(self) -> tuple[tuple[Rat, Rat], ...]:
         """Closure vertices translated back to absolute (alpha, beta)."""
@@ -107,7 +164,9 @@ def _parse_table(text: str) -> tuple[RegionSpec, ...]:
 
     regions = []
     seen: set[str] = set()
-    for row in raw:
+    for i, row in enumerate(raw):
+        if not isinstance(row, dict):
+            raise TableInvalidError(f"row {i}: expected a JSON object, got {type(row).__name__}")
         rid = row.get("id", "<missing id>")
         try:
             spec = _parse_row(row)
@@ -169,10 +228,11 @@ def classify(alpha: Rat, beta: Rat, table: Iterable[RegionSpec] | None = None) -
     """First catalog row (in printed order) containing the point, strictness as printed."""
     alpha, beta = check_square(alpha, beta)
     table = load_region_table() if table is None else tuple(table)
+    w = point_weights(alpha, beta)
     for spec in table:
-        eps, delta = spec.offset(alpha, beta)
-        if polygon_contains(spec.polygon, eps, delta):
-            return ClassifyResult(alpha, beta, spec, eps, delta, affine_eval(spec.dsym, eps, delta))
+        if spec.form.contains(w):
+            eps, delta = alpha - spec.anchor_alpha, beta - spec.anchor_beta
+            return ClassifyResult(alpha, beta, spec, eps, delta, spec.form.rate_at(w))
     return ClassifyResult(alpha, beta, None, None, None, None)
 
 
@@ -187,10 +247,13 @@ def converse_bound(alpha: Rat, beta: Rat) -> Rat:
     min(1, (alpha-beta)/2) when the two interference images do not overlap
     (alpha - beta >= 1), else min(1, 1 - (alpha-beta)/2).
     """
-    alpha, beta = check_square(alpha, beta)
-    gap = alpha - beta
-    bound = gap / 2 if gap >= 1 else 1 - gap / 2
-    return min(Fraction(1), bound)
+    return _converse(point_weights(*check_square(alpha, beta)))
+
+
+def _converse(w: tuple[int, int, int]) -> Rat:
+    gap = w[1] - w[2]  # (alpha - beta) * w0
+    bound = gap if gap >= w[0] else 2 * w[0] - gap  # times 2 * w0
+    return Fraction(min(bound, 2 * w[0]), 2 * w[0])
 
 
 @dataclass
@@ -204,19 +267,6 @@ class ConsistencyReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _audit_point(alpha: Rat, beta: Rat, table: tuple[RegionSpec, ...], report: ConsistencyReport) -> None:
-    report.points_checked += 1
-    matches: list[tuple[str, Rat]] = []
-    for spec in table:
-        eps, delta = spec.offset(alpha, beta)
-        if polygon_contains(spec.polygon, eps, delta, closure=True):
-            matches.append((spec.id, affine_eval(spec.dsym, eps, delta)))
-    if len(matches) >= 2:
-        report.multi_region_points += 1
-        if len({v for _, v in matches}) > 1:
-            report.violations.append((alpha, beta, matches))
 
 
 def boundary_consistency(
@@ -234,18 +284,20 @@ def boundary_consistency(
     import random
 
     table = load_region_table() if table is None else tuple(table)
-    report = ConsistencyReport()
     rng = random.Random(seed)
+    points = []  # weights of (1 + i/d, j/d): (d, d + i, j)
     for _ in range(samples):
         den = rng.randint(1, 60)
-        alpha = 1 + Fraction(rng.randint(0, den), den)
-        beta = Fraction(rng.randint(0, den), den)
-        _audit_point(alpha, beta, table, report)
-    if grid_denominator:
-        d = grid_denominator
-        for i in range(d + 1):
-            for j in range(d + 1):
-                _audit_point(1 + Fraction(i, d), Fraction(j, d), table, report)
+        points.append((den, den + rng.randint(0, den), rng.randint(0, den)))
+    if d := grid_denominator:
+        points += [(d, d + i, j) for i in range(d + 1) for j in range(d + 1)]
+    report = ConsistencyReport(points_checked=len(points))
+    for w in points:
+        matches = [(s.id, s.form.rate_at(w)) for s in table if s.form.contains(w, closure=True)]
+        if len(matches) >= 2:
+            report.multi_region_points += 1
+            if len({v for _, v in matches}) > 1:
+                report.violations.append((Fraction(w[1], w[0]), Fraction(w[2], w[0]), matches))
     return report
 
 
@@ -258,19 +310,21 @@ def atlas_rows(grid: int, table: Iterable[RegionSpec] | None = None) -> list[dic
     if grid < 2:
         raise ValueError("grid must be >= 2")
     table = load_region_table() if table is None else tuple(table)
+    g = grid - 1
+    betas = [format_rat(Fraction(j, g)) for j in range(grid)]
     rows = []
     for i in range(grid):
-        alpha = 1 + Fraction(i, grid - 1)
-        for j in range(grid):
-            beta = Fraction(j, grid - 1)
-            res = classify(alpha, beta, table)
+        alpha = format_rat(Fraction(g + i, g))
+        for j, beta in enumerate(betas):
+            w = (g, g + i, j)  # (1 + i/g, j/g), inside the square by construction
+            spec = next((spec for spec in table if spec.form.contains(w)), None)
             rows.append(
                 {
-                    "alpha": format_rat(alpha),
-                    "beta": format_rat(beta),
-                    "region": res.region.id if res.covered else "-",
-                    "dsym": format_rat(res.dsym_value) if res.covered else "",
-                    "converse": format_rat(converse_bound(alpha, beta)),
+                    "alpha": alpha,
+                    "beta": beta,
+                    "region": "-" if spec is None else spec.id,
+                    "dsym": "" if spec is None else format_rat(spec.form.rate_at(w)),
+                    "converse": format_rat(_converse(w)),
                 }
             )
     return rows

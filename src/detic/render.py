@@ -6,7 +6,6 @@ to diff and post-process.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from .channel import DIRECT, V_PATH, W_PATH
@@ -118,7 +117,9 @@ def atlas_csv(rows: list[dict]) -> str:
 
 
 def atlas_svg(rows: list[dict], grid: int) -> str:
-    """Heatmap of the rate map over the parameter square; uncovered cells hatched."""
+    """Heatmap of the rate map over the parameter square; uncovered cells hatched.
+
+    `rows` are `atlas_rows(grid)` in its order: alpha-major, beta-minor."""
     cell = max(6, 480 // grid)
     x0, y0 = 60, 40
     body = [
@@ -126,19 +127,16 @@ def atlas_svg(rows: list[dict], grid: int) -> str:
         '<path d="M0,6 L6,0" stroke="#888" stroke-width="1"/></pattern></defs>',
         _text(10, 18, "symmetric rate per pipe over (alpha, beta)"),
     ]
-    for r in rows:
-        alpha = Fraction(r["alpha"])
-        beta = Fraction(r["beta"])
-        i = int((alpha - 1) * (grid - 1))
-        j = int(beta * (grid - 1))
+    for idx, r in enumerate(rows):
+        i, j = divmod(idx, grid)
         x = x0 + i * cell
         y = y0 + (grid - 1 - j) * cell
         if not r["dsym"]:
             fill = "url(#hatch)"
             title = f'({r["alpha"]}, {r["beta"]}): uncovered'
         else:
-            d = Fraction(r["dsym"])
-            shade = 235 - round(float(d) * 175)
+            num, den = map(int, r["dsym"].split("/"))
+            shade = 235 - round(num / den * 175)
             fill = f"rgb({shade},{shade},255)"
             title = f'({r["alpha"]}, {r["beta"]}): {r["region"]} rate {r["dsym"]}'
         body.append(

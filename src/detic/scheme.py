@@ -23,16 +23,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channel import ChannelParams, make_channel
-from .exactmath import (
-    Affine2,
-    Rat,
-    affine_eval,
-    affine_nonneg_on,
-    format_rat,
-    polygon_contains,
-    polygon_vertices,
-)
-from .regions import RegionSpec
+from .exactmath import Affine2, Rat, affine_nonneg_on, format_rat, polygon_vertices
+from .regions import RegionSpec, point_weights
 
 ZERO = "zero"
 SINGLE = "single"
@@ -154,49 +146,40 @@ class AssignmentMatrix:
 
 def minimal_n(region: RegionSpec, eps: Rat, delta: Rat) -> int:
     """Smallest N with integral shifts and integral pipe counts at this point."""
-    dens = [
-        (region.anchor_alpha + eps).denominator,
-        (region.anchor_beta + delta).denominator,
-    ]
-    dens += [affine_eval(b, eps, delta).denominator for b in region.block_lens]
-    return math.lcm(*dens)
+    w = point_weights(region.anchor_alpha + eps, region.anchor_beta + delta)
+    return region.form.minimal_n(w)
 
 
-def instantiate(
-    layout: Layout, region: RegionSpec, alpha: Rat, beta: Rat, n: int
-) -> list[int]:
-    """Per-block pipe counts at N; requires N >= 1 and the point in the region closure."""
-    return _pipe_counts([length for length, _ in layout.blocks], region, alpha, beta, n)
+def instantiate(layout: Layout, region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
+    """Per-block pipe counts at N, from the region's block lengths (every layout of the
+    region has those); requires N >= 1 and the point in the region closure."""
+    return _pipe_counts(region, alpha, beta, n)
 
 
-def _pipe_counts(
-    lengths: Iterable[Affine2], region: RegionSpec, alpha: Rat, beta: Rat, n: int
-) -> list[int]:
+def _pipe_counts(region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
     if n < 1:
         raise PipeCountError(f"N >= 1 required, got N = {n}")
     alpha = Fraction(alpha)
     beta = Fraction(beta)
-    eps, delta = region.offset(alpha, beta)
-    if not polygon_contains(region.polygon, eps, delta, closure=True):
+    w = point_weights(alpha, beta)
+    if not region.form.contains(w, closure=True):
         raise OutsideRegionError(
             f"({format_rat(alpha)}, {format_rat(beta)}) outside region {region.id}"
         )
-    need = minimal_n(region, eps, delta)
+    need = region.form.minimal_n(w)
     if n % need != 0:
         raise NonIntegralBlocksError(
             f"N = {n} gives non-integral pipe counts in region {region.id}; "
             f"minimal valid N is {need}",
             minimal_n=need,
         )
-    counts = []
-    for length in lengths:
-        c = affine_eval(length, eps, delta) * n
+    counts = region.form.block_counts(w, n)
+    for length, c in zip(region.block_lens, counts):
         if c < 0:
             raise OutsideRegionError(
                 f"block length {length.to_strings()} negative at "
                 f"({format_rat(alpha)}, {format_rat(beta)})"
             )
-        counts.append(int(c))
     assert sum(counts) == n
     return counts
 
@@ -266,7 +249,7 @@ def check_points(region: RegionSpec) -> list[CheckPoint]:
         alpha = region.anchor_alpha + eps
         beta = region.anchor_beta + delta
         n = minimal_n(region, eps, delta)
-        counts = _pipe_counts(region.block_lens, region, alpha, beta, n)
+        counts = _pipe_counts(region, alpha, beta, n)
         out.append(CheckPoint(make_channel(3, n, alpha, beta), tuple(counts)))
     return out
 
@@ -416,7 +399,7 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     points = [
         (e, d)
         for e, d in points
-        if polygon_contains(region.polygon, e, d, closure=True)
+        if region.contains(region.anchor_alpha + e, region.anchor_beta + d, closure=True)
         and not degenerate_channel_point(region.anchor_alpha + e, region.anchor_beta + d)
     ]
     points.append(interior_sample(region))
@@ -452,54 +435,19 @@ def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
 
 
 def _strict_interior(region: RegionSpec, eps: Rat, delta: Rat) -> bool:
-    return all(affine_eval(h.expr, eps, delta) > 0 for h in region.polygon.halfplanes)
+    return region.form.interior(point_weights(region.anchor_alpha + eps, region.anchor_beta + delta))
 
 
 def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, Rat]]:
     """(minimal N, eps, delta) of every strictly interior point of the region
-    on the lattice (i/den, j/den) of its bounding box, in (eps, delta) order.
-
-    Exact integer arithmetic: a form scaled by `scale` has the value
-    num / (scale * den) at (i/den, j/den), whose sign is that of num and whose
-    denominator is (scale * den) / gcd(num, scale * den).
-    """
-    (lo_e, hi_e, lo_d, hi_d), scale, sides, values = _lattice_forms(region)
-    big = scale * den
+    on the lattice (i/den, j/den) of its bounding box, in (eps, delta) order."""
+    lo_e, hi_e, lo_d, hi_d = region.box
+    a0, a1, a2 = point_weights(region.anchor_alpha, region.anchor_beta)
     for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
         for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1):
-            if all(c0 * den + ce * i + cd * j > 0 for c0, ce, cd in sides):
-                n = math.lcm(
-                    *(big // math.gcd(c0 * den + ce * i + cd * j, big) for c0, ce, cd in values)
-                )
-                yield n, Fraction(i, den), Fraction(j, den)
-
-
-@lru_cache(maxsize=64)
-def _lattice_forms(region: RegionSpec) -> tuple:
-    """Bounding box, then the half-plane forms and the forms whose denominators
-    set the minimal N (alpha, beta, block lengths), times one common scale."""
-    verts = polygon_vertices(region.polygon)
-    box = (
-        min(v[0] for v in verts),
-        max(v[0] for v in verts),
-        min(v[1] for v in verts),
-        max(v[1] for v in verts),
-    )
-    sides = [h.expr for h in region.polygon.halfplanes]
-    values = [
-        Affine2(region.anchor_alpha, Fraction(1), Fraction(0)),
-        Affine2(region.anchor_beta, Fraction(0), Fraction(1)),
-        *region.block_lens,
-    ]
-    scale, scaled = _scaled(sides + values)
-    return box, scale, scaled[: len(sides)], scaled[len(sides) :]
-
-
-def _scaled(forms: list[Affine2]) -> tuple[int, list[tuple[int, int, int]]]:
-    """A common denominator of the forms, and the forms times it as integer triples."""
-    coefs = [(f.c0, f.c_eps, f.c_delta) for f in forms]
-    den = math.lcm(*(c.denominator for triple in coefs for c in triple))
-    return den, [tuple(int(c * den) for c in triple) for triple in coefs]
+            w = (a0 * den, a1 * den + a0 * i, a2 * den + a0 * j)  # anchor + (i, j)/den
+            if region.form.interior(w):
+                yield region.form.minimal_n(w), Fraction(i, den), Fraction(j, den)
 
 
 def _decodes_everywhere(layout: Layout, points: list[CheckPoint]) -> bool:
@@ -521,14 +469,14 @@ def infer_roles(region: RegionSpec) -> Layout:
     """First role assignment (canonical order) that satisfies the rate
     identity symbolically and decodes at every validation point."""
     points = check_points(region)
-    _, (*lens, rate) = _scaled([*region.block_lens, region.dsym])
+    lens, rate = region.form.values[2:], region.form.rate  # integer (k, a, b) triples
     for raw in _role_candidates(region.block_lens):
         # The rate identity: lengths of singles and twin firsts sum to dsym.
-        c0 = c_eps = c_delta = 0
+        c0 = c_alpha = c_beta = 0
         for (a, b, c), r in zip(lens, raw):
             if r == SINGLE or (r != ZERO and r[0] == "twin"):
-                c0, c_eps, c_delta = c0 + a, c_eps + b, c_delta + c
-        if (c0, c_eps, c_delta) != rate:
+                c0, c_alpha, c_beta = c0 + a, c_alpha + b, c_beta + c
+        if (c0, c_alpha, c_beta) != rate:
             continue
         layout = _to_layout(region, raw)
         if _decodes_everywhere(layout, points):

@@ -246,6 +246,15 @@ class TestTableOverride:
         assert code == 2
         assert str(missing) in json.loads(out)["error"]
 
+    def test_rows_that_are_not_objects_are_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("[1, 2]")
+        code, out = run(
+            capsys, "--table", str(path), "classify", "--alpha", "8/5", "--beta", "9/10"
+        )
+        assert code == 2
+        assert json.loads(out) == {"error": "row 0: expected a JSON object, got int"}
+
     def test_env_fallback(self, capsys, tmp_path, monkeypatch):
         rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
         path = tmp_path / "table.json"

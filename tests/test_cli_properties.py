@@ -1,0 +1,47 @@
+"""Property test of the CLI's point parsing on arbitrary strings.
+
+`classify` and `plan` get random strings as the values of `--alpha`,
+`--beta`, `--alpha-decimal` and `--beta-decimal` (each flag present or not),
+mixed with rational, decimal and exponent literals that reach the region
+catalog and the size budget.  Whatever the input, the command ends with
+exit 0, 1 or 2 and one JSON object on standard output, never a traceback.
+Values are passed as `--flag=value`, so a value that starts with "-" is
+still a value and not an option.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from detic.cli import main
+
+FLAGS = ("--alpha", "--beta", "--alpha-decimal", "--beta-decimal")
+
+values = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"\A[+-]?\d{0,4}(/\d{0,4})?\Z"),
+    st.from_regex(r"\A[+-]?\d{0,2}\.\d{0,4}([eE][+-]?\d{1,4})?\Z"),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["classify", "plan"]),
+    point=st.fixed_dictionaries({}, optional={flag: values for flag in FLAGS}),
+)
+@example(command="plan", point={"--alpha": "8/5", "--beta": "9/10"})
+@example(command="classify", point={"--alpha": "1", "--beta": "1"})
+@example(command="classify", point={"--alpha-decimal": "1/0", "--beta": "0"})
+@example(command="plan", point={"--alpha-decimal": "1e9999", "--beta-decimal": "0.5"})
+@example(command="plan", point={"--alpha-decimal": "1.0001", "--beta-decimal": "0.5"})
+@example(command="classify", point={"--alpha": "-8/5", "--beta": "\x00"})
+def test_point_strings_always_end_in_json(command, point):
+    argv = [command, *(f"{flag}={value}" for flag, value in point.items())]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert isinstance(json.loads(out.getvalue()), dict), argv

@@ -72,6 +72,14 @@ class TestLoad:
         with pytest.raises(TableInvalidError, match="Aa"):
             load_region_table(bad)
 
+    @pytest.mark.parametrize("bad_row,kind", [(2, "int"), ("Df", "str"), ([], "list"), (None, "NoneType")])
+    def test_loader_rejects_rows_that_are_not_objects(self, tmp_path, bad_row, kind):
+        rows = _raw_table()[:1] + [bad_row]
+        bad = tmp_path / "regions.json"
+        bad.write_text(json.dumps(rows))
+        with pytest.raises(TableInvalidError, match=f"^row 1: expected a JSON object, got {kind}$"):
+            load_region_table(bad)
+
     def test_loader_rejects_unbounded_region(self, tmp_path):
         rows = json.loads(json.dumps(_raw_table()))
         rows[0]["constraints"] = rows[0]["constraints"][:1]

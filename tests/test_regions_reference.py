@@ -1,0 +1,157 @@
+"""The catalog's integer region forms against the `Fraction` reference.
+
+Classification, membership, rates, minimal N and the boundary audit run on
+each region's integer form (`RegionSpec.form`); the reference here walks the
+printed half-planes with `exactmath.polygon_contains` and `affine_eval` in
+anchor offsets, as the catalog did before the integer forms.  A property test
+draws rational points in the square with denominators up to 120, plus every
+anchor, closure vertex and 1/60 grid point on a region edge as explicit
+examples.  A custom table whose common denominator exceeds 2**64 guards
+against any fixed-width shortcut.
+"""
+
+import json
+import math
+import random
+from fractions import Fraction as F
+from functools import cache
+from importlib import resources
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from detic.exactmath import affine_eval, format_rat, polygon_contains, polygon_vertices
+from detic.regions import (
+    boundary_consistency,
+    classify,
+    converse_bound,
+    load_region_table,
+    point_weights,
+)
+from detic.scheme import _strict_interior, minimal_n
+
+TABLE = load_region_table()
+
+
+def reference_classify(table, alpha, beta):
+    """(region id, eps, delta, rate) of the first row containing the point, strictness as printed."""
+    for spec in table:
+        eps, delta = alpha - spec.anchor_alpha, beta - spec.anchor_beta
+        if polygon_contains(spec.polygon, eps, delta):
+            return spec.id, eps, delta, affine_eval(spec.dsym, eps, delta)
+    return None, None, None, None
+
+
+def reference_matches(table, alpha, beta):
+    """(region id, rate) of every row whose closure contains the point."""
+    out = []
+    for spec in table:
+        eps, delta = alpha - spec.anchor_alpha, beta - spec.anchor_beta
+        if polygon_contains(spec.polygon, eps, delta, closure=True):
+            out.append((spec.id, affine_eval(spec.dsym, eps, delta)))
+    return out
+
+
+def assert_matches_reference(table, alpha, beta):
+    res = classify(alpha, beta, table)
+    got = (res.region.id if res.covered else None, res.eps, res.delta, res.dsym_value)
+    assert got == reference_classify(table, alpha, beta), (alpha, beta)
+    gap = alpha - beta
+    assert converse_bound(alpha, beta) == min(1, gap / 2 if gap >= 1 else 1 - gap / 2)
+    w = point_weights(alpha, beta)
+    for spec in table:
+        eps, delta = alpha - spec.anchor_alpha, beta - spec.anchor_beta
+        for closure in (False, True):
+            want = polygon_contains(spec.polygon, eps, delta, closure)
+            assert spec.contains(alpha, beta, closure) == want, (spec.id, alpha, beta, closure)
+        assert spec.form.rate_at(w) == affine_eval(spec.dsym, eps, delta), spec.id
+        inside = all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
+        assert _strict_interior(spec, eps, delta) == inside, spec.id
+        dens = [alpha.denominator, beta.denominator]
+        dens += [affine_eval(b, eps, delta).denominator for b in spec.block_lens]
+        assert minimal_n(spec, eps, delta) == math.lcm(*dens), spec.id
+
+
+@cache
+def special_points() -> tuple[tuple[F, F], ...]:
+    """Anchors, closure vertices and the 1/60 grid points on some region's edge
+    (in its closure, not strictly inside; only chosen with the integer forms,
+    then checked against the reference like any other point)."""
+    points = {(spec.anchor_alpha, spec.anchor_beta) for spec in TABLE}
+    points |= {
+        (spec.anchor_alpha + e, spec.anchor_beta + d)
+        for spec in TABLE
+        for e, d in polygon_vertices(spec.polygon)
+    }
+    for i in range(61):
+        for j in range(61):
+            w = (60, 60 + i, j)  # (1 + i/60, j/60)
+            if any(s.form.contains(w, closure=True) and not s.form.interior(w) for s in TABLE):
+                points.add((1 + F(i, 60), F(j, 60)))
+    return tuple(sorted(points))
+
+
+def with_special_examples(test):
+    for alpha, beta in special_points():
+        test = example(alpha=alpha, beta=beta)(test)
+    return test
+
+
+def rationals(lo: int) -> st.SearchStrategy[F]:
+    """lo + i/q with 1 <= q <= 120 and 0 <= i <= q."""
+    return st.integers(1, 120).flatmap(lambda q: st.integers(0, q).map(lambda i: lo + F(i, q)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=rationals(1), beta=rationals(0))
+@with_special_examples
+def test_integer_forms_match_fraction_reference(alpha, beta):
+    assert_matches_reference(TABLE, alpha, beta)
+
+
+def test_special_points_cover_every_kind():
+    points = set(special_points())
+    assert (F(4, 3), F(2, 3)) in points  # D-family anchor, four closures meet
+    assert (F(9, 7), F(3, 7)) in points  # a vertex off the 1/60 grid
+    assert (F(77, 60), F(17, 60)) in points  # on the shared edge of Aa and Bb
+    assert len(points) > 200
+
+
+def huge_denominator_table(tmp_path):
+    """The built-in rows with Df's half-planes scaled by 1/(2**70 + 1), the
+    same polygon, and Aa's rate raised by 1/(2**70 + 1), so that the audit has
+    disagreements to report exactly."""
+    big = 2**70 + 1
+    rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+    for row in rows:
+        if row["id"] == "Df":
+            for c in row["constraints"]:
+                c["expr"] = [format_rat(F(x) / big) for x in c["expr"]]
+        if row["id"] == "Aa":
+            row["dsym"][0] = format_rat(F(row["dsym"][0]) + F(1, big))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(rows))
+    return load_region_table(path)
+
+
+def test_common_denominator_beyond_64_bits(tmp_path):
+    table = huge_denominator_table(tmp_path)
+    by_id = {spec.id: spec for spec in table}
+    assert by_id["Df"].form.den > 2**64 and by_id["Aa"].form.den > 2**64
+    assert classify(F(8, 5), F(9, 10), table).dsym_value == F(11, 20)
+    assert classify(F(2), F(0), table).dsym_value == 1 + F(1, 2**70 + 1)
+    for alpha, beta in special_points()[::5]:
+        assert_matches_reference(table, alpha, beta)
+
+    report = boundary_consistency(samples=200, seed=5, grid_denominator=24, table=table)
+    rng = random.Random(5)  # the audit's own sampling, replayed
+    points = []
+    for _ in range(200):
+        den = rng.randint(1, 60)
+        points.append((1 + F(rng.randint(0, den), den), F(rng.randint(0, den), den)))
+    points += [(1 + F(i, 24), F(j, 24)) for i in range(25) for j in range(25)]
+    multi = [(a, b, m) for a, b in points if len(m := reference_matches(table, a, b)) >= 2]
+    assert report.points_checked == len(points)
+    assert report.multi_region_points == len(multi)
+    assert report.violations == [(a, b, m) for a, b, m in multi if len({v for _, v in m}) > 1]
+    assert report.violations
