@@ -156,18 +156,29 @@ def transmit(ch: ChannelParams, inputs: list[BitVec]) -> list[BitVec]:
     """All K received signals; receiver i hears senders i (direct), i+1 (up), i-1 (down).
 
     Every input must hold N entries of 0 or 1 (NotBinaryError otherwise); the
-    outputs are uint8 whatever the input dtype.
+    outputs are uint8 whatever the input dtype, the rows of one (K, 2N) array.
     """
     if len(inputs) != ch.k:
         raise DimensionMismatchError(f"need {ch.k} inputs, got {len(inputs)}")
-    xs = [_check_input(ch, x) for x in inputs]
-    outputs = []
-    for receiver in range(1, ch.k + 1):
-        y = np.zeros(2 * ch.n, dtype=np.uint8)
-        for _, sender, base, count in paths(ch, receiver):
-            y[base : base + count] ^= xs[sender - 1][:count]
-        outputs.append(y)
-    return outputs
+    try:
+        x = np.asarray(inputs)
+    except ValueError:  # ragged: the inputs differ in shape
+        x = None
+    if x is None or x.shape != (ch.k, ch.n):
+        bad = next(np.shape(v) for v in inputs if np.shape(v) != (ch.n,))
+        raise DimensionMismatchError(f"input shape {bad} != N = {ch.n}")
+    x = to_bits(x, "input")
+    y = np.zeros((ch.k, 2 * ch.n), dtype=np.uint8)
+    # Every receiver has the same geometry, so one path is one slice-XOR over
+    # all rows: receiver row i hears sender row (i + shift) mod K, which is
+    # one slice of rows, or two where the rotation wraps.
+    for _, sender, base, count in paths(ch, 1):
+        shift = sender - 1
+        levels = slice(base, base + count)
+        y[: ch.k - shift, levels] ^= x[shift:, :count]
+        if shift:
+            y[ch.k - shift :, levels] ^= x[:shift, :count]
+    return list(y)
 
 
 def interleave_expand(ch: ChannelParams, l_uses: int) -> ChannelParams:

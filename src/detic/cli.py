@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -38,17 +39,26 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 
-# Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling one
-# receiver's peeling schedule takes up to about 40 us per pipe (0.15-0.25 s
-# and about 20 MB of working memory at N = 6000, growing faster than N), and
-# a simulated trial then costs about 0.3 us * (N + 200) per receiver (encode,
-# transmit and decode), so a `simulate` run at the limits takes under half a
-# minute.  `render` at N = 60000 took 8.9 s and 1.46 GB.  An atlas point
-# costs about 6-7 us, so the largest grid (40,401 points) takes under 0.5 s.
+# Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling a
+# channel's peeling schedule takes up to about 40 us per pipe (0.15-0.25 s
+# and about 20 MB of working memory at N = 6000, growing faster than N); each
+# of the K receiver views then shares it.  A simulated trial costs about
+# 30 us per receiver at N = 20 and 150 us at N = 6000 (encode, transmit and
+# decode), so a `simulate` run at the limits takes under 15 s (10.8 s at
+# N = 20, K = 3, 75,000 trials).  `render` at N = 60000 took 8.9 s and
+# 1.46 GB.  An atlas point costs about 6-7 us, so the largest grid (40,401
+# points) takes under 0.5 s.
 MAX_N = 6000
 SIMULATE_MAX_COMPILE = 200_000  # N * K
 SIMULATE_MAX_DECODE = 50_000_000  # K * trials * (N + 200)
 ATLAS_MAX_GRID = 201
+# `Fraction` expands a decimal's exponent into an int digit by digit, so the
+# 10 characters "1e99999999" would run for minutes.  Points of the square need
+# neither bound, and within both every int stays far below Python's
+# 4300-digit limit for printing.
+DECIMAL_MAX_CHARS = 1000
+DECIMAL_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class UsageError(ValueError):
@@ -65,6 +75,13 @@ def _fail(code: int, message: str, **extra) -> int:
 
 
 def _parse_decimal(text: str) -> Fraction:
+    if len(text) > DECIMAL_MAX_CHARS:
+        raise UsageError(f"decimal literal longer than {DECIMAL_MAX_CHARS} characters")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > DECIMAL_MAX_EXPONENT:
+        raise UsageError(
+            f"decimal exponent {exponent.group(1)} outside +-{DECIMAL_MAX_EXPONENT}: {text!r}"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -185,16 +202,19 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     views = [receiver_view(assign, ch, r) for r in range(1, ch.k + 1)]
     failures = 0
-    rules: dict[str, int] = {}
     for _ in range(args.trials):
         messages = [rng.integers(0, 2, size=assign.m, dtype=np.uint8) for _ in range(ch.k)]
         outputs = transmit(ch, [assign.encode(d) for d in messages])
         for view, y, want in zip(views, outputs, messages):
-            got, trace = peel_bits(view, y)
+            got, _ = peel_bits(view, y)
             if got is None or not np.array_equal(got, want):
                 failures += 1
-            for rule, cnt in trace.rule_counts().items():
-                rules[rule] = rules.get(rule, 0) + cnt
+    # The trace does not depend on the bits: every trial repeats each view's.
+    rules: dict[str, int] = {}
+    if args.trials:
+        for view in views:
+            for rule, cnt in peel_structure(view)[1].rule_counts().items():
+                rules[rule] = rules.get(rule, 0) + cnt * args.trials
     payload = {
         **_classify_payload(res),
         "channel": ch.to_json_dict(),
@@ -334,8 +354,17 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are usage errors too: the usage line on stderr, the
+    JSON error on stdout and exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detic",
         description="Deterministic interference channel toolkit: region catalog, "
         "coding schemes, peeling decoder, verification oracles.",
@@ -389,9 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))

@@ -19,17 +19,23 @@ Passes use snapshot semantics: a pass only consumes knowledge committed by
 earlier passes.  Success means the receiver's own pair's message bits are all
 known; interference is only ever decoded as a means of removal.
 
-The schedule is therefore compiled once per receiver view, on first use, into
-a `PeelProgram` kept on the view: the fixpoint runs without bit values and
-tracks each bit and aggregate as the XOR of the received levels it came from,
-so the own bits and every consistency check are rows of a sparse GF(2) matrix
-over the received word, replayed on each word as a gather and XOR of levels.
+The schedule is therefore compiled into a `PeelProgram`: the fixpoint runs
+without bit values and tracks each bit and aggregate as the XOR of the
+received levels it came from, so the own bits and every consistency check are
+rows of a sparse GF(2) matrix over the received word, replayed on each word as
+a gather and XOR of levels.
+
+The channel is cyclically symmetric (`channel.paths` gives every receiver the
+same geometry), so the schedule is compiled once per channel, for receiver 1,
+on the first use of any of its receiver views.  Another receiver's program
+shares that matrix; only sender labels rotate, in the trace and in the
+messages of failed checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,8 +88,11 @@ class ReceiverView:
 
     @cached_property
     def program(self) -> PeelProgram:
-        """The peeling schedule, compiled on first use."""
-        return _compile(self)
+        """The peeling schedule: the channel's, relabelled for this receiver."""
+        base = _channel_program(self.assign, self.params)
+        if self.receiver != 1 and not base.order_free:
+            return _compile(self.assign, self.params, self.receiver)
+        return _rotate(base, self.params.k, self.receiver)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,12 +202,14 @@ def _symbols(assign: AssignmentMatrix) -> tuple[list, set[int], dict[int, tuple[
 Bit = tuple[int, int]  # (sender, bit index); an aggregate is keyed by its two bits, sorted
 
 # Failed-check messages by origin kind; an origin is (kind, a, b).
-_LEVEL_DISAGREES, _BIT_CONFLICT, _AGGREGATE_CONFLICT = range(3)
+_LEVEL_DISAGREES, _BIT_CONFLICT, _AGGREGATE_CONFLICT, _QUIET_LEVEL = range(4)
 _MESSAGES = (
     "level {0}: received word disagrees with decoded bits",
     "bit {1} of sender {0} resolves to conflicting values",
     "level {0}: aggregate resolves to conflicting values",
+    "level {0}: nonzero outside all blocks",
 )
+_RULE_ORDER = {RULE_DIRECT: 0, RULE_TWIN: 1, RULE_MIXED: 2}
 
 
 @dataclass(frozen=True)
@@ -210,8 +221,10 @@ class PeelProgram:
     the receiver's own bits (all m on success, none otherwise); each later
     row is a consistency check, in execution order, that must read 0 (a
     repeat can never fail first, so it is dropped), its failure named by
-    `origins[j]` = (kind, a, b).  The `quiet` levels, which no data pipe
-    reaches, must read 0 too and are checked last.
+    `origins[j]` = (kind, a, b).  The last checks are one per level that no
+    data pipe reaches.  `order_free` says that no step of the compile chose
+    between candidates by sender label, so the program is valid, relabelled,
+    at every receiver.
     """
 
     success: bool
@@ -220,28 +233,12 @@ class PeelProgram:
     indptr: np.ndarray
     indices: np.ndarray
     origins: np.ndarray
-    quiet: np.ndarray
+    order_free: bool
 
 
-# A program lives as long as its view, and the receivers of one channel
-# compile mostly equal tuples and rows: keep one copy of each, and take level
-# numbers above 256 from one pool instead of an int object per trace entry.
-@lru_cache(maxsize=256)
-def _shared(value):
-    return value
-
-
-@cache
-def _int_pool(bits: int) -> tuple[int, ...]:
-    return tuple(range(1 << bits))
-
-
-def _int32s(values: list[int]) -> np.ndarray:
-    return np.frombuffer(_shared(np.array(values, dtype=np.int32).tobytes()), dtype=np.int32)
-
-
-def _csr(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows from level sets held as int masks (bit l set = level l)."""
+def _csr(masks: list[int], quiet: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows from level sets held as int masks (bit l set = level l), then
+    one single-level row per quiet level."""
     indptr = [0]
     indices: list[int] = []
     for mask in masks:
@@ -250,45 +247,77 @@ def _csr(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
             indices.append(low.bit_length() - 1)
             mask ^= low
         indptr.append(len(indices))
-    return _int32s(indptr), _int32s(indices)
+    indptr += range(len(indices) + 1, len(indices) + len(quiet) + 1)
+    indices += quiet
+    return np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32)
 
 
 def _cancel_pairs(
     unknowns: list[Bit], acc: int, pairs: dict[tuple[Bit, Bit], int], partners: dict[Bit, list[Bit]]
-) -> tuple[list[Bit], int]:
+) -> tuple[list[Bit], int, bool]:
     """Cancel known aggregates out of a level's unknowns, smallest pair first
-    (one sorted sweep is the whole fixpoint: the live set only shrinks)."""
+    (one sorted sweep is the whole fixpoint: the live set only shrinks).
+    Also says whether no pair was skipped, i.e. whether the order was moot."""
     live = set(unknowns)
     inside = {tuple(sorted((u, v))) for u in unknowns for v in partners.get(u, ()) if v in live}
+    cancelled = 0
     for u, v in sorted(inside):
         if u in live and v in live:
             live -= {u, v}
             acc ^= pairs[(u, v)]
-    return sorted(live), acc
+            cancelled += 1
+    return sorted(live), acc, cancelled == len(inside)
 
 
-def _compile(view: ReceiverView) -> PeelProgram:
+@lru_cache(maxsize=16)
+def _channel_program(assign: AssignmentMatrix, ch: ChannelParams) -> PeelProgram:
+    """The channel's schedule, compiled once for receiver 1 (the views of one
+    channel are made together, so a few entries cover them)."""
+    return _compile(assign, ch, 1)
+
+
+def _rotate(program: PeelProgram, k: int, receiver: int) -> PeelProgram:
+    """Receiver 1's program as `receiver` compiles it: same matrix, sender s
+    read as sender s + receiver - 1 (mod K), steps re-sorted in each pass."""
+    if receiver == 1:
+        return program
+
+    def sender(s):
+        return (s + receiver - 2) % k + 1
+
+    steps = sorted(
+        (replace(st, sender=sender(st.sender)) for st in program.trace.steps),
+        key=lambda st: (st.pass_index, _RULE_ORDER[st.rule], st.sender, st.symbol_id),
+    )
+    origins = program.origins
+    conflict = origins[:, 0] == _BIT_CONFLICT
+    if conflict.any():
+        origins = origins.copy()
+        origins[conflict, 1] = sender(origins[conflict, 1])
+    return replace(program, trace=DecodeTrace(tuple(steps)), origins=origins)
+
+
+def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> PeelProgram:
     """Run the fixpoint once, without bit values.  Each known bit or aggregate
     is an int mask of the received levels whose XOR is its value; a check is
     a mask whose XOR must be 0."""
-    ch = view.params
-    pipe_bit = view.assign.pipe_to_bit
-    placed = paths(ch, view.receiver)
+    pipe_bit = assign.pipe_to_bit
+    placed = paths(ch, receiver)
     base_of = {s: base for _, s, base, _ in placed}
     landing = [False] * (2 * ch.n)
     for _, _, base, limit in placed:
         for p in range(limit):
             if pipe_bit[p] is not None:
                 landing[base + p] = True
-    first_pipe = [pipes[0] if pipes else None for pipes in view.assign.bit_pipes()]
-    symbols = _symbols(view.assign)
-    level_number = _int_pool((2 * ch.n).bit_length())
+    first_pipe = [pipes[0] if pipes else None for pipes in assign.bit_pipes()]
+    symbols = _symbols(assign)
 
     known: dict[Bit, int] = {}
     pairs: dict[tuple[Bit, Bit], int] = {}
     partners: dict[Bit, list[Bit]] = {}  # pairs indexed by each endpoint
     checks: dict[int, tuple[int, int, int]] = {}  # mask -> origin, in execution order
     steps: list[PeelStep] = []
+    order_free = True
 
     def check(mask: int, kind: int, a: int, b: int = 0) -> None:
         if mask and mask not in checks:
@@ -317,7 +346,8 @@ def _compile(view: ReceiverView) -> PeelProgram:
                 else:
                     acc ^= mask
             if partners and len(unknowns) > 1:
-                unknowns, acc = _cancel_pairs(unknowns, acc, pairs, partners)
+                unknowns, acc, moot = _cancel_pairs(unknowns, acc, pairs, partners)
+                order_free &= moot
             if not unknowns:
                 check(acc, _LEVEL_DISAGREES, level0 + 1)
             elif len(unknowns) == 1:
@@ -333,16 +363,19 @@ def _compile(view: ReceiverView) -> PeelProgram:
                     check(new_pairs[key] ^ acc, _AGGREGATE_CONFLICT, level0 + 1)
                 elif key not in pairs:
                     new_pairs[key] = acc
-        # A known aggregate with one known endpoint reveals the other.
+        # A known aggregate with one known endpoint reveals the other; the
+        # first such pair in sorted order wins a target.
         for (u, v), mask in sorted(pairs.items()):
             ku, kv = known.get(u), known.get(v)
             if (ku is None) != (kv is None):
                 target, source = (v, ku) if kv is None else (u, kv)
                 if target not in resolved:
                     resolved[target] = (-1, first_pipe[target[1]], mask ^ source)
+                elif resolved[target][0] < 0:
+                    order_free = False
         if not resolved and not new_pairs:
             break
-        steps += _pass_steps(resolved, pass_index, known, symbols, level_number)
+        steps += _pass_steps(resolved, pass_index, known, symbols)
         for b, (_, _, mask) in resolved.items():
             known[b] = mask
         for key, mask in new_pairs.items():
@@ -350,26 +383,26 @@ def _compile(view: ReceiverView) -> PeelProgram:
             partners.setdefault(key[0], []).append(key[1])
             partners.setdefault(key[1], []).append(key[0])
 
-    own = [known.get((view.receiver, bit)) for bit in range(view.assign.m)]
+    own = [known.get((receiver, bit)) for bit in range(assign.m)]
     if None in own:
         own = []
-    indptr, indices = _csr(own + list(checks))
+    # Levels whose contributors are all known were checked by the last pass;
+    # the rest of the residual is that no other level reads 1.
+    quiet = [level0 for level0, hit in enumerate(landing) if not hit]
+    indptr, indices = _csr(own + list(checks), quiet)
+    origins = list(checks.values()) + [(_QUIET_LEVEL, level0 + 1, 0) for level0 in quiet]
     return PeelProgram(
-        success=len(own) == view.assign.m,
+        success=len(own) == assign.m,
         trace=DecodeTrace(tuple(steps)),
         own=len(own),
         indptr=indptr,
         indices=indices,
-        origins=_int32s([a for origin in checks.values() for a in origin]).reshape(-1, 3),
-        # Levels whose contributors are all known were checked by the last
-        # pass; the rest of the residual is that no other level reads 1.
-        quiet=_int32s([level0 for level0, hit in enumerate(landing) if not hit]),
+        origins=np.array(origins, dtype=np.int32).reshape(-1, 3),
+        order_free=order_free,
     )
 
 
-def _pass_steps(
-    resolved: dict, pass_index: int, known: dict, symbols: tuple, level_number: tuple[int, ...]
-) -> list[PeelStep]:
+def _pass_steps(resolved: dict, pass_index: int, known: dict, symbols: tuple) -> list[PeelStep]:
     """Trace steps of one pass: the bits it resolved, grouped by (sender, symbol)."""
     pipe_symbol, twin_syms, sym_bits = symbols
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # -> [(bit, level0)]
@@ -382,7 +415,7 @@ def _pass_steps(
     pass_steps = []
     for (s, sym), items in sorted(groups.items()):
         bits = tuple(sorted(b for b, _ in items))
-        lvls = tuple(sorted(level_number[l + 1] for _, l in items if l >= 0))
+        lvls = tuple(sorted(l + 1 for _, l in items if l >= 0))
         full = bits == sym_bits[sym] and not any((s, b) in known for b in bits)
         if (s, sym) in via_pair:
             rule = RULE_MIXED
@@ -390,10 +423,9 @@ def _pass_steps(
             rule = RULE_DIRECT
         else:
             rule = RULE_TWIN if sym in twin_syms else RULE_MIXED
-        pass_steps.append(PeelStep(pass_index, rule, s, sym, _shared(bits), _shared(lvls)))
+        pass_steps.append(PeelStep(pass_index, rule, s, sym, bits, lvls))
     # Whole-block readouts first, then twin progress, then aggregate work.
-    order = {RULE_DIRECT: 0, RULE_TWIN: 1, RULE_MIXED: 2}
-    pass_steps.sort(key=lambda st: (order[st.rule], st.sender, st.symbol_id))
+    pass_steps.sort(key=lambda st: (_RULE_ORDER[st.rule], st.sender, st.symbol_id))
     return pass_steps
 
 
@@ -417,15 +449,12 @@ def peel_bits(view: ReceiverView, y: BitVec) -> tuple[np.ndarray | None, DecodeT
     program = view.program
     prefix = np.zeros(program.indices.size + 1, dtype=np.uint8)  # so an empty row reads 0
     np.bitwise_xor.accumulate(np.take(y, program.indices), out=prefix[1:])
-    values = np.take(prefix, program.indptr[1:]) ^ np.take(prefix, program.indptr[:-1])
+    ends = np.take(prefix, program.indptr)
+    values = ends[1:] ^ ends[:-1]
     failed = values[program.own :]
     if np.count_nonzero(failed):
         kind, a, b = program.origins[failed.argmax()]
         raise InconsistentSignalError(_MESSAGES[kind].format(a, b))
-    stray = np.take(y, program.quiet)
-    if np.count_nonzero(stray):
-        level = program.quiet[stray.argmax()] + 1
-        raise InconsistentSignalError(f"level {level}: nonzero outside all blocks")
     if not program.success:
         return None, program.trace
     return values[: program.own], program.trace

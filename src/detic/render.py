@@ -6,8 +6,6 @@ to diff and post-process.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .channel import DIRECT, V_PATH, W_PATH
 from .decode import DecodeTrace, ReceiverView
 from .scheme import TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
@@ -18,6 +16,12 @@ _SYMBOL_FILLS = [
 ]
 _ZERO_FILL = "#d0d0d0"
 _PATH_TITLES = {DIRECT: "Direct", V_PATH: "V (up-shifted)", W_PATH: "W (down-shifted)"}
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data (xml.sax.saxutils.escape would
+    import urllib, http.client and ssl with it)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fill(symbol_id: int) -> str:
@@ -40,7 +44,7 @@ def _rect(x, y, w, h, fill, extra="") -> str:
 
 
 def _text(x, y, s, extra="") -> str:
-    return f'<text x="{x:.1f}" y="{y:.1f}"{extra}>{escape(s)}</text>'
+    return f'<text x="{x:.1f}" y="{y:.1f}"{extra}>{_escape(s)}</text>'
 
 
 def _transmit_elems(assign: AssignmentMatrix, x0: float, y0: float, scale: float) -> list[str]:
@@ -141,7 +145,7 @@ def atlas_svg(rows: list[dict], grid: int) -> str:
             title = f'({r["alpha"]}, {r["beta"]}): {r["region"]} rate {r["dsym"]}'
         body.append(
             f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}" '
-            f'stroke="#999" stroke-width="0.4"><title>{escape(title)}</title></rect>'
+            f'stroke="#999" stroke-width="0.4"><title>{_escape(title)}</title></rect>'
         )
     body.append(_text(x0, y0 + grid * cell + 16, "alpha: 1 (left) to 2 (right)"))
     body.append(_text(x0, y0 + grid * cell + 30, "beta: 0 (bottom) to 1 (top)"))

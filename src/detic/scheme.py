@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import ChannelParams, make_channel
 from .exactmath import Affine2, Rat, affine_nonneg_on, format_rat, polygon_vertices
+from .gf2 import DimensionMismatchError, to_bits
 from .regions import RegionSpec, point_weights
 
 ZERO = "zero"
@@ -134,14 +135,23 @@ class AssignmentMatrix:
                 g[p, j] = 1
         return g
 
-    def encode(self, message: np.ndarray) -> np.ndarray:
-        if message.shape[0] != self.m:
-            raise ValueError(f"message length {message.shape[0]} != m = {self.m}")
-        x = np.zeros(self.n, dtype=np.uint8)
-        for p, j in enumerate(self.pipe_to_bit):
-            if j is not None:
-                x[p] = message[j]
-        return x
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        """Each pipe's index into the message with a 0 appended (zero pipes read the 0)."""
+        return np.array([self.m if j is None else j for j in self.pipe_to_bit], dtype=np.intp)
+
+    def encode(self, message) -> np.ndarray:
+        """The N-pipe uint8 transmit vector of an m-bit message.
+
+        Raises DimensionMismatchError unless the message has shape (m,), and
+        NotBinaryError on an entry other than 0 or 1.
+        """
+        message = np.asarray(message)
+        if message.shape != (self.m,):
+            raise DimensionMismatchError(f"message shape {message.shape} != ({self.m},)")
+        padded = np.zeros(self.m + 1, dtype=np.uint8)
+        padded[: self.m] = to_bits(message, "message")
+        return np.take(padded, self._gather)
 
 
 def minimal_n(region: RegionSpec, eps: Rat, delta: Rat) -> int:

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import detic
+from detic import decode
 from detic.channel import make_channel
 from detic.cli import main
 from detic.decode import receiver_view
@@ -56,6 +62,25 @@ class TestClassify:
         code, out = run(capsys, "classify", flag, "1/0", "--beta", "1/2")
         assert code == 2
         assert "zero denominator" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("literal", ["1e99999999", "1E-1001", "0." + "0" * 999 + "1"])
+    def test_huge_decimal_is_refused_at_once(self, capsys, literal):
+        start = time.perf_counter()
+        code, out = run(capsys, "classify", "--alpha-decimal", literal, "--beta", "0")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("literal", ["1.6", "16e-1", "0.0016E+3", "1_6e-1", " +1.60 "])
+    def test_ordinary_decimals_parse(self, capsys, literal):
+        code, out = run(capsys, "classify", "--alpha-decimal", literal, "--beta", "9/10")
+        assert code == 0
+        assert json.loads(out)["alpha"] == "8/5"
+
+    def test_bad_option_value_is_json_usage_error(self, capsys):
+        code, out = run(capsys, "plan", "--alpha", "8/5", "--beta", "9/10", "--n", "six")
+        assert code == 2
+        assert "invalid int value" in json.loads(out)["error"]
 
 
 class TestPlan:
@@ -126,6 +151,18 @@ class TestSimulate:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+    def test_one_compile_per_channel(self, capsys, monkeypatch):
+        compiled = []
+        real = decode._compile
+        monkeypatch.setattr(decode, "_compile", lambda *a: compiled.append(a[2]) or real(*a))
+        decode._channel_program.cache_clear()
+        code, _ = run(
+            capsys, "simulate", "--alpha", "8/5", "--beta", "9/10",
+            "--n", "40", "--k", "7", "--trials", "3",
+        )
+        assert code == 0
+        assert compiled == [1]
 
     def test_too_few_pairs_is_usage_error(self, capsys):
         code, out = run(capsys, "simulate", "--alpha", "4/3", "--beta", "2/3", "--k", "2")
@@ -263,3 +300,18 @@ class TestTableOverride:
         code, out = run(capsys, "classify", "--alpha", "8/5", "--beta", "9/10")
         assert code == 0
         assert json.loads(out)["region"] == "Df"
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils would bring in urllib.request, http.client and ssl:
+    # several MB and tens of ms on every CLI run.
+    src = str(Path(detic.__file__).resolve().parents[1])
+    code = (
+        "import sys, detic.cli; "
+        "print([m for m in ('ssl', 'urllib.request', 'http.client') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

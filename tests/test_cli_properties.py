@@ -1,10 +1,12 @@
-"""Property test of the CLI's point parsing on arbitrary strings.
+"""Property tests of the CLI's argument parsing on arbitrary strings.
 
 `classify` and `plan` get random strings as the values of `--alpha`,
 `--beta`, `--alpha-decimal` and `--beta-decimal` (each flag present or not),
 mixed with rational, decimal and exponent literals that reach the region
-catalog and the size budget.  Whatever the input, the command ends with
-exit 0, 1 or 2 and one JSON object on standard output, never a traceback.
+catalog and the size budget.  `plan`, `simulate`, `render` and `atlas` get
+random strings and small integers as `--n`, `--k`, `--trials` and `--grid`.
+Whatever the input, the command ends with exit 0, 1 or 2 and one JSON object
+on standard output, never a traceback (an SVG or CSV payload on exit 0).
 Values are passed as `--flag=value`, so a value that starts with "-" is
 still a value and not an option.
 """
@@ -44,4 +46,45 @@ def test_point_strings_always_end_in_json(command, point):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (0, 1, 2), argv
+    assert isinstance(json.loads(out.getvalue()), dict), argv
+
+
+# Small magnitudes keep every accepted run fast; the budgets and N checks
+# are reached through the explicit examples.
+sizes = st.one_of(st.text(max_size=8), st.from_regex(r"\A[+-]?\d{1,2}\Z"))
+
+
+SIZE_FLAGS = {
+    "plan": ("--n",),
+    "simulate": ("--n", "--k", "--trials"),
+    "render": ("--n", "--k"),
+    "atlas": ("--grid",),
+}
+
+
+@st.composite
+def size_queries(draw) -> tuple[str, dict[str, str]]:
+    command = draw(st.sampled_from(sorted(SIZE_FLAGS)))
+    flags = st.fixed_dictionaries({}, optional={flag: sizes for flag in SIZE_FLAGS[command]})
+    return command, draw(flags)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(query=size_queries())
+@example(query=("simulate", {"--n": "40", "--k": "4", "--trials": "3"}))
+@example(query=("simulate", {"--n": "6000", "--k": "40", "--trials": "0"}))
+@example(query=("simulate", {"--k": "99999999999", "--trials": "-1"}))
+@example(query=("render", {"--n": "60", "--k": "5"}))
+@example(query=("atlas", {"--grid": "202"}))
+@example(query=("atlas", {"--grid": "9" * 5000}))
+def test_size_strings_always_end_in_json(query):
+    command, flags = query
+    point = [] if command == "atlas" else ["--alpha=8/5", "--beta=9/10"]
+    argv = [command, *point, *(f"{flag}={value}" for flag, value in flags.items())]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0 and command in ("render", "atlas"):
+        return  # the payload is an SVG or CSV document
     assert isinstance(json.loads(out.getvalue()), dict), argv

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from detic import decode
 from detic.channel import make_channel, transmit
 from detic.decode import (
     InconsistentSignalError,
@@ -190,6 +192,22 @@ class TestManyReceivers:
         for r in range(1, k + 1):
             got, _ = peel_bits(receiver_view(assign, ch, r), ys[r - 1])
             assert got is not None and np.array_equal(got, msgs[r - 1])
+
+
+class TestSharedProgram:
+    def test_order_dependent_schedule_compiles_per_receiver(
+        self, df_assign, df_channel, monkeypatch
+    ):
+        # A compile that chose between candidates by sender label is not
+        # relabelled: the other receivers compile their own.
+        base = replace(decode._compile(df_assign, df_channel, 1), order_free=False)
+        compiled = []
+        real = decode._compile
+        monkeypatch.setattr(decode, "_compile", lambda *a: compiled.append(a[2]) or real(*a))
+        monkeypatch.setattr(decode, "_channel_program", lambda assign, ch: base)
+        program = receiver_view(df_assign, df_channel, 2).program
+        assert compiled == [2]
+        assert program.trace == real(df_assign, df_channel, 2).trace
 
 
 class TestDenseInteriorSweep:

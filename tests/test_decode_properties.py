@@ -4,7 +4,9 @@ Each example draws a region, a rational point strictly inside it, a multiple
 of that point's minimal N (at most MAX_N), K in 3..7, any receiver and the
 messages, then checks that the frozen layout's compiled decoder returns the
 sent bits with the value-free trace, and that peel success implies rank
-decodability.
+decodability.  A second property checks that the receiver's program, which
+relabels the one schedule compiled per channel, equals the schedule compiled
+for that receiver alone.
 """
 
 import math
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detic.channel import make_channel, transmit
-from detic.decode import peel_bits, peel_structure, receiver_view
+from detic.decode import _compile, peel_bits, peel_structure, receiver_view
 from detic.exactmath import polygon_vertices
 from detic.oracle import LinearScheme, rank_decodable
 from detic.regions import load_region_table
@@ -49,22 +51,27 @@ def interior_points() -> dict[str, tuple[tuple[F, F], ...]]:
     return points
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_compiled_decoder_returns_sent_bits(data):
+def draw_case(data):
+    """(assignment, channel, receiver) of the frozen layout at a random interior
+    point, a multiple of its minimal N, K in 3..7 and any receiver."""
     spec = data.draw(st.sampled_from(load_region_table()), label="region")
     eps, delta = data.draw(st.sampled_from(interior_points()[spec.id]), label="point")
     need = minimal_n(spec, eps, delta)
     n = need * data.draw(st.integers(1, MAX_N // need), label="multiple of minimal N")
     k = data.draw(st.integers(3, 7), label="K")
     receiver = data.draw(st.integers(1, k), label="receiver")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="message seed")
-
     alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
     assign = build_assignment(load_frozen_layouts([spec])[spec.id], spec, alpha, beta, n)
-    ch = make_channel(k, n, alpha, beta)
+    return assign, make_channel(k, n, alpha, beta), receiver
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compiled_decoder_returns_sent_bits(data):
+    assign, ch, receiver = draw_case(data)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="message seed")
     rng = np.random.default_rng(seed)
-    messages = [rng.integers(0, 2, assign.m, dtype=np.uint8) for _ in range(k)]
+    messages = [rng.integers(0, 2, assign.m, dtype=np.uint8) for _ in range(ch.k)]
     y = transmit(ch, [assign.encode(d) for d in messages])[receiver - 1]
 
     ok, trace = peel_structure(receiver_view(assign, ch, receiver))
@@ -73,3 +80,14 @@ def test_compiled_decoder_returns_sent_bits(data):
     assert ok and got is not None
     assert np.array_equal(got, messages[receiver - 1])
     assert rank_decodable(LinearScheme(ch, assign))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shared_program_equals_own_compile(data):
+    assign, ch, receiver = draw_case(data)
+    shared = receiver_view(assign, ch, receiver).program
+    own = _compile(assign, ch, receiver)
+    assert (shared.success, shared.own, shared.trace) == (own.success, own.own, own.trace)
+    for field in ("indptr", "indices", "origins"):
+        assert np.array_equal(getattr(shared, field), getattr(own, field)), field

@@ -1,10 +1,13 @@
-"""Property test of the packed rank oracle against a dense reference.
+"""Property tests of the packed rank oracle against dense references.
 
 Each example draws N <= 10, a channel point with integral shifts at that N
 (alpha = 1 and beta = 1 included) and a canonical pipe labeling of the
 search class (each pipe zero, a fresh bit, or the second use of a bit used
 once), then checks `rank_decodable` against the dense decision: two uint8
-Gaussian eliminations on the placed images A, B and C.
+Gaussian eliminations on the placed images A, B and C.  A second property
+checks the cyclic symmetry the oracle relies on: with K in 3..7 and every
+sender's bits as their own unknowns, each receiver's `channel.paths` give
+the same decision as receiver 1.
 """
 
 from fractions import Fraction as F
@@ -13,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detic.channel import make_channel
+from detic.channel import make_channel, paths
 from detic.oracle import LinearScheme, assignment_from_labels, rank_decodable
 
 
@@ -89,3 +92,29 @@ def test_packed_rank_matches_dense_reference(case):
     ch = make_channel(3, n, alpha, beta)
     assign = assignment_from_labels(labels)
     assert rank_decodable(LinearScheme(ch, assign)) == dense_rank_decodable(ch, assign)
+
+
+def receiver_decodes(ch, assign, receiver: int) -> bool:
+    """Dense decision at one receiver, every sender's m bits their own
+    columns, placed by that receiver's paths: rank(all) = m + rank(others)."""
+    m = assign.m
+    g = np.zeros((2 * ch.n, ch.k * m), dtype=np.uint8)
+    for _, sender, base, count in paths(ch, receiver):
+        for p, j in enumerate(assign.pipe_to_bit[:count]):
+            if j is not None:
+                g[base + p, (sender - 1) * m + j] ^= 1
+    own = np.zeros(ch.k * m, dtype=bool)
+    own[(receiver - 1) * m : receiver * m] = True
+    return dense_rank(g) == m + dense_rank(g[:, ~own])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=cases(), k=st.integers(3, 7))
+@example(case=(4, F(3, 2), F(1, 2), (None,) * 4), k=3)  # m = 0
+@example(case=(4, F(1), F(1, 4), (0, None, 1, 0)), k=7)  # alpha = 1
+def test_every_receiver_decides_as_receiver_one(case, k):
+    n, alpha, beta, labels = case
+    ch = make_channel(k, n, alpha, beta)
+    assign = assignment_from_labels(labels)
+    want = rank_decodable(LinearScheme(ch, assign))
+    assert [receiver_decodes(ch, assign, r) for r in range(1, k + 1)] == [want] * k

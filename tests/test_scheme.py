@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from detic.exactmath import Affine2
+from detic.gf2 import DimensionMismatchError, NotBinaryError
 from detic.scheme import (
     SINGLE,
     TWIN_FIRST,
@@ -177,6 +179,30 @@ class TestBuildAssignment:
                 assert assign.pipe_to_bit[mirror] == bit
                 again = seg.pipe_lo + (seg.count - 1 - (bit - seg.bit_lo))
                 assert again == seg.pipe_lo + i
+
+
+class TestEncode:
+    @pytest.fixture
+    def df(self, regions_by_id, frozen_layouts):
+        return build_assignment(frozen_layouts["Df"], regions_by_id["Df"], F(8, 5), F(9, 10), 60)
+
+    def test_matches_pipe_map(self, df):
+        rng = np.random.default_rng(3)
+        message = rng.integers(0, 2, df.m, dtype=np.uint8)
+        want = [0 if j is None else message[j] for j in df.pipe_to_bit]
+        x = df.encode(message)
+        assert x.dtype == np.uint8 and x.tolist() == want
+        assert df.encode(message.astype(bool).tolist()).tolist() == want
+
+    @pytest.mark.parametrize("shape", [(), (1, 33), (33, 1), (32,), (34,)])
+    def test_refuses_other_shapes(self, df, shape):
+        with pytest.raises(DimensionMismatchError, match="message shape"):
+            df.encode(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("value", [2, 257, -1])
+    def test_refuses_non_binary_entries(self, df, value):
+        with pytest.raises(NotBinaryError):
+            df.encode(np.full(df.m, value))
 
 
 class TestCheckPoints:
