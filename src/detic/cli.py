@@ -23,7 +23,7 @@ from . import regions as reg
 from .channel import make_channel, transmit
 from .decode import peel_bits, peel_structure, receiver_view
 from .exactmath import format_rat, parse_rat
-from .oracle import LinearScheme, exhaustive_search, rank_decodable, witness_blocks
+from .oracle import exhaustive_search, witness_blocks
 from .render import atlas_csv, atlas_svg, render_scheme
 from .scheme import (
     NonIntegralBlocksError,
@@ -33,6 +33,7 @@ from .scheme import (
     layout_for,
     load_frozen_layouts,
     minimal_n,
+    rank_assignments,
 )
 
 EXIT_OK = 0
@@ -274,9 +275,7 @@ def _verify_oracle(table) -> tuple[bool, dict]:
     for spec in table:
         layout = layout_for(spec, frozen)
         points = check_points(spec)
-        region_ok = all(
-            rank_decodable(LinearScheme(point.ch, point.assignment(layout))) for point in points
-        )
+        region_ok = rank_assignments(layout, points) is not None
         ok &= region_ok
         detail.append({"region": spec.id, "points": len(points), "rankDecodable": region_ok})
     return ok, {"detail": detail}

@@ -7,15 +7,18 @@ path) and C (down path) trivially, i.e. rank([A|B|C]) = m + rank([B|C]).  By
 cyclic symmetry with a shared assignment, receiver 1 decides all receivers.
 
 The test is one elimination.  Each of the 2N receive levels becomes a row
-packed into a Python int, with the 2m interference columns [B|C] in the high
-bits and the m direct columns A in the low bits.  Leading-bit elimination
-then finds rank([B|C]) pivots in the high bits and rank([A|B|C]) pivots in
-all, so the scheme decodes iff exactly m pivots land in the low bits.
+packed into a Python int; path i (direct A, up B, down C) puts bit j in
+column i*N + j, so the interference columns [B|C] sit above the direct
+columns A whatever m is.  Leading-bit elimination then finds rank([B|C])
+pivots at or above column N and rank([A|B|C]) pivots in all, so the scheme
+decodes iff exactly m pivots land below N.
 
-The search enumerates every pipe labeling of the constrained scheme class at
-tiny N (each pipe: zero, a fresh bit, or a second use of a bit used once) and
-reports the largest decodable message count, grounding the catalog's rate
-values from both sides at desk scale.
+The search finds the largest decodable message count of the constrained
+scheme class at tiny N (each pipe: zero, a fresh bit, or a second use of a
+bit used once), grounding the catalog's rate values from both sides at desk
+scale.  It is a depth-first search over the canonical labelings that keeps
+the packed rows along its path, prunes every subtree that cannot beat the
+best count so far, and stops once a labeling reaches the converse bound.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, paths
 from .gf2 import pivot_bits
+from .regions import converse_bound
 from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
 
 _SEARCH_N_LIMIT = 8
@@ -39,44 +43,32 @@ class LinearScheme:
     assign: AssignmentMatrix
 
 
+def _placement(ch: ChannelParams) -> list[list[tuple[int, int]]]:
+    """Per pipe, (row, column unit) of each path it lands on: bit j of the
+    pipe goes to that row at column unit << j, path i's unit being 1 << i*N."""
+    place: list[list[tuple[int, int]]] = [[] for _ in range(ch.n)]
+    for i, (_, _, base, count) in enumerate(paths(ch, 1)):
+        for p in range(count):
+            place[p].append((base + p, 1 << (i * ch.n)))
+    return place
+
+
+def _decodes(rows: list[int], n: int, m: int) -> bool:
+    """The rank criterion on packed rows: exactly m pivots below column N."""
+    return sum(1 for top in pivot_bits(rows) if top < n) == m
+
+
 def rank_decodable(s: LinearScheme) -> bool:
     """Exact decodability of the receiver's own bits under any linear decoder."""
     ch, assign = s.params, s.assign
-    m = assign.m
     if assign.n != ch.n:
         raise ValueError(f"assignment N = {assign.n} != channel N = {ch.n}")
-    # Path i (direct A, up B, down C) puts bit j in column i*m + j.
     rows = [0] * (2 * ch.n)
-    for i, (_, _, base, count) in enumerate(paths(ch, 1)):
-        for p, j in enumerate(assign.pipe_to_bit[:count]):
-            if j is not None:
-                rows[base + p] |= 1 << (i * m + j)
-    return sum(1 for top in pivot_bits(rows) if top < m) == m
-
-
-def _labelings(n: int):
-    """Canonical pipe labelings: 0, fresh bit, or reuse of a singly-used bit.
-
-    Yields tuples with entries None (zero pipe) or a bit index; fresh bits are
-    numbered by first appearance.  Option order per pipe: zero, fresh, reuses
-    ascending, which makes tuple order the search's lexicographic order.
-    """
-    labels: list[int | None] = [None] * n
-
-    def rec(i: int, fresh: int, used_once: tuple[int, ...]):
-        if i == n:
-            yield tuple(labels)
-            return
-        labels[i] = None
-        yield from rec(i + 1, fresh, used_once)
-        labels[i] = fresh
-        yield from rec(i + 1, fresh + 1, used_once + (fresh,))
-        for bit in used_once:
-            labels[i] = bit
-            yield from rec(i + 1, fresh, tuple(b for b in used_once if b != bit))
-        labels[i] = None
-
-    yield from rec(0, 0, ())
+    for spots, j in zip(_placement(ch), assign.pipe_to_bit):
+        if j is not None:
+            for row, unit in spots:
+                rows[row] |= unit << j
+    return _decodes(rows, ch.n, assign.m)
 
 
 def assignment_from_labels(labels: tuple[int | None, ...]) -> AssignmentMatrix:
@@ -89,22 +81,55 @@ def exhaustive_search(
 ) -> tuple[int, AssignmentMatrix]:
     """Largest decodable message count over the constrained scheme class.
 
-    Returns (best m, first witness in canonical order).  Raises
+    Returns (best m, first witness in canonical order).  Fresh bits are
+    numbered by first appearance, and per pipe the options run zero, fresh
+    bit, then reuses of singly-used bits in ascending order.  A
+    subtree is skipped when its fresh bits plus its remaining pipes cannot
+    beat the best m, and the search stops at the first labeling that reaches
+    floor(converse * N), which no labeling can exceed.  Raises
     SearchBudgetError when N exceeds the enumeration budget.
     """
     if ch.n > max_n:
         raise SearchBudgetError(f"N = {ch.n} exceeds search budget {max_n}")
+    n = ch.n
+    ceiling = int(converse_bound(ch.alpha, ch.beta) * n)
+    place = _placement(ch)
+    rows = [0] * (2 * n)
+    labels: list[int | None] = [None] * n
     best_m = -1
-    best: AssignmentMatrix | None = None
-    for labels in _labelings(ch.n):
-        assign = assignment_from_labels(labels)
-        if assign.m <= best_m:
-            continue
-        if rank_decodable(LinearScheme(ch, assign)):
-            best_m = assign.m
-            best = assign
-    assert best is not None  # the all-zero labeling always decodes (m = 0)
-    return best_m, best
+    best: tuple[int | None, ...] = ()
+
+    def put(p: int, bit: int) -> None:  # XOR is its own inverse: put again to take back
+        for row, unit in place[p]:
+            rows[row] ^= unit << bit
+
+    def rec(p: int, fresh: int, used_once: tuple[int, ...]) -> bool:
+        """Search pipes p.. onward; True once the converse is reached."""
+        nonlocal best_m, best
+        if fresh + n - p <= best_m:
+            return False
+        if p == n:
+            if _decodes(rows, n, fresh):
+                best_m, best = fresh, tuple(labels)
+            return best_m == ceiling
+        if rec(p + 1, fresh, used_once):  # pipe p zero
+            return True
+        options = [(fresh, fresh + 1, used_once + (fresh,))] + [
+            (bit, fresh, tuple(b for b in used_once if b != bit)) for bit in used_once
+        ]
+        for bit, next_fresh, next_used in options:
+            labels[p] = bit
+            put(p, bit)
+            done = rec(p + 1, next_fresh, next_used)
+            put(p, bit)
+            labels[p] = None
+            if done:
+                return True
+        return False
+
+    rec(0, 0, ())
+    # The all-zero labeling always decodes (m = 0), so best is set.
+    return best_m, assignment_from_labels(best)
 
 
 def witness_blocks(assign: AssignmentMatrix) -> list[dict]:

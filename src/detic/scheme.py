@@ -460,19 +460,32 @@ def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, 
                 yield region.form.minimal_n(w), Fraction(i, den), Fraction(j, den)
 
 
-def _decodes_everywhere(layout: Layout, points: list[CheckPoint]) -> bool:
-    # Imported here: decode and oracle consume the types defined above.
-    from .decode import peel_structure, receiver_view
+def rank_assignments(layout: Layout, points: list[CheckPoint]) -> list[AssignmentMatrix] | None:
+    """The layout's assignment at every point when each passes the rank
+    criterion, else None (at the first point that fails)."""
+    # Imported here: oracle consumes the types defined above.
     from .oracle import LinearScheme, rank_decodable
 
+    assigns = []
     for point in points:
         assign = point.assignment(layout)
         if not rank_decodable(LinearScheme(point.ch, assign)):
-            return False
-        ok, _ = peel_structure(receiver_view(assign, point.ch, 1))
-        if not ok:
-            return False
-    return True
+            return None
+        assigns.append(assign)
+    return assigns
+
+
+def _decodes_everywhere(layout: Layout, points: list[CheckPoint]) -> bool:
+    """Rank at every point, then peel at every point.  Peeling implies rank,
+    so ranking first only spares the peel compiles of a candidate that some
+    later point refutes."""
+    from .decode import peel_structure, receiver_view
+
+    assigns = rank_assignments(layout, points)
+    return assigns is not None and all(
+        peel_structure(receiver_view(assign, point.ch, 1))[0]
+        for point, assign in zip(points, assigns)
+    )
 
 
 def infer_roles(region: RegionSpec) -> Layout:

@@ -8,12 +8,17 @@ random strings and small integers as `--n`, `--k`, `--trials` and `--grid`.
 Whatever the input, the command ends with exit 0, 1 or 2 and one JSON object
 on standard output, never a traceback (an SVG or CSV payload on exit 0).
 Values are passed as `--flag=value`, so a value that starts with "-" is
-still a value and not an option.
+still a value and not an option.  A third property feeds mutated copies of
+the built-in region table to `--table`.
 """
 
 import contextlib
+import copy
 import io
 import json
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -88,3 +93,71 @@ def test_size_strings_always_end_in_json(query):
     if code == 0 and command in ("render", "atlas"):
         return  # the payload is an SVG or CSV document
     assert isinstance(json.loads(out.getvalue()), dict), argv
+
+
+BUILTIN_ROWS = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+
+junk = st.sampled_from(["1/0", "1e9999", "9" * 5000, "1/" + "7" * 5000, [], ["1", "2"], None, 0, {}])
+
+
+def entries(node):
+    """(container, key) of every value inside a row, at every depth."""
+    for key in sorted(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from entries(node[key])
+
+
+@st.composite
+def mutated_tables(draw) -> list:
+    """The built-in rows after 1-4 mutations: a key or list entry at any depth
+    of a row dropped or swapped for junk, or a whole row duplicated or deleted."""
+    rows = copy.deepcopy(BUILTIN_ROWS)
+    for _ in range(draw(st.integers(1, 4))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["drop", "junk", "duplicate", "delete"]))
+        if op == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), copy.deepcopy(rows[i]))
+        elif op == "delete":
+            del rows[i]
+        else:
+            parent, key = draw(st.sampled_from(list(entries(rows[i]))))
+            if op == "drop":
+                del parent[key]
+            else:
+                parent[key] = draw(junk)
+    return rows
+
+
+TABLE_COMMANDS = (
+    ["classify", "--alpha=8/5", "--beta=9/10"],
+    ["plan", "--alpha=8/5", "--beta=9/10"],
+    ["atlas", "--grid=5"],
+    ["verify", "--suite=table"],
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=mutated_tables())
+@example(rows=[])
+@example(rows=BUILTIN_ROWS[1:])  # loads: every command answers
+@example(rows=BUILTIN_ROWS + BUILTIN_ROWS[:1])  # a duplicated id
+@example(rows=[{**BUILTIN_ROWS[0], "dsym": "9" * 5000}])
+def test_mutated_tables_always_end_in_json(rows):
+    # A table that fails to load or validate exits 2 with a JSON error; one
+    # that loads answers normally.  atlas answers with a CSV on exit 0.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "regions.json"
+        path.write_text(json.dumps(rows))
+        for command in TABLE_COMMANDS:
+            argv = [f"--table={path}", *command]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 0 and command[0] == "atlas":
+                assert out.getvalue().startswith("alpha,beta,"), argv
+                continue
+            assert isinstance(json.loads(out.getvalue()), dict), argv

@@ -1,13 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detic.channel import make_channel
 from detic.decode import peel_structure, receiver_view
 from detic.oracle import (
     LinearScheme,
     SearchBudgetError,
-    _labelings,
     assignment_from_labels,
     exhaustive_search,
     rank_decodable,
@@ -15,6 +16,43 @@ from detic.oracle import (
 )
 from detic.regions import classify, dsym_at
 from detic.scheme import build_assignment, minimal_n
+
+
+def labelings(n: int):
+    """Every canonical pipe labeling: 0, fresh bit, or reuse of a singly-used bit.
+
+    The reference enumeration of the search class.  Yields tuples with
+    entries None (zero pipe) or a bit index; fresh bits are numbered by first
+    appearance.  Option order per pipe: zero, fresh, reuses ascending, which
+    makes tuple order the search's canonical order.
+    """
+    labels: list[int | None] = [None] * n
+
+    def rec(i: int, fresh: int, used_once: tuple[int, ...]):
+        if i == n:
+            yield tuple(labels)
+            return
+        labels[i] = None
+        yield from rec(i + 1, fresh, used_once)
+        labels[i] = fresh
+        yield from rec(i + 1, fresh + 1, used_once + (fresh,))
+        for bit in used_once:
+            labels[i] = bit
+            yield from rec(i + 1, fresh, tuple(b for b in used_once if b != bit))
+        labels[i] = None
+
+    yield from rec(0, 0, ())
+
+
+def reference_search(ch) -> tuple[int, tuple[int | None, ...]]:
+    """(best m, first witness) by ranking, in canonical order, every labeling
+    that beats the best so far; no pruning and no converse exit."""
+    best_m, best = -1, ()
+    for labels in labelings(ch.n):
+        assign = assignment_from_labels(labels)
+        if assign.m > best_m and rank_decodable(LinearScheme(ch, assign)):
+            best_m, best = assign.m, labels
+    return best_m, best
 
 
 class TestRankDecodable:
@@ -92,6 +130,11 @@ class TestExhaustiveSearch:
             ("Bd", 9, F(10, 9), F(4, 9)),
             ("Da", 9, F(13, 9), F(5, 9)),
             ("Db", 10, F(13, 10), F(3, 5)),
+            ("Aa", 11, F(12, 11), F(0)),
+            # best m = 6 < floor(converse * N) = 7: pruning without the early exit
+            ("Bd", 11, F(12, 11), F(4, 11)),
+            ("Aa", 12, F(13, 12), F(1, 12)),
+            ("Aa", 12, F(5, 4), F(1, 12)),
         ],
     )
     def test_search_matches_catalog_beyond_default_budget(self, table, region, n, alpha, beta):
@@ -100,7 +143,7 @@ class TestExhaustiveSearch:
         assert res.region.id == region
         assert minimal_n(res.region, res.eps, res.delta) == n
         ch = make_channel(3, n, alpha, beta)
-        best_m, witness = exhaustive_search(ch, max_n=10)
+        best_m, witness = exhaustive_search(ch, max_n=n)
         assert best_m == res.dsym_value * n
         assert witness.m == best_m
         assert rank_decodable(LinearScheme(ch, witness))
@@ -109,6 +152,28 @@ class TestExhaustiveSearch:
         ch = make_channel(3, 2, F(3, 2), F(1, 2))
         _, witness = exhaustive_search(ch)
         assert witness.pipe_to_bit == (None, 0)
+
+
+@st.composite
+def search_channels(draw):
+    """K = 3 channels with N <= 7 and integral shifts, edges alpha = 1 and beta = 1 included."""
+    n = draw(st.integers(1, 7))
+    alpha = 1 + F(draw(st.integers(0, n)), n)
+    beta = F(draw(st.integers(0, n)), n)
+    return make_channel(3, n, alpha, beta)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(ch=search_channels())
+@example(ch=make_channel(3, 7, F(1), F(3, 7)))  # alpha = 1: best m = 0
+@example(ch=make_channel(3, 7, F(9, 7), F(1)))  # beta = 1: best m = 0
+@example(ch=make_channel(3, 7, F(12, 7), F(3, 7)))  # the converse is reached early
+@example(ch=make_channel(3, 7, F(2), F(0)))  # m = N
+def test_search_matches_full_enumeration(ch):
+    # The pruned depth-first search, with its exit at the converse bound,
+    # returns what ranking every labeling in canonical order returns.
+    best_m, witness = exhaustive_search(ch)
+    assert (best_m, witness.pipe_to_bit) == reference_search(ch)
 
 
 class TestPeelImpliesRank:
@@ -126,7 +191,7 @@ class TestPeelImpliesRank:
     def test_every_peelable_labeling_is_rank_decodable(self, n, alpha, beta):
         ch = make_channel(3, n, alpha, beta)
         peelable = 0
-        for labels in _labelings(n):
+        for labels in labelings(n):
             assign = assignment_from_labels(labels)
             ok, _ = peel_structure(receiver_view(assign, ch, 1))
             if ok:
