@@ -31,7 +31,6 @@ from .scheme import (
     check_points,
     check_validity,
     layout_for,
-    load_frozen_layouts,
     minimal_n,
     rank_assignments,
 )
@@ -210,12 +209,12 @@ def cmd_simulate(args) -> int:
             got, _ = peel_bits(view, y)
             if got is None or not np.array_equal(got, want):
                 failures += 1
-    # The trace does not depend on the bits: every trial repeats each view's.
+    # The trace does not depend on the bits, and relabelling for another
+    # receiver keeps each step's rule: every receiver and trial repeats one's.
     rules: dict[str, int] = {}
     if args.trials:
-        for view in views:
-            for rule, cnt in peel_structure(view)[1].rule_counts().items():
-                rules[rule] = rules.get(rule, 0) + cnt * args.trials
+        for rule, cnt in peel_structure(views[0])[1].rule_counts().items():
+            rules[rule] = cnt * ch.k * args.trials
     payload = {
         **_classify_payload(res),
         "channel": ch.to_json_dict(),
@@ -233,11 +232,10 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_table(table) -> tuple[bool, dict]:
-    frozen = load_frozen_layouts(table)
     detail = []
     ok = True
     for spec in table:
-        report = check_validity(layout_for(spec, frozen), spec)
+        report = check_validity(layout_for(spec), spec)
         ok &= report.all_passed
         detail.append(
             {
@@ -269,11 +267,10 @@ def _verify_boundaries(table) -> tuple[bool, dict]:
 
 
 def _verify_oracle(table) -> tuple[bool, dict]:
-    frozen = load_frozen_layouts(table)
     detail = []
     ok = True
     for spec in table:
-        layout = layout_for(spec, frozen)
+        layout = layout_for(spec)
         points = check_points(spec)
         region_ok = rank_assignments(layout, points) is not None
         ok &= region_ok

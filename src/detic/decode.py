@@ -26,10 +26,14 @@ rows of a sparse GF(2) matrix over the received word, replayed on each word as
 a gather and XOR of levels.
 
 The channel is cyclically symmetric (`channel.paths` gives every receiver the
-same geometry), so the schedule is compiled once per channel, for receiver 1,
-on the first use of any of its receiver views.  Another receiver's program
-shares that matrix; only sender labels rotate, in the trace and in the
-messages of failed checks.
+same geometry), so a channel has one schedule, compiled for receiver 1 on the
+first use of any of its receiver views.  Receiver R's word is receiver 1's
+with the messages rotated, so its program is that schedule relabelled: the
+same matrix, sender s read as sender s + R - 1 (mod K) in the trace and in
+the messages of failed checks.  Where the compile breaks a tie by sender
+label (smallest pair first), the tie is thus taken relative to the receiver;
+no receiver compiles its own.  A view places its blocks, which only the
+renderer and `reconstruct_output` read, on first use too.
 """
 
 from __future__ import annotations
@@ -84,15 +88,37 @@ class ReceiverView:
     receiver: int
     params: ChannelParams
     assign: AssignmentMatrix
-    blocks: tuple[PlacedBlock, ...]
 
     @cached_property
     def program(self) -> PeelProgram:
         """The peeling schedule: the channel's, relabelled for this receiver."""
-        base = _channel_program(self.assign, self.params)
-        if self.receiver != 1 and not base.order_free:
-            return _compile(self.assign, self.params, self.receiver)
-        return _rotate(base, self.params.k, self.receiver)
+        return _rotate(_channel_program(self.assign, self.params), self.params.k, self.receiver)
+
+    @cached_property
+    def blocks(self) -> tuple[PlacedBlock, ...]:
+        """Every data segment of the three contributing signals, placed where
+        `channel.paths` puts their pipes.  Segments straddling the bottom of
+        the 2N window are clipped; zero segments are omitted."""
+        blocks: list[PlacedBlock] = []
+        for path, sender, base, limit in paths(self.params, self.receiver):
+            for seg in self.assign.segments:
+                if not seg.role.is_data or seg.count == 0:
+                    continue
+                count = min(seg.count, limit - seg.pipe_lo)
+                if count <= 0:
+                    continue
+                blocks.append(
+                    PlacedBlock(
+                        sender=sender,
+                        path=path,
+                        symbol_id=seg.role.symbol_id,
+                        level_top=base + seg.pipe_lo + 1,
+                        length=count,
+                        pipe_lo=seg.pipe_lo + 1,
+                        orientation="reversed" if seg.role.kind == TWIN_SECOND else "forward",
+                    )
+                )
+        return tuple(blocks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,34 +160,13 @@ class DecodeTrace:
 
 
 def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> ReceiverView:
-    """Place every data segment of the three contributing signals where
-    `channel.paths` puts their pipes.
-
-    Segments straddling the bottom of the 2N window are clipped; zero
-    segments are omitted.
-    """
+    """One receiver's view of an assignment on a channel; its blocks and its
+    program are built on first use.  Raises DimensionMismatchError at once
+    when N differs or the receiver is outside 1..K."""
     if assign.n != ch.n:
         raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
-    blocks: list[PlacedBlock] = []
-    for path, sender, base, limit in paths(ch, receiver):
-        for seg in assign.segments:
-            if not seg.role.is_data or seg.count == 0:
-                continue
-            count = min(seg.count, limit - seg.pipe_lo)
-            if count <= 0:
-                continue
-            blocks.append(
-                PlacedBlock(
-                    sender=sender,
-                    path=path,
-                    symbol_id=seg.role.symbol_id,
-                    level_top=base + seg.pipe_lo + 1,
-                    length=count,
-                    pipe_lo=seg.pipe_lo + 1,
-                    orientation="reversed" if seg.role.kind == TWIN_SECOND else "forward",
-                )
-            )
-    return ReceiverView(receiver, ch, assign, tuple(blocks))
+    paths(ch, receiver)
+    return ReceiverView(receiver, ch, assign)
 
 
 def reconstruct_output(view: ReceiverView, messages: list[np.ndarray]) -> BitVec:
@@ -222,9 +227,7 @@ class PeelProgram:
     row is a consistency check, in execution order, that must read 0 (a
     repeat can never fail first, so it is dropped), its failure named by
     `origins[j]` = (kind, a, b).  The last checks are one per level that no
-    data pipe reaches.  `order_free` says that no step of the compile chose
-    between candidates by sender label, so the program is valid, relabelled,
-    at every receiver.
+    data pipe reaches.
     """
 
     success: bool
@@ -233,7 +236,6 @@ class PeelProgram:
     indptr: np.ndarray
     indices: np.ndarray
     origins: np.ndarray
-    order_free: bool
 
 
 def _csr(masks: list[int], quiet: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -254,30 +256,27 @@ def _csr(masks: list[int], quiet: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 def _cancel_pairs(
     unknowns: list[Bit], acc: int, pairs: dict[tuple[Bit, Bit], int], partners: dict[Bit, list[Bit]]
-) -> tuple[list[Bit], int, bool]:
+) -> tuple[list[Bit], int]:
     """Cancel known aggregates out of a level's unknowns, smallest pair first
-    (one sorted sweep is the whole fixpoint: the live set only shrinks).
-    Also says whether no pair was skipped, i.e. whether the order was moot."""
+    (one sorted sweep is the whole fixpoint: the live set only shrinks)."""
     live = set(unknowns)
     inside = {tuple(sorted((u, v))) for u in unknowns for v in partners.get(u, ()) if v in live}
-    cancelled = 0
     for u, v in sorted(inside):
         if u in live and v in live:
             live -= {u, v}
             acc ^= pairs[(u, v)]
-            cancelled += 1
-    return sorted(live), acc, cancelled == len(inside)
+    return sorted(live), acc
 
 
 @lru_cache(maxsize=16)
 def _channel_program(assign: AssignmentMatrix, ch: ChannelParams) -> PeelProgram:
-    """The channel's schedule, compiled once for receiver 1 (the views of one
+    """The channel's one schedule, compiled for receiver 1 (the views of one
     channel are made together, so a few entries cover them)."""
     return _compile(assign, ch, 1)
 
 
 def _rotate(program: PeelProgram, k: int, receiver: int) -> PeelProgram:
-    """Receiver 1's program as `receiver` compiles it: same matrix, sender s
+    """Receiver 1's program relabelled for `receiver`: same matrix, sender s
     read as sender s + receiver - 1 (mod K), steps re-sorted in each pass."""
     if receiver == 1:
         return program
@@ -317,7 +316,6 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
     partners: dict[Bit, list[Bit]] = {}  # pairs indexed by each endpoint
     checks: dict[int, tuple[int, int, int]] = {}  # mask -> origin, in execution order
     steps: list[PeelStep] = []
-    order_free = True
 
     def check(mask: int, kind: int, a: int, b: int = 0) -> None:
         if mask and mask not in checks:
@@ -346,8 +344,7 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
                 else:
                     acc ^= mask
             if partners and len(unknowns) > 1:
-                unknowns, acc, moot = _cancel_pairs(unknowns, acc, pairs, partners)
-                order_free &= moot
+                unknowns, acc = _cancel_pairs(unknowns, acc, pairs, partners)
             if not unknowns:
                 check(acc, _LEVEL_DISAGREES, level0 + 1)
             elif len(unknowns) == 1:
@@ -371,8 +368,6 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
                 target, source = (v, ku) if kv is None else (u, kv)
                 if target not in resolved:
                     resolved[target] = (-1, first_pipe[target[1]], mask ^ source)
-                elif resolved[target][0] < 0:
-                    order_free = False
         if not resolved and not new_pairs:
             break
         steps += _pass_steps(resolved, pass_index, known, symbols)
@@ -398,7 +393,6 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
         indptr=indptr,
         indices=indices,
         origins=np.array(origins, dtype=np.int32).reshape(-1, 3),
-        order_free=order_free,
     )
 
 

@@ -67,12 +67,6 @@ class Affine2:
     def __add__(self, other: "Affine2") -> "Affine2":
         return Affine2(self.c0 + other.c0, self.c_eps + other.c_eps, self.c_delta + other.c_delta)
 
-    def __sub__(self, other: "Affine2") -> "Affine2":
-        return Affine2(self.c0 - other.c0, self.c_eps - other.c_eps, self.c_delta - other.c_delta)
-
-    def __neg__(self) -> "Affine2":
-        return Affine2(-self.c0, -self.c_eps, -self.c_delta)
-
     @property
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c_eps == 0 and self.c_delta == 0

@@ -15,9 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -552,14 +551,12 @@ def layout_from_json_dict(data: dict, region: RegionSpec) -> Layout:
     return Layout(str(data["region"]), tuple(resolved))
 
 
-def load_frozen_layouts(
-    table: Iterable[RegionSpec], path: str | Path | None = None
-) -> dict[str, Layout]:
-    """Frozen layout per region id, validated against the given catalog."""
-    raw = _read_frozen(path)
+def load_frozen_layouts(table: Iterable[RegionSpec]) -> dict[str, Layout]:
+    """Frozen layout per region id, validated against the given catalog;
+    raises ValueError when a region's blocks differ from its frozen entry."""
     by_id = {spec.id: spec for spec in table}
     layouts = {}
-    for entry in raw:
+    for entry in _read_frozen():
         region = by_id.get(entry["region"])
         if region is None:
             continue
@@ -567,10 +564,10 @@ def load_frozen_layouts(
     return layouts
 
 
-def load_frozen_interiors(path: str | Path | None = None) -> dict[str, tuple[Rat, Rat]]:
+def load_frozen_interiors() -> dict[str, tuple[Rat, Rat]]:
     """Frozen interior sample point per region id."""
     out = {}
-    for entry in _read_frozen(path):
+    for entry in _read_frozen():
         if "interior" in entry:
             out[entry["region"]] = (
                 Fraction(entry["interior"][0]),
@@ -579,16 +576,15 @@ def load_frozen_interiors(path: str | Path | None = None) -> dict[str, tuple[Rat
     return out
 
 
-def _read_frozen(path: str | Path | None) -> list[dict]:
-    if path is not None:
-        text = Path(path).read_text()
-    else:
-        text = resources.files("detic.data").joinpath("layouts.json").read_text()
-    return json.loads(text)
+@cache
+def _read_frozen() -> tuple[dict, ...]:
+    """The built-in layouts.json, parsed once per process (it is immutable)."""
+    return tuple(json.loads(resources.files("detic.data").joinpath("layouts.json").read_text()))
 
 
 def layout_for(region: RegionSpec, frozen: dict[str, Layout] | None = None) -> Layout:
-    """Frozen layout when available, otherwise a fresh derivation."""
+    """Frozen layout when available, otherwise a fresh derivation: a region
+    whose blocks no longer match its built-in entry is re-derived."""
     if frozen is not None and region.id in frozen:
         return frozen[region.id]
     return _builtin_layout(region) or infer_roles(region)

@@ -292,6 +292,30 @@ class TestTableOverride:
         assert code == 2
         assert json.loads(out) == {"error": "row 0: expected a JSON object, got int"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("plan", "--alpha", "5/4", "--beta", "1/12"),
+            ("verify", "--suite", "table"),
+            ("verify", "--suite", "oracle"),
+        ],
+    )
+    def test_changed_blocks_are_rederived_by_every_command(self, capsys, tmp_path, argv):
+        # Aa with its blocks 0 and 2 swapped no longer matches its frozen
+        # layout; every command re-derives it the same way, and no role
+        # assignment of the swapped blocks works.
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        blocks = next(r for r in rows if r["id"] == "Aa")["blocks"]
+        blocks[0], blocks[2] = blocks[2], blocks[0]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(rows))
+        code, out = run(capsys, "--table", str(path), *argv)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "region Aa: no role assignment is valid and decodable "
+            "(catalog transcription error?)"
+        }
+
     def test_env_fallback(self, capsys, tmp_path, monkeypatch):
         rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
         path = tmp_path / "table.json"

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,7 +12,7 @@ from detic.decode import (
     receiver_view,
     reconstruct_output,
 )
-from detic.gf2 import NotBinaryError
+from detic.gf2 import DimensionMismatchError, NotBinaryError
 from detic.oracle import LinearScheme, rank_decodable
 from detic.scheme import (
     AssignmentMatrix,
@@ -65,6 +64,26 @@ class TestReceiverView:
         up = [b for b in view.blocks if b.path == "v"]
         assert all(b.level_top >= 3 for b in direct)
         assert all(b.level_bottom <= 2 for b in up)
+
+    @pytest.mark.parametrize("receiver", [0, 4])
+    def test_receiver_outside_one_to_k_is_refused_at_once(
+        self, df_assign, df_channel, receiver, monkeypatch
+    ):
+        monkeypatch.setattr(decode, "_compile", lambda *a: pytest.fail("compiled"))
+        with pytest.raises(DimensionMismatchError, match=f"receiver {receiver} outside 1..3"):
+            receiver_view(df_assign, df_channel, receiver)
+
+    def test_n_mismatch_is_refused_at_once(self, df_assign, monkeypatch):
+        monkeypatch.setattr(decode, "_compile", lambda *a: pytest.fail("compiled"))
+        ch = make_channel(3, 120, *WORKED[:2])
+        with pytest.raises(DimensionMismatchError, match="assignment N = 60 != channel N = 120"):
+            receiver_view(df_assign, ch, 1)
+
+    def test_blocks_and_program_are_built_on_first_use(self, df_assign, df_channel):
+        view = receiver_view(df_assign, df_channel, 2)
+        assert "blocks" not in vars(view) and "program" not in vars(view)
+        assert view.blocks is view.blocks and len(view.blocks) > 0
+        assert "program" not in vars(view)
 
     def test_all_zero_assignment_places_nothing(self, df_channel):
         assign = AssignmentMatrix(n=60, m=0, pipe_to_bit=(None,) * 60)
@@ -192,22 +211,6 @@ class TestManyReceivers:
         for r in range(1, k + 1):
             got, _ = peel_bits(receiver_view(assign, ch, r), ys[r - 1])
             assert got is not None and np.array_equal(got, msgs[r - 1])
-
-
-class TestSharedProgram:
-    def test_order_dependent_schedule_compiles_per_receiver(
-        self, df_assign, df_channel, monkeypatch
-    ):
-        # A compile that chose between candidates by sender label is not
-        # relabelled: the other receivers compile their own.
-        base = replace(decode._compile(df_assign, df_channel, 1), order_free=False)
-        compiled = []
-        real = decode._compile
-        monkeypatch.setattr(decode, "_compile", lambda *a: compiled.append(a[2]) or real(*a))
-        monkeypatch.setattr(decode, "_channel_program", lambda assign, ch: base)
-        program = receiver_view(df_assign, df_channel, 2).program
-        assert compiled == [2]
-        assert program.trace == real(df_assign, df_channel, 2).trace
 
 
 class TestDenseInteriorSweep:

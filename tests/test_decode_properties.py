@@ -6,7 +6,10 @@ messages, then checks that the frozen layout's compiled decoder returns the
 sent bits with the value-free trace, and that peel success implies rank
 decodability.  A second property checks that the receiver's program, which
 relabels the one schedule compiled per channel, equals the schedule compiled
-for that receiver alone.
+for that receiver alone.  A third draws random pipe maps of the search class
+(the rank oracle's property cases, at N <= 12) with K in 3..7 and checks that
+every receiver's relabelled program succeeds exactly when receiver 1's does,
+and then returns its own sent bits.
 """
 
 import math
@@ -20,9 +23,10 @@ from hypothesis import strategies as st
 from detic.channel import make_channel, transmit
 from detic.decode import _compile, peel_bits, peel_structure, receiver_view
 from detic.exactmath import polygon_vertices
-from detic.oracle import LinearScheme, rank_decodable
+from detic.oracle import LinearScheme, assignment_from_labels, rank_decodable
 from detic.regions import load_region_table
 from detic.scheme import _strict_interior, build_assignment, load_frozen_layouts, minimal_n
+from test_oracle_properties import cases
 
 MAX_N = 120
 DENOMINATORS = range(2, 17)
@@ -91,3 +95,25 @@ def test_shared_program_equals_own_compile(data):
     assert (shared.success, shared.own, shared.trace) == (own.success, own.own, own.trace)
     for field in ("indptr", "indices", "origins"):
         assert np.array_equal(getattr(shared, field), getattr(own, field)), field
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cases(max_n=12), k=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
+def test_random_pipe_maps_decode_at_every_receiver(case, k, seed):
+    n, alpha, beta, labels = case
+    ch = make_channel(k, n, alpha, beta)
+    assign = assignment_from_labels(labels)
+    rng = np.random.default_rng(seed)
+    messages = [rng.integers(0, 2, assign.m, dtype=np.uint8) for _ in range(k)]
+    words = transmit(ch, [assign.encode(d) for d in messages])
+    views = [receiver_view(assign, ch, r) for r in range(1, k + 1)]
+    success = [peel_structure(view)[0] for view in views]
+    assert success == [success[0]] * k
+    for view, y, sent in zip(views, words, messages):
+        got, _ = peel_bits(view, y)
+        if success[0]:
+            assert np.array_equal(got, sent), view.receiver
+        else:
+            assert got is None, view.receiver
+    if success[0]:
+        assert rank_decodable(LinearScheme(ch, assign))

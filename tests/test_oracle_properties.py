@@ -60,9 +60,9 @@ def dense_rank_decodable(ch, assign) -> bool:
 
 
 @st.composite
-def cases(draw) -> tuple[int, F, F, tuple[int | None, ...]]:
-    """(N, alpha, beta, canonical labeling) with integral shifts at N."""
-    n = draw(st.integers(1, 10))
+def cases(draw, max_n: int = 10) -> tuple[int, F, F, tuple[int | None, ...]]:
+    """(N, alpha, beta, canonical labeling) with integral shifts at N <= max_n."""
+    n = draw(st.integers(1, max_n))
     alpha = 1 + F(draw(st.integers(0, n)), n)
     beta = F(draw(st.integers(0, n)), n)
     labels: list[int | None] = []

@@ -1,8 +1,12 @@
 from fractions import Fraction as F
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from detic import scheme
 from detic.exactmath import Affine2
 from detic.gf2 import DimensionMismatchError, NotBinaryError
 from detic.scheme import (
@@ -22,7 +26,10 @@ from detic.scheme import (
     check_validity,
     infer_roles,
     instantiate,
+    layout_for,
     layout_from_json_dict,
+    load_frozen_interiors,
+    load_frozen_layouts,
     minimal_n,
     validation_points,
 )
@@ -223,6 +230,26 @@ class TestLayoutSerialization:
             layout = frozen_layouts[spec.id]
             again = layout_from_json_dict(layout.to_json_dict(), spec)
             assert again == layout
+
+    def test_builtin_layouts_are_parsed_once(self, table, frozen_layouts, monkeypatch):
+        parses = []
+
+        def loads(text):
+            parses.append(1)
+            return json.loads(text)
+
+        monkeypatch.setattr(scheme, "json", SimpleNamespace(loads=loads))
+        scheme._read_frozen.cache_clear()
+        scheme._builtin_layout.cache_clear()
+        try:
+            layouts = [layout_for(spec) for spec in table]
+            assert load_frozen_layouts(table) == frozen_layouts
+            assert len(load_frozen_interiors()) == len(table)
+        finally:
+            scheme._read_frozen.cache_clear()
+            scheme._builtin_layout.cache_clear()
+        assert len(parses) == 1
+        assert layouts == [frozen_layouts[spec.id] for spec in table]
 
 
 class TestValidationPoints:
