@@ -9,14 +9,10 @@ and independent verification oracles (rank criterion, exhaustive search).
 from .channel import (
     BadShapeError,
     ChannelParams,
-    UndefinedTopPartError,
     deinterleave,
-    extract_top,
     interleave,
     interleave_expand,
     make_channel,
-    signal_v,
-    signal_w,
     transmit,
 )
 from .decode import (
@@ -27,7 +23,6 @@ from .decode import (
     peel_bits,
     peel_structure,
     receiver_view,
-    reconstruct_output,
 )
 from .exactmath import (
     Affine2,
@@ -44,7 +39,7 @@ from .exactmath import (
     polygon_vertices,
 )
 from .gf2 import NotBinaryError
-from .oracle import LinearScheme, SearchBudgetError, exhaustive_search, rank_decodable
+from .oracle import SearchBudgetError, exhaustive_search, rank_decodable
 from .regions import (
     ClassifyResult,
     OutOfSquareError,

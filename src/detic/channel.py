@@ -8,9 +8,8 @@ Cross-link strengths alpha in [1,2] and beta in [0,1] must give integral
 shifts at the chosen N.
 
 `paths` is the one placement rule: it says where each of a receiver's three
-senders lands.  The simulator (`transmit`, `signal_v`, `signal_w`), the
-receiver views and peeling schedules of `decode`, and the rank oracle all
-place pipes through it.
+senders lands.  The simulator (`transmit`), the receiver views and peeling
+schedules of `decode`, and the rank oracle all place pipes through it.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ W_PATH = "w"
 
 class BadShapeError(ValueError):
     """Channel parameters violate a validity constraint."""
-
-
-class UndefinedTopPartError(ValueError):
-    """Top overlap part only exists when alpha - beta < 1."""
 
 
 @dataclass(frozen=True)
@@ -89,14 +84,6 @@ def make_channel(k: int, n: int, alpha, beta) -> ChannelParams:
     return ChannelParams(k, n, alpha, beta)
 
 
-def _check_input(ch: ChannelParams, x: BitVec) -> BitVec:
-    """x as a uint8 input of N bits; raises NotBinaryError on an entry other than 0 or 1."""
-    x = np.asarray(x)
-    if x.shape != (ch.n,):
-        raise DimensionMismatchError(f"input shape {x.shape} != N = {ch.n}")
-    return to_bits(x, "input")
-
-
 def paths(ch: ChannelParams, receiver: int) -> list[tuple[str, int, int, int]]:
     """(path, sender, 0-based level of pipe 0, pipes that land) per path of a receiver.
 
@@ -113,43 +100,6 @@ def paths(ch: ChannelParams, receiver: int) -> list[tuple[str, int, int, int]]:
         (V_PATH, receiver % ch.k + 1, ch.n - ch.up_shift, ch.n),
         (W_PATH, (receiver - 2) % ch.k + 1, ch.n + ch.down_shift, ch.surviving_pipes),
     ]
-
-
-def _image(ch: ChannelParams, x: BitVec, path: str) -> BitVec:
-    """x alone in a 2N window, placed by one path."""
-    x = _check_input(ch, x)
-    _, _, base, count = next(p for p in paths(ch, 1) if p[0] == path)
-    y = np.zeros(2 * ch.n, dtype=np.uint8)
-    y[base : base + count] = x[:count]
-    return y
-
-
-def signal_v(ch: ChannelParams, x: BitVec) -> BitVec:
-    """Up-shifted interference image: zero-pad, then shift up by (alpha-1)N."""
-    return _image(ch, x, V_PATH)
-
-
-def signal_w(ch: ChannelParams, x: BitVec) -> BitVec:
-    """Down-shifted interference image: zero-pad, then shift down by (1-beta)N.
-
-    Only the top beta*N pipes of x stay above the bottom of the 2N window.
-    """
-    return _image(ch, x, W_PATH)
-
-
-def extract_top(ch: ChannelParams, x: BitVec) -> BitVec:
-    """Top (1-(alpha-beta))N pipes of an input.
-
-    This is the segment that resolves the overlap between the two interference
-    images; it is only defined when they overlap, i.e. alpha - beta < 1.
-    """
-    if ch.alpha - ch.beta >= 1:
-        raise UndefinedTopPartError(
-            f"top part undefined: alpha - beta = {format_rat(ch.alpha - ch.beta)} >= 1"
-        )
-    x = _check_input(ch, x)
-    size = int((1 - (ch.alpha - ch.beta)) * ch.n)
-    return np.array(x[:size], copy=True)
 
 
 def transmit(ch: ChannelParams, inputs: list[BitVec]) -> list[BitVec]:
@@ -193,21 +143,21 @@ def interleave(vectors: list[BitVec]) -> BitVec:
 
     With this bit order, applying the channel per use and interleaving the
     outputs equals one use of the expanded channel on interleaved inputs.
+    Takes 1-D array-likes of one length (DimensionMismatchError otherwise)
+    holding 0 or 1 (NotBinaryError otherwise).
     """
-    l_uses = len(vectors)
-    if l_uses == 0:
-        raise ValueError("need at least one vector")
-    size = vectors[0].shape[0]
-    if any(v.shape[0] != size for v in vectors):
-        raise DimensionMismatchError("interleaved vectors must share a length")
-    out = np.empty(size * l_uses, dtype=np.uint8)
-    for l, v in enumerate(vectors):
-        out[l::l_uses] = v
-    return out
+    try:
+        x = np.asarray(vectors)
+    except ValueError:  # ragged: the vectors differ in shape
+        x = None
+    if x is None or x.ndim != 2:
+        raise DimensionMismatchError("interleave needs one or more 1-D vectors of one length")
+    return to_bits(x, "interleaved vector").T.flatten()
 
 
 def deinterleave(v: BitVec, l_uses: int) -> list[BitVec]:
     """Inverse of interleave."""
-    if l_uses < 1 or v.shape[0] % l_uses != 0:
-        raise DimensionMismatchError(f"length {v.shape[0]} not divisible into {l_uses} uses")
-    return [np.array(v[l::l_uses], copy=True) for l in range(l_uses)]
+    v = np.asarray(v)
+    if v.ndim != 1 or l_uses < 1 or v.shape[0] % l_uses != 0:
+        raise DimensionMismatchError(f"shape {v.shape} not divisible into {l_uses} uses")
+    return list(to_bits(v, "interleaved vector").reshape(-1, l_uses).T.copy())

@@ -33,7 +33,7 @@ same matrix, sender s read as sender s + R - 1 (mod K) in the trace and in
 the messages of failed checks.  Where the compile breaks a tie by sender
 label (smallest pair first), the tie is thus taken relative to the receiver;
 no receiver compiles its own.  A view places its blocks, which only the
-renderer and `reconstruct_output` read, on first use too.
+renderer reads, on first use too.
 """
 
 from __future__ import annotations
@@ -67,20 +67,6 @@ class PlacedBlock:
     length: int
     pipe_lo: int
     orientation: str  # forward | reversed
-
-    @property
-    def level_bottom(self) -> int:
-        return self.level_top + self.length - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sender": self.sender,
-            "path": self.path,
-            "symbol": self.symbol_id,
-            "levels": [self.level_top, self.level_bottom],
-            "pipes": [self.pipe_lo, self.pipe_lo + self.length - 1],
-            "orientation": self.orientation,
-        }
 
 
 @dataclass(frozen=True)
@@ -127,18 +113,6 @@ class PeelStep:
     rule: str
     sender: int
     symbol_id: int
-    bits: tuple[int, ...]
-    levels: tuple[int, ...]  # 1-based levels consumed for these bits
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pass": self.pass_index,
-            "rule": self.rule,
-            "sender": self.sender,
-            "symbol": self.symbol_id,
-            "bits": list(self.bits),
-            "levels": [min(self.levels), max(self.levels)] if self.levels else [],
-        }
 
 
 @dataclass(frozen=True)
@@ -155,9 +129,6 @@ class DecodeTrace:
             out[s.rule] = out.get(s.rule, 0) + 1
         return out
 
-    def to_json_dict(self) -> dict:
-        return {"passes": self.passes, "steps": [s.to_json_dict() for s in self.steps]}
-
 
 def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> ReceiverView:
     """One receiver's view of an assignment on a channel; its blocks and its
@@ -167,21 +138,6 @@ def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) ->
         raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
     paths(ch, receiver)
     return ReceiverView(receiver, ch, assign)
-
-
-def reconstruct_output(view: ReceiverView, messages: list[np.ndarray]) -> BitVec:
-    """XOR of all placed contributions given concrete message bits.
-
-    Must reproduce the channel output exactly; used as a placement oracle.
-    """
-    ch = view.params
-    y = np.zeros(2 * ch.n, dtype=np.uint8)
-    for b in view.blocks:
-        msg = messages[b.sender - 1]
-        for i in range(b.length):
-            bit = view.assign.pipe_to_bit[b.pipe_lo - 1 + i]
-            y[b.level_top - 1 + i] ^= msg[bit]
-    return y
 
 
 def _symbols(assign: AssignmentMatrix) -> tuple[list, set[int], dict[int, tuple[int, ...]]]:
@@ -399,25 +355,23 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
 def _pass_steps(resolved: dict, pass_index: int, known: dict, symbols: tuple) -> list[PeelStep]:
     """Trace steps of one pass: the bits it resolved, grouped by (sender, symbol)."""
     pipe_symbol, twin_syms, sym_bits = symbols
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # -> [(bit, level0)]
+    groups: dict[tuple[int, int], list[int]] = {}  # -> bits
     via_pair: set[tuple[int, int]] = set()
     for (s, bit), (level0, pipe, _) in resolved.items():
         key = (s, pipe_symbol[pipe])
-        groups.setdefault(key, []).append((bit, level0))
+        groups.setdefault(key, []).append(bit)
         if level0 < 0:
             via_pair.add(key)
     pass_steps = []
-    for (s, sym), items in sorted(groups.items()):
-        bits = tuple(sorted(b for b, _ in items))
-        lvls = tuple(sorted(l + 1 for _, l in items if l >= 0))
-        full = bits == sym_bits[sym] and not any((s, b) in known for b in bits)
+    for (s, sym), bits in sorted(groups.items()):
+        full = tuple(sorted(bits)) == sym_bits[sym] and not any((s, b) in known for b in bits)
         if (s, sym) in via_pair:
             rule = RULE_MIXED
         elif full:
             rule = RULE_DIRECT
         else:
             rule = RULE_TWIN if sym in twin_syms else RULE_MIXED
-        pass_steps.append(PeelStep(pass_index, rule, s, sym, bits, lvls))
+        pass_steps.append(PeelStep(pass_index, rule, s, sym))
     # Whole-block readouts first, then twin progress, then aggregate work.
     pass_steps.sort(key=lambda st: (_RULE_ORDER[st.rule], st.sender, st.symbol_id))
     return pass_steps

@@ -23,8 +23,6 @@ best count so far, and stops once a labeling reaches the converse bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .channel import ChannelParams, paths
 from .gf2 import pivot_bits
 from .regions import converse_bound
@@ -35,12 +33,6 @@ _SEARCH_N_LIMIT = 8
 
 class SearchBudgetError(ValueError):
     """Enumeration would exceed the configured budget."""
-
-
-@dataclass(frozen=True)
-class LinearScheme:
-    params: ChannelParams
-    assign: AssignmentMatrix
 
 
 def _placement(ch: ChannelParams) -> list[list[tuple[int, int]]]:
@@ -58,9 +50,8 @@ def _decodes(rows: list[int], n: int, m: int) -> bool:
     return sum(1 for top in pivot_bits(rows) if top < n) == m
 
 
-def rank_decodable(s: LinearScheme) -> bool:
+def rank_decodable(ch: ChannelParams, assign: AssignmentMatrix) -> bool:
     """Exact decodability of the receiver's own bits under any linear decoder."""
-    ch, assign = s.params, s.assign
     if assign.n != ch.n:
         raise ValueError(f"assignment N = {assign.n} != channel N = {ch.n}")
     rows = [0] * (2 * ch.n)

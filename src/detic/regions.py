@@ -112,13 +112,6 @@ class RegionSpec:
         eps, delta = zip(*polygon_vertices(self.polygon))
         return min(eps), max(eps), min(delta), max(delta)
 
-    def vertices_absolute(self) -> tuple[tuple[Rat, Rat], ...]:
-        """Closure vertices translated back to absolute (alpha, beta)."""
-        return tuple(
-            (self.anchor_alpha + e, self.anchor_beta + d)
-            for e, d in polygon_vertices(self.polygon)
-        )
-
 
 @dataclass(frozen=True)
 class ClassifyResult:

@@ -55,8 +55,7 @@ class PipeCountError(ValueError):
 @dataclass(frozen=True)
 class BlockRole:
     kind: str  # zero | single | twin-first | twin-second
-    symbol_id: int | None = None  # None only for zero blocks
-    partner: int | None = None  # block index of the other twin copy
+    symbol_id: int | None = None  # None only for zero blocks; twin copies share one
 
     def __post_init__(self):
         if self.kind == ZERO and self.symbol_id is not None:
@@ -127,13 +126,6 @@ class AssignmentMatrix:
                 out[j].append(p)
         return out
 
-    def to_matrix(self) -> np.ndarray:
-        g = np.zeros((self.n, self.m), dtype=np.uint8)
-        for p, j in enumerate(self.pipe_to_bit):
-            if j is not None:
-                g[p, j] = 1
-        return g
-
     @cached_property
     def _gather(self) -> np.ndarray:
         """Each pipe's index into the message with a 0 appended (zero pipes read the 0)."""
@@ -153,28 +145,32 @@ class AssignmentMatrix:
         return np.take(padded, self._gather)
 
 
-def minimal_n(region: RegionSpec, eps: Rat, delta: Rat) -> int:
-    """Smallest N with integral shifts and integral pipe counts at this point."""
-    w = point_weights(region.anchor_alpha + eps, region.anchor_beta + delta)
-    return region.form.minimal_n(w)
-
-
-def instantiate(layout: Layout, region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
-    """Per-block pipe counts at N, from the region's block lengths (every layout of the
-    region has those); requires N >= 1 and the point in the region closure."""
-    return _pipe_counts(region, alpha, beta, n)
-
-
-def _pipe_counts(region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
-    if n < 1:
-        raise PipeCountError(f"N >= 1 required, got N = {n}")
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
+def _closure_weights(region: RegionSpec, alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
+    """Integer weights of (alpha, beta); raises OutsideRegionError outside the region closure."""
     w = point_weights(alpha, beta)
     if not region.form.contains(w, closure=True):
         raise OutsideRegionError(
             f"({format_rat(alpha)}, {format_rat(beta)}) outside region {region.id}"
         )
+    return w
+
+
+def minimal_n(region: RegionSpec, eps: Rat, delta: Rat) -> int:
+    """Smallest N with integral shifts and integral pipe counts at the offset
+    point (eps, delta); raises OutsideRegionError outside the region closure."""
+    alpha = region.anchor_alpha + Fraction(eps)
+    beta = region.anchor_beta + Fraction(delta)
+    return region.form.minimal_n(_closure_weights(region, alpha, beta))
+
+
+def instantiate(region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
+    """Per-block pipe counts at N, from the region's block lengths (every layout of the
+    region has those); requires N >= 1 and the point in the region closure."""
+    if n < 1:
+        raise PipeCountError(f"N >= 1 required, got N = {n}")
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
+    w = _closure_weights(region, alpha, beta)
     need = region.form.minimal_n(w)
     if n % need != 0:
         raise NonIntegralBlocksError(
@@ -205,16 +201,16 @@ def build_assignment(
     index), twin seconds take their partner's indices in reverse, zeros take
     nothing.
     """
-    return _fill_pipes(layout, instantiate(layout, region, alpha, beta, n), n)
+    return _fill_pipes(layout, instantiate(region, alpha, beta, n), n)
 
 
 def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatrix:
     pipe_to_bit: list[int | None] = [None] * n
     segments: list[Segment] = []
-    first_bit_lo: dict[int, int] = {}  # block index -> bit_lo of the twin-first copy
+    first_bit_lo: dict[int, int] = {}  # symbol -> bit_lo of the twin-first copy
     next_bit = 0
     pipe_hi = n
-    for idx, ((_, role), count) in enumerate(zip(layout.blocks, counts)):
+    for (_, role), count in zip(layout.blocks, counts):
         pipe_lo = pipe_hi - count
         bit_lo: int | None = None
         if role.kind in (SINGLE, TWIN_FIRST):
@@ -222,9 +218,9 @@ def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatr
             pipe_to_bit[pipe_lo:pipe_hi] = range(next_bit, next_bit + count)
             next_bit += count
             if role.kind == TWIN_FIRST:
-                first_bit_lo[idx] = bit_lo
+                first_bit_lo[role.symbol_id] = bit_lo
         elif role.kind == TWIN_SECOND:
-            bit_lo = first_bit_lo[role.partner]
+            bit_lo = first_bit_lo[role.symbol_id]
             pipe_to_bit[pipe_lo:pipe_hi] = range(bit_lo + count - 1, bit_lo - 1, -1)
         segments.append(Segment(pipe_lo, count, role, bit_lo))
         pipe_hi = pipe_lo
@@ -258,7 +254,7 @@ def check_points(region: RegionSpec) -> list[CheckPoint]:
         alpha = region.anchor_alpha + eps
         beta = region.anchor_beta + delta
         n = minimal_n(region, eps, delta)
-        counts = _pipe_counts(region, alpha, beta, n)
+        counts = instantiate(region, alpha, beta, n)
         out.append(CheckPoint(make_channel(3, n, alpha, beta), tuple(counts)))
     return out
 
@@ -364,9 +360,9 @@ def _to_layout(region: RegionSpec, raw_roles: tuple) -> Layout:
         elif raw[0] == "twin":
             symbol += 1
             assigned[i] = symbol
-            blocks.append((length, BlockRole(TWIN_FIRST, symbol, partner=raw[1])))
+            blocks.append((length, BlockRole(TWIN_FIRST, symbol)))
         else:  # twin2, partner index raw[1] < i
-            blocks.append((length, BlockRole(TWIN_SECOND, assigned[raw[1]], partner=raw[1])))
+            blocks.append((length, BlockRole(TWIN_SECOND, assigned[raw[1]])))
     return Layout(region.id, tuple(blocks))
 
 
@@ -463,12 +459,12 @@ def rank_assignments(layout: Layout, points: list[CheckPoint]) -> list[Assignmen
     """The layout's assignment at every point when each passes the rank
     criterion, else None (at the first point that fails)."""
     # Imported here: oracle consumes the types defined above.
-    from .oracle import LinearScheme, rank_decodable
+    from .oracle import rank_decodable
 
     assigns = []
     for point in points:
         assign = point.assignment(layout)
-        if not rank_decodable(LinearScheme(point.ch, assign)):
+        if not rank_decodable(point.ch, assign):
             return None
         assigns.append(assign)
     return assigns
@@ -525,30 +521,12 @@ def _parse_role(text: str) -> tuple[str, int | None]:
 
 def layout_from_json_dict(data: dict, region: RegionSpec) -> Layout:
     blocks: list[tuple[Affine2, BlockRole]] = []
-    first_of_symbol: dict[int, int] = {}
     for i, entry in enumerate(data["blocks"]):
         length = Affine2.from_strings(entry["len"])
         if length != region.block_lens[i]:
             raise ValueError(f"layout {data['region']}: block {i} length mismatch")
-        kind, sym = _parse_role(entry["role"])
-        partner = None
-        if kind == TWIN_FIRST:
-            first_of_symbol[sym] = i
-        elif kind == TWIN_SECOND:
-            partner = first_of_symbol[sym]
-        blocks.append((length, BlockRole(kind, sym, partner)))
-    # Back-fill twin-first partners now that both copies are known.
-    resolved = []
-    for i, (length, role) in enumerate(blocks):
-        if role.kind == TWIN_FIRST:
-            partner = next(
-                j
-                for j, (_, r) in enumerate(blocks)
-                if r.kind == TWIN_SECOND and r.symbol_id == role.symbol_id
-            )
-            role = BlockRole(TWIN_FIRST, role.symbol_id, partner)
-        resolved.append((length, role))
-    return Layout(str(data["region"]), tuple(resolved))
+        blocks.append((length, BlockRole(*_parse_role(entry["role"]))))
+    return Layout(str(data["region"]), tuple(blocks))
 
 
 def load_frozen_layouts(table: Iterable[RegionSpec]) -> dict[str, Layout]:

@@ -14,7 +14,7 @@ from detic.channel import make_channel, transmit
 from detic.cli import main
 from detic.decode import peel_bits, peel_structure, receiver_view
 from detic.exactmath import affine_eval, polygon_vertices
-from detic.oracle import LinearScheme, exhaustive_search, rank_decodable
+from detic.oracle import exhaustive_search, rank_decodable
 from detic.regions import boundary_consistency, classify, converse_bound, dsym_at
 from detic.scheme import build_assignment, degenerate_channel_point, minimal_n
 
@@ -85,14 +85,14 @@ def test_criterion_3_achievability_sweep(table, frozen_layouts, frozen_interiors
             if degenerate_channel_point(alpha, beta):
                 ch = make_channel(3, n, alpha, beta)
                 assert assign.m >= 1
-                assert not rank_decodable(LinearScheme(ch, assign)), (
+                assert not rank_decodable(ch, assign), (
                     f"{spec.id} at ({alpha},{beta}) expected channel-degenerate"
                 )
                 degenerate.append((spec.id, str(alpha), str(beta)))
                 continue
             for k in (3, 4, 5):
                 ch = make_channel(k, n, alpha, beta)
-                assert rank_decodable(LinearScheme(ch, assign)), (spec.id, alpha, beta, k)
+                assert rank_decodable(ch, assign), (spec.id, alpha, beta, k)
                 for r in range(1, k + 1):
                     ok, _ = peel_structure(receiver_view(assign, ch, r))
                     assert ok, (spec.id, alpha, beta, k, r)
@@ -135,7 +135,7 @@ def test_criterion_5_exhaustive_search_agreement(table):
         best_m, witness = exhaustive_search(ch)
         assert best_m == expected, (n, alpha, beta, best_m)
         assert dsym_at(alpha, beta, table) * n == expected
-        assert rank_decodable(LinearScheme(ch, witness))
+        assert rank_decodable(ch, witness)
     report("criterion 5 (exhaustive search)", "best m = 1, 1, 2 at the three instances", t0)
 
 

@@ -5,20 +5,33 @@ import pytest
 
 from detic.channel import (
     BadShapeError,
-    UndefinedTopPartError,
     deinterleave,
-    extract_top,
     interleave,
     interleave_expand,
     make_channel,
-    signal_v,
-    signal_w,
     transmit,
 )
-from detic.gf2 import NotBinaryError
+from detic.gf2 import DimensionMismatchError, NotBinaryError
 
 # Family anchor points of the region catalog.
 ANCHORS = [(F(2), F(0)), (F(6, 5), F(2, 5)), (F(4, 3), F(2, 3)), (F(2), F(2, 3))]
+
+
+def heard_alone(ch, x, sender):
+    """Receiver 1's word when only `sender` sends x."""
+    inputs = [np.zeros(ch.n, dtype=np.uint8)] * ch.k
+    inputs[sender - 1] = x
+    return transmit(ch, inputs)[0]
+
+
+def signal_v(ch, x):
+    """Up-shifted image: receiver 1 hears sender 2 on the V path."""
+    return heard_alone(ch, x, 2)
+
+
+def signal_w(ch, x):
+    """Down-shifted image: receiver 1 hears sender K on the W path."""
+    return heard_alone(ch, x, ch.k)
 
 
 class TestMakeChannel:
@@ -93,21 +106,6 @@ class TestSignals:
             assert bool(overlap.any()) == (alpha - beta < 1)
 
 
-class TestExtractTop:
-    def test_small_case(self):
-        ch = make_channel(3, 3, F(4, 3), F(2, 3))
-        assert extract_top(ch, np.array([1, 0, 1], dtype=np.uint8)).tolist() == [1]
-
-    def test_undefined_at_gap_one(self):
-        ch = make_channel(3, 2, F(3, 2), F(1, 2))
-        with pytest.raises(UndefinedTopPartError):
-            extract_top(ch, np.array([1, 0], dtype=np.uint8))
-
-    def test_two_pipe_case(self):
-        ch = make_channel(3, 6, F(3, 2), F(5, 6))
-        assert extract_top(ch, np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)).tolist() == [1, 0]
-
-
 class TestTransmit:
     def test_three_pair_single_pipe(self):
         ch = make_channel(3, 1, F(2), F(0))
@@ -148,7 +146,7 @@ class TestInputContract:
         with pytest.raises(NotBinaryError):
             transmit(ch, [np.array([0, 0, 256, 0]), zeros, zeros])
         with pytest.raises(NotBinaryError):
-            signal_v(ch, np.array([0, -1, 0, 0]))
+            transmit(ch, [zeros, np.array([0, -1, 0, 0]), zeros])
 
     @pytest.mark.parametrize("dtype", [np.int64, bool, np.float64])
     def test_output_is_uint8_for_any_input_dtype(self, dtype):
@@ -175,6 +173,35 @@ class TestInterleaving:
         back = deinterleave(merged, 3)
         for a, b in zip(vs, back):
             assert np.array_equal(a, b)
+
+    def test_takes_array_likes(self):
+        assert interleave([[1, 0], [0, 1]]).tolist() == [1, 0, 0, 1]
+        assert [v.tolist() for v in deinterleave([1, 0, 0, 1], 2)] == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[np.array([256, 2]), np.array([0, 1])], [np.array([0.5, 1.0]), np.array([0, 1])]],
+        ids=["wide-ints", "fractions"],
+    )
+    def test_non_binary_entries_are_refused(self, vectors):
+        with pytest.raises(NotBinaryError):
+            interleave(vectors)
+        with pytest.raises(NotBinaryError):
+            deinterleave(vectors[0], 1)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[], [1, 0], [np.zeros((2, 2))], [np.zeros(2), np.zeros(3)]],
+        ids=["empty", "scalars", "2-D", "ragged"],
+    )
+    def test_vectors_must_be_1d_of_one_length(self, vectors):
+        with pytest.raises(DimensionMismatchError):
+            interleave(vectors)
+
+    def test_deinterleave_needs_a_1d_vector_of_whole_uses(self):
+        for v, l_uses in [(np.zeros((2, 2)), 2), (np.zeros(5), 2), (np.zeros(4), 0)]:
+            with pytest.raises(DimensionMismatchError):
+                deinterleave(v, l_uses)
 
     def test_equivalence_bit_exact(self):
         # L uses of (N, a, b), interleaved, equal one use of (LN, a, b).

@@ -10,10 +10,9 @@ from detic.decode import (
     peel_bits,
     peel_structure,
     receiver_view,
-    reconstruct_output,
 )
 from detic.gf2 import DimensionMismatchError, NotBinaryError
-from detic.oracle import LinearScheme, rank_decodable
+from detic.oracle import rank_decodable
 from detic.scheme import (
     AssignmentMatrix,
     build_assignment,
@@ -21,6 +20,18 @@ from detic.scheme import (
 )
 
 WORKED = (F(8, 5), F(9, 10), 60)  # region Df sample with m = 33
+
+
+def reconstruct_output(view, messages):
+    """XOR of all of a view's placed blocks given concrete message bits: the
+    placement oracle of `ReceiverView.blocks`, which must reproduce the
+    channel output exactly."""
+    y = np.zeros(2 * view.params.n, dtype=np.uint8)
+    for b in view.blocks:
+        for i in range(b.length):
+            bit = view.assign.pipe_to_bit[b.pipe_lo - 1 + i]
+            y[b.level_top - 1 + i] ^= messages[b.sender - 1][bit]
+    return y
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +52,7 @@ class TestReceiverView:
         spans = {}
         for b in view.blocks:
             lo, hi = spans.get(b.path, (10**9, 0))
-            spans[b.path] = (min(lo, b.level_top), max(hi, b.level_bottom))
+            spans[b.path] = (min(lo, b.level_top), max(hi, b.level_top + b.length - 1))
         assert spans["direct"] == (61, 120)
         assert spans["v"] == (25, 84)
         assert spans["w"] == (67, 120)
@@ -63,7 +74,7 @@ class TestReceiverView:
         direct = [b for b in view.blocks if b.path == "direct"]
         up = [b for b in view.blocks if b.path == "v"]
         assert all(b.level_top >= 3 for b in direct)
-        assert all(b.level_bottom <= 2 for b in up)
+        assert all(b.level_top + b.length - 1 <= 2 for b in up)
 
     @pytest.mark.parametrize("receiver", [0, 4])
     def test_receiver_outside_one_to_k_is_refused_at_once(
@@ -120,7 +131,7 @@ class TestPeelStructure:
         assign = AssignmentMatrix(n=1, m=1, pipe_to_bit=(0,))
         ok, trace = peel_structure(receiver_view(assign, ch, 1))
         assert not ok
-        assert not rank_decodable(LinearScheme(ch, assign))
+        assert not rank_decodable(ch, assign)
 
     def test_empty_assignment_vacuously_succeeds(self, df_channel):
         assign = AssignmentMatrix(n=60, m=0, pipe_to_bit=(None,) * 60)
@@ -137,7 +148,7 @@ class TestPeelStructure:
             ch = make_channel(3, n, alpha, beta)
             ok, _ = peel_structure(receiver_view(assign, ch, 1))
             assert ok, spec.id
-            assert rank_decodable(LinearScheme(ch, assign)), spec.id
+            assert rank_decodable(ch, assign), spec.id
 
 
 class TestPeelBits:
@@ -221,7 +232,7 @@ class TestDenseInteriorSweep:
         import math
 
         from detic.exactmath import polygon_vertices
-        from detic.oracle import LinearScheme, rank_decodable
+        from detic.oracle import rank_decodable
         from detic.scheme import _strict_interior, minimal_n
 
         checked = 0
@@ -245,7 +256,7 @@ class TestDenseInteriorSweep:
                         alpha, beta = spec.anchor_alpha + e, spec.anchor_beta + d
                         assign = build_assignment(frozen_layouts[spec.id], spec, alpha, beta, n)
                         ch = make_channel(3, n, alpha, beta)
-                        assert rank_decodable(LinearScheme(ch, assign)), (spec.id, alpha, beta)
+                        assert rank_decodable(ch, assign), (spec.id, alpha, beta)
                         ok, _ = peel_structure(receiver_view(assign, ch, 1))
                         assert ok, (spec.id, alpha, beta)
                         checked += 1

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from detic.channel import make_channel, transmit
 from detic.decode import _compile, peel_bits, peel_structure, receiver_view
 from detic.exactmath import polygon_vertices
-from detic.oracle import LinearScheme, assignment_from_labels, rank_decodable
+from detic.oracle import assignment_from_labels, rank_decodable
 from detic.regions import load_region_table
 from detic.scheme import _strict_interior, build_assignment, load_frozen_layouts, minimal_n
 from test_oracle_properties import cases
@@ -83,7 +83,7 @@ def test_compiled_decoder_returns_sent_bits(data):
     assert bit_trace == trace
     assert ok and got is not None
     assert np.array_equal(got, messages[receiver - 1])
-    assert rank_decodable(LinearScheme(ch, assign))
+    assert rank_decodable(ch, assign)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -116,4 +116,4 @@ def test_random_pipe_maps_decode_at_every_receiver(case, k, seed):
         else:
             assert got is None, view.receiver
     if success[0]:
-        assert rank_decodable(LinearScheme(ch, assign))
+        assert rank_decodable(ch, assign)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from detic.channel import make_channel
 from detic.decode import peel_structure, receiver_view
 from detic.oracle import (
-    LinearScheme,
     SearchBudgetError,
     assignment_from_labels,
     exhaustive_search,
@@ -50,7 +49,7 @@ def reference_search(ch) -> tuple[int, tuple[int | None, ...]]:
     best_m, best = -1, ()
     for labels in labelings(ch.n):
         assign = assignment_from_labels(labels)
-        if assign.m > best_m and rank_decodable(LinearScheme(ch, assign)):
+        if assign.m > best_m and rank_decodable(ch, assign):
             best_m, best = assign.m, labels
     return best_m, best
 
@@ -59,24 +58,24 @@ class TestRankDecodable:
     def test_disjoint_supports(self):
         ch = make_channel(3, 1, F(2), F(0))
         assign = assignment_from_labels((0,))
-        assert rank_decodable(LinearScheme(ch, assign))
+        assert rank_decodable(ch, assign)
 
     def test_down_image_collides_with_direct(self):
         ch = make_channel(3, 1, F(2), F(1))
         assign = assignment_from_labels((0,))
-        assert not rank_decodable(LinearScheme(ch, assign))
+        assert not rank_decodable(ch, assign)
 
     def test_worked_example_scheme(self, regions_by_id, frozen_layouts):
         spec = regions_by_id["Df"]
         assign = build_assignment(frozen_layouts["Df"], spec, F(8, 5), F(9, 10), 60)
         ch = make_channel(3, 60, F(8, 5), F(9, 10))
         assert assign.m == 33
-        assert rank_decodable(LinearScheme(ch, assign))
+        assert rank_decodable(ch, assign)
 
     def test_zero_scheme_always_decodable(self):
         ch = make_channel(3, 2, F(3, 2), F(1, 2))
         assign = assignment_from_labels((None, None))
-        assert rank_decodable(LinearScheme(ch, assign))
+        assert rank_decodable(ch, assign)
 
 
 class TestExhaustiveSearch:
@@ -96,7 +95,7 @@ class TestExhaustiveSearch:
         best_m, witness = exhaustive_search(ch)
         assert best_m == expected
         assert witness.m == expected
-        assert rank_decodable(LinearScheme(ch, witness))
+        assert rank_decodable(ch, witness)
 
     @pytest.mark.parametrize("n,alpha,beta,expected", CASES)
     def test_matches_catalog_rate(self, table, n, alpha, beta, expected):
@@ -146,7 +145,7 @@ class TestExhaustiveSearch:
         best_m, witness = exhaustive_search(ch, max_n=n)
         assert best_m == res.dsym_value * n
         assert witness.m == best_m
-        assert rank_decodable(LinearScheme(ch, witness))
+        assert rank_decodable(ch, witness)
 
     def test_witness_is_canonical(self):
         ch = make_channel(3, 2, F(3, 2), F(1, 2))
@@ -196,7 +195,7 @@ class TestPeelImpliesRank:
             ok, _ = peel_structure(receiver_view(assign, ch, 1))
             if ok:
                 peelable += 1
-                assert rank_decodable(LinearScheme(ch, assign)), labels
+                assert rank_decodable(ch, assign), labels
         assert peelable > 0
 
 

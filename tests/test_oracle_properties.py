@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detic.channel import make_channel, paths
-from detic.oracle import LinearScheme, assignment_from_labels, rank_decodable
+from detic.oracle import assignment_from_labels, rank_decodable
 
 
 def dense_rank(m: np.ndarray) -> int:
@@ -45,7 +45,9 @@ def dense_rank(m: np.ndarray) -> int:
 def placed_images(ch, assign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2N x m images of the assignment on the direct, up and down paths."""
     zg = np.zeros((2 * ch.n, assign.m), dtype=np.uint8)
-    zg[ch.n :, :] = assign.to_matrix()
+    for p, j in enumerate(assign.pipe_to_bit):
+        if j is not None:
+            zg[ch.n + p, j] = 1
     b = np.zeros_like(zg)
     b[: 2 * ch.n - ch.up_shift] = zg[ch.up_shift :]
     c = np.zeros_like(zg)
@@ -91,7 +93,7 @@ def test_packed_rank_matches_dense_reference(case):
     n, alpha, beta, labels = case
     ch = make_channel(3, n, alpha, beta)
     assign = assignment_from_labels(labels)
-    assert rank_decodable(LinearScheme(ch, assign)) == dense_rank_decodable(ch, assign)
+    assert rank_decodable(ch, assign) == dense_rank_decodable(ch, assign)
 
 
 def receiver_decodes(ch, assign, receiver: int) -> bool:
@@ -116,5 +118,5 @@ def test_every_receiver_decides_as_receiver_one(case, k):
     n, alpha, beta, labels = case
     ch = make_channel(k, n, alpha, beta)
     assign = assignment_from_labels(labels)
-    want = rank_decodable(LinearScheme(ch, assign))
+    want = rank_decodable(ch, assign)
     assert [receiver_decodes(ch, assign, r) for r in range(1, k + 1)] == [want] * k

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from detic import regions
-from detic.exactmath import Affine2
+from detic.exactmath import Affine2, polygon_vertices
 from detic.regions import (
     OutOfSquareError,
     TableInvalidError,
@@ -61,7 +61,8 @@ class TestLoad:
 
     def test_vertices_inside_parameter_square(self, table):
         for spec in table:
-            for alpha, beta in spec.vertices_absolute():
+            for eps, delta in polygon_vertices(spec.polygon):
+                alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
                 assert 1 <= alpha <= 2 and 0 <= beta <= 1, spec.id
 
     def test_loader_rejects_bad_block_sum(self, tmp_path):

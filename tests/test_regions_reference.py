@@ -17,6 +17,7 @@ from fractions import Fraction as F
 from functools import cache
 from importlib import resources
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from detic.regions import (
     load_region_table,
     point_weights,
 )
-from detic.scheme import _strict_interior, minimal_n
+from detic.scheme import OutsideRegionError, _strict_interior, minimal_n
 
 TABLE = load_region_table()
 
@@ -69,7 +70,12 @@ def assert_matches_reference(table, alpha, beta):
         assert _strict_interior(spec, eps, delta) == inside, spec.id
         dens = [alpha.denominator, beta.denominator]
         dens += [affine_eval(b, eps, delta).denominator for b in spec.block_lens]
-        assert minimal_n(spec, eps, delta) == math.lcm(*dens), spec.id
+        assert spec.form.minimal_n(w) == math.lcm(*dens), spec.id
+        if polygon_contains(spec.polygon, eps, delta, closure=True):
+            assert minimal_n(spec, eps, delta) == math.lcm(*dens), spec.id
+        else:
+            with pytest.raises(OutsideRegionError):
+                minimal_n(spec, eps, delta)
 
 
 @cache

@@ -86,47 +86,57 @@ class TestValidity:
         assert names["lengths sum to one"]
         assert not names["distinct data equals rate"]
 
-    def test_df_vertex_lengths(self, regions_by_id, frozen_layouts):
+    def test_df_vertex_lengths(self, regions_by_id):
         # At the closure vertex (2/3, 1/3) the layout degenerates to two
         # half-length twin blocks.
         spec = regions_by_id["Df"]
-        counts = instantiate(frozen_layouts["Df"], spec, F(2), F(1), 2)
+        counts = instantiate(spec, F(2), F(1), 2)
         assert counts == [0, 1, 0, 0, 1, 0, 0]
 
 
 class TestInstantiate:
-    def test_worked_example_counts(self, regions_by_id, frozen_layouts):
+    def test_worked_example_counts(self, regions_by_id):
         spec = regions_by_id["Df"]
-        counts = instantiate(frozen_layouts["Df"], spec, F(8, 5), F(9, 10), 60)
+        counts = instantiate(spec, F(8, 5), F(9, 10), 60)
         assert counts == [6, 9, 6, 12, 9, 6, 12]
 
-    def test_non_integral_blocks_suggest_minimal(self, regions_by_id, frozen_layouts):
+    def test_non_integral_blocks_suggest_minimal(self, regions_by_id):
         spec = regions_by_id["Df"]
         with pytest.raises(NonIntegralBlocksError) as err:
-            instantiate(frozen_layouts["Df"], spec, F(8, 5), F(9, 10), 10)
+            instantiate(spec, F(8, 5), F(9, 10), 10)
         assert err.value.minimal_n == 20
 
-    def test_closure_point_allowed(self, regions_by_id, frozen_layouts):
+    def test_closure_point_allowed(self, regions_by_id):
         # (2, 1/2) is on the closed boundary of Ab (eps < 0 printed strict).
         spec = regions_by_id["Ab"]
-        assert instantiate(frozen_layouts["Ab"], spec, F(2), F(1, 2), 2) == [1, 1]
+        assert instantiate(spec, F(2), F(1, 2), 2) == [1, 1]
 
-    def test_outside_region(self, regions_by_id, frozen_layouts):
+    def test_outside_region(self, regions_by_id):
         with pytest.raises(OutsideRegionError):
-            instantiate(frozen_layouts["Ab"], regions_by_id["Ab"], F(5, 4), F(1, 10), 20)
+            instantiate(regions_by_id["Ab"], F(5, 4), F(1, 10), 20)
 
-    def test_db_offset_point(self, regions_by_id, frozen_layouts):
+    def test_db_offset_point(self, regions_by_id):
         spec = regions_by_id["Db"]
-        counts = instantiate(frozen_layouts["Db"], spec, F(4, 3), F(3, 5), 30)
+        counts = instantiate(spec, F(4, 3), F(3, 5), 30)
         assert counts == [9, 12, 9]
+
+    def test_minimal_n_refuses_points_outside_the_closure(self, regions_by_id):
+        # Offsets are read exactly as Fractions; (1, 0) is the point (3, 0), off the square.
+        spec = regions_by_id["Aa"]
+        assert minimal_n(spec, -0.25, 0.125) == minimal_n(spec, F(-1, 4), F(1, 8)) == 16
+        for eps, delta in [(0.1, 0.1), (1, 0)]:
+            with pytest.raises(OutsideRegionError, match="outside region Aa"):
+                minimal_n(spec, eps, delta)
 
     @pytest.mark.parametrize("n", [0, -20])
     def test_refuses_n_below_one(self, regions_by_id, frozen_layouts, n):
         # -20 is a multiple of the minimal N (20) at this point, so without
         # the check it got as far as negative block counts.
-        for build in (instantiate, build_assignment):
-            with pytest.raises(PipeCountError, match=f"N = {n}$"):
-                build(frozen_layouts["Df"], regions_by_id["Df"], F(8, 5), F(9, 10), n)
+        spec = regions_by_id["Df"]
+        with pytest.raises(PipeCountError, match=f"N = {n}$"):
+            instantiate(spec, F(8, 5), F(9, 10), n)
+        with pytest.raises(PipeCountError, match=f"N = {n}$"):
+            build_assignment(frozen_layouts["Df"], spec, F(8, 5), F(9, 10), n)
 
 
 class TestBuildAssignment:
