@@ -102,11 +102,12 @@ def paths(ch: ChannelParams, receiver: int) -> list[tuple[str, int, int, int]]:
     ]
 
 
-def transmit(ch: ChannelParams, inputs: list[BitVec]) -> list[BitVec]:
+def transmit(ch: ChannelParams, inputs: list[BitVec]) -> np.ndarray:
     """All K received signals; receiver i hears senders i (direct), i+1 (up), i-1 (down).
 
-    Every input must hold N entries of 0 or 1 (NotBinaryError otherwise); the
-    outputs are uint8 whatever the input dtype, the rows of one (K, 2N) array.
+    The inputs (a list or a (K, N) array) must hold N entries of 0 or 1 each
+    (NotBinaryError otherwise); the output is one (K, 2N) uint8 array whatever
+    the input dtype, row i - 1 holding receiver i's word.
     """
     if len(inputs) != ch.k:
         raise DimensionMismatchError(f"need {ch.k} inputs, got {len(inputs)}")
@@ -128,7 +129,7 @@ def transmit(ch: ChannelParams, inputs: list[BitVec]) -> list[BitVec]:
         y[: ch.k - shift, levels] ^= x[shift:, :count]
         if shift:
             y[ch.k - shift :, levels] ^= x[:shift, :count]
-    return list(y)
+    return y
 
 
 def interleave_expand(ch: ChannelParams, l_uses: int) -> ChannelParams:

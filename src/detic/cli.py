@@ -41,16 +41,18 @@ EXIT_USAGE = 2
 
 # Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling a
 # channel's peeling schedule takes up to about 40 us per pipe (0.15-0.25 s
-# and about 20 MB of working memory at N = 6000, growing faster than N); each
-# of the K receiver views then shares it.  A simulated trial costs about
-# 30 us per receiver at N = 20 and 150 us at N = 6000 (encode, transmit and
-# decode), so a `simulate` run at the limits takes under 15 s (10.8 s at
-# N = 20, K = 3, 75,000 trials).  `render` at N = 60000 took 8.9 s and
-# 1.46 GB.  An atlas point costs about 6-7 us, so the largest grid (40,401
-# points) takes under 0.5 s.
+# and about 20 MB of working memory at N = 6000, growing faster than N), once
+# per run: `simulate` decodes every receiver's word with receiver 1's view.
+# A trial then draws, encodes, transmits and decodes one stack of K words, so
+# N * K bounds the arrays of a trial.  It costs about 85 us plus 18-28 ns per
+# entry of the K x N stack, so trials * (N*K + 4000) is its cost in units of
+# about 20 ns, and a `simulate` run at the limits takes 5-9 s (8.5 s at
+# N = 20, K = 10,000, 1,568 trials; 4.9 s at N = 20, K = 3, 78,800 trials).
+# `render` at N = 60000 took 8.9 s and 1.46 GB.  An atlas point costs about
+# 6-7 us, so the largest grid (40,401 points) takes under 0.5 s.
 MAX_N = 6000
 SIMULATE_MAX_COMPILE = 200_000  # N * K
-SIMULATE_MAX_DECODE = 50_000_000  # K * trials * (N + 200)
+SIMULATE_MAX_DECODE = 320_000_000  # trials * (N * K + 4000)
 ATLAS_MAX_GRID = 201
 # `Fraction` expands a decimal's exponent into an int digit by digit, so the
 # 10 characters "1e99999999" would run for minutes.  Points of the square need
@@ -185,7 +187,7 @@ def _check_simulate_size(n: int, k: int, trials: int) -> None:
         raise UsageError(f"--trials must be >= 0, got {trials}")
     for name, value, limit in (
         ("N*K", n * k, SIMULATE_MAX_COMPILE),
-        ("K*trials*(N+200)", k * trials * (n + 200), SIMULATE_MAX_DECODE),
+        ("trials*(N*K+4000)", trials * (n * k + 4000), SIMULATE_MAX_DECODE),
     ):
         if value > limit:
             raise UsageError(f"{name} = {value} exceeds the simulate budget {name} <= {limit}")
@@ -200,20 +202,19 @@ def cmd_simulate(args) -> int:
     _check_simulate_size(assign.n, args.k, args.trials)
     ch = make_channel(args.k, assign.n, res.alpha, res.beta)
     rng = np.random.default_rng(args.seed)
-    views = [receiver_view(assign, ch, r) for r in range(1, ch.k + 1)]
+    # The channel is cyclically symmetric, so receiver 1's view decodes every
+    # receiver's word: row R of the stack yields sender R's bits.
+    view = receiver_view(assign, ch, 1)
     failures = 0
     for _ in range(args.trials):
-        messages = [rng.integers(0, 2, size=assign.m, dtype=np.uint8) for _ in range(ch.k)]
-        outputs = transmit(ch, [assign.encode(d) for d in messages])
-        for view, y, want in zip(views, outputs, messages):
-            got, _ = peel_bits(view, y)
-            if got is None or not np.array_equal(got, want):
-                failures += 1
+        messages = rng.integers(0, 2, size=(ch.k, assign.m), dtype=np.uint8)
+        got, _ = peel_bits(view, transmit(ch, assign.encode(messages)))
+        failures += ch.k if got is None else int((got != messages).any(axis=1).sum())
     # The trace does not depend on the bits, and relabelling for another
     # receiver keeps each step's rule: every receiver and trial repeats one's.
     rules: dict[str, int] = {}
     if args.trials:
-        for rule, cnt in peel_structure(views[0])[1].rule_counts().items():
+        for rule, cnt in peel_structure(view)[1].rule_counts().items():
             rules[rule] = cnt * ch.k * args.trials
     payload = {
         **_classify_payload(res),
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="encode, transmit, and peel-decode random messages",
         description="Encode, transmit, and peel-decode random messages at every receiver. "
         f"Refuses (exit 2) N > {MAX_N}, N*K > {SIMULATE_MAX_COMPILE} or "
-        f"K*trials*(N+200) > {SIMULATE_MAX_DECODE} before doing any work.",
+        f"trials*(N*K+4000) > {SIMULATE_MAX_DECODE} before doing any work.",
     )
     _point_args(p)
     p.add_argument("--n", type=int, help=n_help)

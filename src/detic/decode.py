@@ -22,8 +22,8 @@ known; interference is only ever decoded as a means of removal.
 The schedule is therefore compiled into a `PeelProgram`: the fixpoint runs
 without bit values and tracks each bit and aggregate as the XOR of the
 received levels it came from, so the own bits and every consistency check are
-rows of a sparse GF(2) matrix over the received word, replayed on each word as
-a gather and XOR of levels.
+rows of a sparse GF(2) matrix over the received word, replayed as a gather
+and XOR of levels on one word or on a stack of words at once.
 
 The channel is cyclically symmetric (`channel.paths` gives every receiver the
 same geometry), so a channel has one schedule, compiled for receiver 1 on the
@@ -32,8 +32,10 @@ with the messages rotated, so its program is that schedule relabelled: the
 same matrix, sender s read as sender s + R - 1 (mod K) in the trace and in
 the messages of failed checks.  Where the compile breaks a tie by sender
 label (smallest pair first), the tie is thus taken relative to the receiver;
-no receiver compiles its own.  A view places its blocks, which only the
-renderer reads, on first use too.
+no receiver compiles its own.  By the same symmetry receiver 1's view decodes
+sender R's bits from receiver R's word, so one view decodes a whole stack of
+`transmit` output.  A view places its blocks, which only the renderer reads,
+on first use too.
 """
 
 from __future__ import annotations
@@ -383,26 +385,31 @@ def peel_structure(view: ReceiverView) -> tuple[bool, DecodeTrace]:
 
 
 def peel_bits(view: ReceiverView, y: BitVec) -> tuple[np.ndarray | None, DecodeTrace]:
-    """Replay the compiled peeling schedule on an actual received word.
+    """Replay the compiled peeling schedule on a received word, or on a stack
+    of words of shape (..., 2N), each row decoded as heard at `view.receiver`.
 
-    Returns the receiver's own m message bits as uint8 (None on failure) and
-    the trace.  Raises DimensionMismatchError unless y has 2N entries,
-    NotBinaryError on an entry other than 0 or 1, and InconsistentSignalError
-    (first failing check) when y is not a codeword image.
+    By cyclic symmetry receiver R's word is one that receiver 1 could hear,
+    with sender R in sender 1's place, so receiver 1's own-bit rows read
+    sender R's bits from it, and the check rows read 0 on every codeword.
+    Returns the own m message bits as uint8, shape (..., m) (None on failure),
+    and the trace.  Raises DimensionMismatchError unless the last axis has 2N
+    entries, NotBinaryError on an entry other than 0 or 1, and
+    InconsistentSignalError when a row is not a codeword image, naming the
+    first failing check of the first failing row in row-major order.
     """
-    y = np.asarray(y)
-    if y.shape != (2 * view.params.n,):
-        raise DimensionMismatchError(f"received word shape {y.shape} != ({2 * view.params.n},)")
+    y, width = np.asarray(y), 2 * view.params.n
+    if y.shape[-1:] != (width,):
+        raise DimensionMismatchError(f"received word shape {y.shape} != (..., {width})")
     y = to_bits(y, "received word")
     program = view.program
-    prefix = np.zeros(program.indices.size + 1, dtype=np.uint8)  # so an empty row reads 0
-    np.bitwise_xor.accumulate(np.take(y, program.indices), out=prefix[1:])
-    ends = np.take(prefix, program.indptr)
-    values = ends[1:] ^ ends[:-1]
-    failed = values[program.own :]
+    prefix = np.zeros((*y.shape[:-1], program.indices.size + 1), np.uint8)  # empty rows read 0
+    np.bitwise_xor.accumulate(np.take(y, program.indices, axis=-1), axis=-1, out=prefix[..., 1:])
+    ends = np.take(prefix, program.indptr, axis=-1)
+    values = ends[..., 1:] ^ ends[..., :-1]
+    failed = values[..., program.own :]
     if np.count_nonzero(failed):
-        kind, a, b = program.origins[failed.argmax()]
+        kind, a, b = program.origins[failed.argmax() % failed.shape[-1]]
         raise InconsistentSignalError(_MESSAGES[kind].format(a, b))
     if not program.success:
         return None, program.trace
-    return values[: program.own], program.trace
+    return values[..., : program.own], program.trace

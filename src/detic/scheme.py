@@ -5,8 +5,8 @@ which blocks carry data, which are zero, and which form repeated ("twin")
 pairs is reconstructed by a constrained search: a candidate role set must
 make the distinct-data length sum match the region's rate formula
 symbolically, and must decode (rank criterion and peeling) at the region's
-closure vertices, edge midpoints, and an interior sample.  Derived layouts
-are frozen into data/layouts.json for reproducibility.
+validation points (see `validation_points`).  Derived layouts are frozen
+into data/layouts.json for reproducibility.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from importlib import resources
+from itertools import chain, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -132,17 +133,17 @@ class AssignmentMatrix:
         return np.array([self.m if j is None else j for j in self.pipe_to_bit], dtype=np.intp)
 
     def encode(self, message) -> np.ndarray:
-        """The N-pipe uint8 transmit vector of an m-bit message.
+        """The N-pipe uint8 transmit vectors of m-bit messages: (..., m) to (..., N).
 
-        Raises DimensionMismatchError unless the message has shape (m,), and
+        Raises DimensionMismatchError unless the last axis has m entries, and
         NotBinaryError on an entry other than 0 or 1.
         """
         message = np.asarray(message)
-        if message.shape != (self.m,):
-            raise DimensionMismatchError(f"message shape {message.shape} != ({self.m},)")
-        padded = np.zeros(self.m + 1, dtype=np.uint8)
-        padded[: self.m] = to_bits(message, "message")
-        return np.take(padded, self._gather)
+        if message.shape[-1:] != (self.m,):
+            raise DimensionMismatchError(f"message shape {message.shape} != (..., {self.m})")
+        padded = np.zeros((*message.shape[:-1], self.m + 1), dtype=np.uint8)
+        padded[..., : self.m] = to_bits(message, "message")
+        return np.take(padded, self._gather, axis=-1)
 
 
 def _closure_weights(region: RegionSpec, alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
@@ -380,6 +381,7 @@ def degenerate_channel_point(alpha: Rat, beta: Rat) -> bool:
 
 _GRID_DENOMINATORS = (12, 20)
 _GRID_N_CAP = 120
+_BLOCK_RATIOS = (1, 3)
 
 
 def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
@@ -387,8 +389,9 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
 
     Closure vertices and edge midpoints pin the boundary; the interior sample
     plus a small-denominator interior lattice (minimal N capped) pin the
-    inside.  A sparser set once let a wrong role assignment through: it
-    decoded at every vertex, midpoint, and one sample of its region yet
+    inside, and the block-ratio points of `_ratio_points` pin the lines
+    through it on which a lattice has no point.  Sparser sets twice let a
+    wrong role assignment through: it decoded at every point of the set yet
     failed elsewhere in the interior.
     """
     verts = polygon_vertices(region.polygon)
@@ -410,11 +413,11 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     points.append(interior_sample(region))
     seen = set(points)
     lattice = []
-    for den in _GRID_DENOMINATORS:
-        for n, eps, delta in _interior_lattice(region, den):
-            if n <= _GRID_N_CAP and (eps, delta) not in seen:
-                seen.add((eps, delta))
-                lattice.append((n, eps, delta))
+    grid = (p for den in _GRID_DENOMINATORS for p in _interior_lattice(region, den))
+    for n, eps, delta in chain(grid, _ratio_points(region, verts)):
+        if n <= _GRID_N_CAP and (eps, delta) not in seen:
+            seen.add((eps, delta))
+            lattice.append((n, eps, delta))
     # Cheap instances first so unfit candidates fail fast.
     points.extend((e, d) for _, e, d in sorted(lattice))
     return points
@@ -439,8 +442,61 @@ def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
     return best[2], best[3]
 
 
-def _strict_interior(region: RegionSpec, eps: Rat, delta: Rat) -> bool:
-    return region.form.interior(point_weights(region.anchor_alpha + eps, region.anchor_beta + delta))
+def _ratio_points(region: RegionSpec, verts: list) -> Iterator[tuple[int, Rat, Rat]]:
+    """(minimal N, eps, delta), per ordered pair of blocks and ratio r in
+    _BLOCK_RATIOS, of the strictly interior point with the least minimal N
+    (at most _GRID_N_CAP) at which the first block has r times the second's
+    pipes.  Such points lie on lines that a lattice can miss: the Ee layout
+    frozen before they were added failed on them and nowhere else.  `verts`
+    are the closure's vertices (eps, delta)."""
+    weights = [point_weights(region.anchor_alpha + e, region.anchor_beta + d) for e, d in verts]
+    lines = set()
+    for len_i, len_j in permutations(region.form.values[2:], 2):
+        for r in _BLOCK_RATIOS:
+            c = [x - r * y for x, y in zip(len_i, len_j)]
+            g = math.gcd(*c)
+            if not g:
+                continue  # block i is r times block j everywhere
+            line = max(tuple(x // g for x in c), tuple(-x // g for x in c))
+            values = [sum(x * y for x, y in zip(line, w)) for w in weights]
+            if line in lines or min(values) >= 0 or max(values) <= 0:
+                continue  # seen before, or it misses the open region
+            lines.add(line)
+            w = _least_point_on(region, line)
+            if w is not None:
+                n, a, b = w
+                yield n, Fraction(a, n) - region.anchor_alpha, Fraction(b, n) - region.anchor_beta
+
+
+def _least_point_on(region: RegionSpec, line: tuple[int, int, int]) -> tuple[int, int, int] | None:
+    """Weights (N, A, B) of the strictly interior point (A/N, B/N) on the line
+    c0*N + c1*A + c2*B = 0 with the least minimal N (at most _GRID_N_CAP), then
+    the least A.  Each N solves the line in integers across the bounding box
+    instead of scanning denominators."""
+    c0, c1, c2 = line
+    lo_e, hi_e, lo_d, hi_d = region.box
+    a_lo, a_hi = region.anchor_alpha + lo_e, region.anchor_alpha + hi_e
+    b_lo, b_hi = region.anchor_beta + lo_d, region.anchor_beta + hi_d
+    for n in range(1, _GRID_N_CAP + 1):
+        if c2:  # B from each A
+            on_line = (
+                (n, a, -(c0 * n + c1 * a) // c2)
+                for a in _multiples(a_lo, a_hi, n)
+                if (c0 * n + c1 * a) % c2 == 0
+            )
+        elif c0 * n % c1 == 0:  # the line alpha = -c0 / c1
+            on_line = ((n, -c0 * n // c1, b) for b in _multiples(b_lo, b_hi, n))
+        else:
+            continue
+        for w in on_line:
+            if region.form.interior(w) and n % region.form.minimal_n(w) == 0:
+                return w
+    return None
+
+
+def _multiples(lo: Rat, hi: Rat, n: int) -> range:
+    """The integers x with lo <= x / n <= hi."""
+    return range(-(-lo.numerator * n // lo.denominator), hi.numerator * n // hi.denominator + 1)
 
 
 def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, Rat]]:

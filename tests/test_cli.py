@@ -164,6 +164,30 @@ class TestSimulate:
         assert code == 0
         assert compiled == [1]
 
+    def test_one_receiver_view_whatever_k(self, capsys, monkeypatch):
+        made = []
+        init = decode.ReceiverView.__init__
+        monkeypatch.setattr(
+            decode.ReceiverView, "__init__", lambda view, *a: made.append(a[0]) or init(view, *a)
+        )
+        code, _ = run(
+            capsys, "simulate", "--alpha", "8/5", "--beta", "9/10",
+            "--n", "40", "--k", "7", "--trials", "3",
+        )
+        assert code == 0
+        assert made == [1]
+
+    def test_ee_odd_ratio_point_decodes(self, capsys):
+        # Strictly inside Ee, where block 2 has as many pipes as block 0; the
+        # Ee layout frozen before the block-ratio validation points failed here.
+        code, out = run(
+            capsys, "simulate", "--alpha", "21/11", "--beta", "9/11",
+            "--n", "11", "--k", "3", "--trials", "5",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["region"], payload["failures"], payload["m"]) == ("Ee", 0, 6)
+
     def test_too_few_pairs_is_usage_error(self, capsys):
         code, out = run(capsys, "simulate", "--alpha", "4/3", "--beta", "2/3", "--k", "2")
         assert code == 2
@@ -183,8 +207,8 @@ class TestSimulate:
         "n,k,trials,budget",
         [
             ("6000", "40", "0", "N*K <="),
-            ("6000", "3", "3000", "K*trials*(N+200) <="),
-            ("20", "3", "80000", "K*trials*(N+200) <="),
+            ("6000", "3", "15000", "trials*(N*K+4000) <="),
+            ("20", "3", "80000", "trials*(N*K+4000) <="),
             ("60", "3", "-1", ">= 0"),
         ],
         ids=["compile", "decode", "per-trial", "negative-trials"],

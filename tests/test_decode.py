@@ -233,7 +233,8 @@ class TestDenseInteriorSweep:
 
         from detic.exactmath import polygon_vertices
         from detic.oracle import rank_decodable
-        from detic.scheme import _strict_interior, minimal_n
+        from detic.regions import point_weights
+        from detic.scheme import minimal_n
 
         checked = 0
         for spec in table:
@@ -247,7 +248,8 @@ class TestDenseInteriorSweep:
                 for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
                     for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1):
                         e, d = F(i, den), F(j, den)
-                        if (e, d) in seen or not _strict_interior(spec, e, d):
+                        w = point_weights(spec.anchor_alpha + e, spec.anchor_beta + d)
+                        if (e, d) in seen or not spec.form.interior(w):
                             continue
                         seen.add((e, d))
                         n = minimal_n(spec, e, d)

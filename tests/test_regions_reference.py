@@ -29,7 +29,7 @@ from detic.regions import (
     load_region_table,
     point_weights,
 )
-from detic.scheme import OutsideRegionError, _strict_interior, minimal_n
+from detic.scheme import OutsideRegionError, minimal_n
 
 TABLE = load_region_table()
 
@@ -67,7 +67,7 @@ def assert_matches_reference(table, alpha, beta):
             assert spec.contains(alpha, beta, closure) == want, (spec.id, alpha, beta, closure)
         assert spec.form.rate_at(w) == affine_eval(spec.dsym, eps, delta), spec.id
         inside = all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
-        assert _strict_interior(spec, eps, delta) == inside, spec.id
+        assert spec.form.interior(w) == inside, spec.id
         dens = [alpha.denominator, beta.denominator]
         dens += [affine_eval(b, eps, delta).denominator for b in spec.block_lens]
         assert spec.form.minimal_n(w) == math.lcm(*dens), spec.id

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 from detic import scheme
 from detic.exactmath import Affine2
 from detic.gf2 import DimensionMismatchError, NotBinaryError
+from detic.regions import point_weights
 from detic.scheme import (
     SINGLE,
     TWIN_FIRST,
@@ -20,7 +22,6 @@ from detic.scheme import (
     OutsideRegionError,
     PipeCountError,
     _interior_lattice,
-    _strict_interior,
     build_assignment,
     check_points,
     check_validity,
@@ -211,10 +212,19 @@ class TestEncode:
         assert x.dtype == np.uint8 and x.tolist() == want
         assert df.encode(message.astype(bool).tolist()).tolist() == want
 
-    @pytest.mark.parametrize("shape", [(), (1, 33), (33, 1), (32,), (34,)])
+    @pytest.mark.parametrize("shape", [(), (1, 32), (33, 1), (32,), (34,)])
     def test_refuses_other_shapes(self, df, shape):
         with pytest.raises(DimensionMismatchError, match="message shape"):
             df.encode(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("lead", [(1,), (3,), (2, 4), (0,)])
+    def test_accepts_stacks(self, df, lead):
+        rng = np.random.default_rng(4)
+        messages = rng.integers(0, 2, (*lead, df.m), dtype=np.uint8)
+        x = df.encode(messages)
+        assert x.shape == (*lead, df.n) and x.dtype == np.uint8
+        flat = messages.reshape(-1, df.m)
+        assert x.reshape(-1, df.n).tolist() == [df.encode(d).tolist() for d in flat]
 
     @pytest.mark.parametrize("value", [2, 257, -1])
     def test_refuses_non_binary_entries(self, df, value):
@@ -276,13 +286,33 @@ class TestValidationPoints:
         # bounding box the integer scan walks.
         grid = [F(i, den) for i in range(-den, den + 1)]
         for spec in table:
+            a, b = spec.anchor_alpha, spec.anchor_beta
             want = [
                 (minimal_n(spec, eps, delta), eps, delta)
                 for eps in grid
                 for delta in grid
-                if _strict_interior(spec, eps, delta)
+                if spec.form.interior(point_weights(a + eps, b + delta))
             ]
             assert list(_interior_lattice(spec, den)) == want, spec.id
+
+    def test_ratio_points_lie_on_block_ratio_lines(self, table):
+        from detic.exactmath import affine_eval, polygon_vertices
+
+        for spec in table:
+            points = list(scheme._ratio_points(spec, polygon_vertices(spec.polygon)))
+            assert set(validation_points(spec)) >= {(e, d) for _, e, d in points}, spec.id
+            for n, eps, delta in points:
+                assert all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
+                assert minimal_n(spec, eps, delta) == n <= 120, (spec.id, eps, delta)
+                lens = [affine_eval(b, eps, delta) for b in spec.block_lens]
+                assert any(
+                    a == r * b and la != lb
+                    for (a, la), (b, lb) in itertools.permutations(zip(lens, spec.block_lens), 2)
+                    for r in (1, 3)
+                ), (spec.id, eps, delta)
+        ee = next(spec for spec in table if spec.id == "Ee")
+        ee_points = scheme._ratio_points(ee, polygon_vertices(ee.polygon))
+        assert (11, F(-1, 11), F(5, 33)) in list(ee_points)
 
     def test_interior_sample_is_strictly_inside(self, table, frozen_interiors):
         from detic.exactmath import affine_eval
