@@ -40,9 +40,10 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 
 # Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling a
-# channel's peeling schedule takes up to about 40 us per pipe (0.15-0.25 s
-# and about 20 MB of working memory at N = 6000, growing faster than N), once
-# per run: `simulate` decodes every receiver's word with receiver 1's view.
+# channel's peeling schedule takes up to about 35 us per pipe (0.05-0.21 s
+# over the 18 frozen layouts and about 20 MB of working memory at N = 6000,
+# growing faster than N), once per run: `simulate` decodes every receiver's
+# word with receiver 1's view.
 # A trial then draws, encodes, transmits and decodes one stack of K words, so
 # N * K bounds the arrays of a trial.  It costs about 85 us plus 18-28 ns per
 # entry of the K x N stack, so trials * (N*K + 4000) is its cost in units of

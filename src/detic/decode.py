@@ -23,7 +23,10 @@ The schedule is therefore compiled into a `PeelProgram`: the fixpoint runs
 without bit values and tracks each bit and aggregate as the XOR of the
 received levels it came from, so the own bits and every consistency check are
 rows of a sparse GF(2) matrix over the received word, replayed as a gather
-and XOR of levels on one word or on a stack of words at once.
+and XOR of levels on one word or on a stack of words at once.  The compile
+places each level's (sender, bit) contributors once, in a level table, and a
+pass scans only the open levels: one whose contributors are all known has a
+fixed value, so it yields its check once and leaves the scan.
 
 The channel is cyclically symmetric (`channel.paths` gives every receiver the
 same geometry), so a channel has one schedule, compiled for receiver 1 on the
@@ -40,6 +43,7 @@ on first use too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -47,7 +51,7 @@ import numpy as np
 
 from .channel import ChannelParams, paths
 from .gf2 import BitVec, DimensionMismatchError, to_bits
-from .scheme import AssignmentMatrix, TWIN_FIRST, TWIN_SECOND
+from .scheme import AssignmentMatrix, TWIN_SECOND
 
 RULE_DIRECT = "direct-readout"
 RULE_TWIN = "twin-peel"
@@ -142,24 +146,17 @@ def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) ->
     return ReceiverView(receiver, ch, assign)
 
 
-def _symbols(assign: AssignmentMatrix) -> tuple[list, set[int], dict[int, tuple[int, ...]]]:
-    """Each pipe's symbol, the twin symbols, and each symbol's sorted bits;
-    without segment metadata (e.g. search witnesses) a bit is its own symbol."""
-    if not assign.segments:
-        pipe_symbol = [bit + 1 if bit is not None else 0 for bit in assign.pipe_to_bit]
-        twins = {bit + 1 for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
-        return pipe_symbol, twins, {bit + 1: (bit,) for bit in range(assign.m)}
-    pipe_symbol: list[int | None] = [None] * assign.n
-    twins: set[int] = set()
-    bits: dict[int, set[int]] = {}
+def _symbols(assign: AssignmentMatrix) -> tuple[list[int], set[int], Counter]:
+    """Each bit's symbol, the twin symbols (whose bits ride two pipes), and
+    each symbol's bit count; without segment metadata (e.g. search
+    witnesses) a bit is its own symbol."""
+    bit_symbol = list(range(1, assign.m + 1))
     for seg in assign.segments:
-        sym = seg.role.symbol_id
-        pipe_symbol[seg.pipe_lo : seg.pipe_hi] = [sym] * seg.count
-        if seg.role.kind in (TWIN_FIRST, TWIN_SECOND):
-            twins.add(sym)
         if seg.role.is_data:
-            bits.setdefault(sym, set()).update(assign.pipe_to_bit[seg.pipe_lo : seg.pipe_hi])
-    return pipe_symbol, twins, {sym: tuple(sorted(b)) for sym, b in bits.items()}
+            for bit in assign.pipe_to_bit[seg.pipe_lo : seg.pipe_hi]:
+                bit_symbol[bit] = seg.role.symbol_id
+    twins = {bit_symbol[bit] for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
+    return bit_symbol, twins, Counter(bit_symbol)
 
 
 Bit = tuple[int, int]  # (sender, bit index); an aggregate is keyed by its two bits, sorted
@@ -257,16 +254,22 @@ def _rotate(program: PeelProgram, k: int, receiver: int) -> PeelProgram:
 def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> PeelProgram:
     """Run the fixpoint once, without bit values.  Each known bit or aggregate
     is an int mask of the received levels whose XOR is its value; a check is
-    a mask whose XOR must be 0."""
-    pipe_bit = assign.pipe_to_bit
-    placed = paths(ch, receiver)
-    base_of = {s: base for _, s, base, _ in placed}
-    landing = [False] * (2 * ch.n)
-    for _, _, base, limit in placed:
-        for p in range(limit):
-            if pipe_bit[p] is not None:
-                landing[base + p] = True
-    first_pipe = [pipes[0] if pipes else None for pipes in assign.bit_pipes()]
+    a mask whose XOR must be 0.
+
+    `levels[l]` lists the (sender, bit) pairs that land on level l, placed
+    once through `channel.paths`.  A pass walks only the open levels, those
+    with an unknown contributor at the start of the previous pass: once all
+    of a level's contributors are known its mask is fixed, so after that
+    pass's check it leaves the scan.  A level left without unknowns only by
+    cancelling a pair stays open, as a later pass can give it a new check."""
+    levels: list[list[Bit]] = [[] for _ in range(2 * ch.n)]
+    for _, s, base, limit in paths(ch, receiver):
+        # One path per sender per receiver, so a (sender, bit) appears at
+        # most once per level.
+        for p, bit in enumerate(assign.pipe_to_bit[:limit]):
+            if bit is not None:
+                levels[base + p].append((s, bit))
+    open_levels = [level0 for level0, contributors in enumerate(levels) if contributors]
     symbols = _symbols(assign)
 
     known: dict[Bit, int] = {}
@@ -282,25 +285,20 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
     pass_index = 0
     while True:
         pass_index += 1
-        resolved: dict[Bit, tuple[int, int, int]] = {}  # bit -> (level0, pipe, mask)
+        resolved: dict[Bit, tuple[bool, int]] = {}  # bit -> (via a pair, mask)
         new_pairs: dict[tuple[Bit, Bit], int] = {}
-        for level0, hit in enumerate(landing):
-            if not hit:
-                continue
+        still_open = []
+        for level0 in open_levels:
             acc = 1 << level0
             unknowns: list[Bit] = []
-            for _, s, base, limit in placed:
-                p = level0 - base
-                bit = pipe_bit[p] if 0 <= p < limit else None
-                if bit is None:
-                    continue
-                mask = known.get((s, bit))
+            for b in levels[level0]:
+                mask = known.get(b)
                 if mask is None:
-                    # One path per sender per receiver, so a (sender, bit)
-                    # appears at most once per level.
-                    unknowns.append((s, bit))
+                    unknowns.append(b)
                 else:
                     acc ^= mask
+            if unknowns:
+                still_open.append(level0)
             if partners and len(unknowns) > 1:
                 unknowns, acc = _cancel_pairs(unknowns, acc, pairs, partners)
             if not unknowns:
@@ -309,15 +307,16 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
                 b = unknowns[0]
                 prior = resolved.get(b)
                 if prior is not None:
-                    check(prior[2] ^ acc, _BIT_CONFLICT, b[0], b[1])
+                    check(prior[1] ^ acc, _BIT_CONFLICT, b[0], b[1])
                 else:
-                    resolved[b] = (level0, level0 - base_of[b[0]], acc)
+                    resolved[b] = (False, acc)
             elif len(unknowns) == 2:
                 key = tuple(sorted(unknowns))
                 if key in new_pairs:
                     check(new_pairs[key] ^ acc, _AGGREGATE_CONFLICT, level0 + 1)
-                elif key not in pairs:
+                else:  # a known pair would have been cancelled
                     new_pairs[key] = acc
+        open_levels = still_open
         # A known aggregate with one known endpoint reveals the other; the
         # first such pair in sorted order wins a target.
         for (u, v), mask in sorted(pairs.items()):
@@ -325,11 +324,11 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
             if (ku is None) != (kv is None):
                 target, source = (v, ku) if kv is None else (u, kv)
                 if target not in resolved:
-                    resolved[target] = (-1, first_pipe[target[1]], mask ^ source)
+                    resolved[target] = (True, mask ^ source)
         if not resolved and not new_pairs:
             break
-        steps += _pass_steps(resolved, pass_index, known, symbols)
-        for b, (_, _, mask) in resolved.items():
+        steps += _pass_steps(resolved, pass_index, symbols)
+        for b, (_, mask) in resolved.items():
             known[b] = mask
         for key, mask in new_pairs.items():
             pairs[key] = mask
@@ -339,9 +338,9 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
     own = [known.get((receiver, bit)) for bit in range(assign.m)]
     if None in own:
         own = []
-    # Levels whose contributors are all known were checked by the last pass;
-    # the rest of the residual is that no other level reads 1.
-    quiet = [level0 for level0, hit in enumerate(landing) if not hit]
+    # Every level that data reaches was checked once its contributors were
+    # all known; the rest of the residual is that no other level reads 1.
+    quiet = [level0 for level0, contributors in enumerate(levels) if not contributors]
     indptr, indices = _csr(own + list(checks), quiet)
     origins = list(checks.values()) + [(_QUIET_LEVEL, level0 + 1, 0) for level0 in quiet]
     return PeelProgram(
@@ -354,22 +353,21 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
     )
 
 
-def _pass_steps(resolved: dict, pass_index: int, known: dict, symbols: tuple) -> list[PeelStep]:
+def _pass_steps(resolved: dict, pass_index: int, symbols: tuple) -> list[PeelStep]:
     """Trace steps of one pass: the bits it resolved, grouped by (sender, symbol)."""
-    pipe_symbol, twin_syms, sym_bits = symbols
-    groups: dict[tuple[int, int], list[int]] = {}  # -> bits
+    bit_symbol, twin_syms, sym_size = symbols
+    groups: Counter = Counter()  # (sender, symbol) -> bits resolved
     via_pair: set[tuple[int, int]] = set()
-    for (s, bit), (level0, pipe, _) in resolved.items():
-        key = (s, pipe_symbol[pipe])
-        groups.setdefault(key, []).append(bit)
-        if level0 < 0:
+    for (s, bit), (pair, _) in resolved.items():
+        key = (s, bit_symbol[bit])
+        groups[key] += 1
+        if pair:
             via_pair.add(key)
     pass_steps = []
-    for (s, sym), bits in sorted(groups.items()):
-        full = tuple(sorted(bits)) == sym_bits[sym] and not any((s, b) in known for b in bits)
+    for (s, sym), count in sorted(groups.items()):
         if (s, sym) in via_pair:
             rule = RULE_MIXED
-        elif full:
+        elif count == sym_size[sym]:  # the pass read out the whole symbol
             rule = RULE_DIRECT
         else:
             rule = RULE_TWIN if sym in twin_syms else RULE_MIXED

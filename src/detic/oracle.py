@@ -55,10 +55,10 @@ def rank_decodable(ch: ChannelParams, assign: AssignmentMatrix) -> bool:
     if assign.n != ch.n:
         raise ValueError(f"assignment N = {assign.n} != channel N = {ch.n}")
     rows = [0] * (2 * ch.n)
-    for spots, j in zip(_placement(ch), assign.pipe_to_bit):
-        if j is not None:
-            for row, unit in spots:
-                rows[row] |= unit << j
+    for i, (_, _, base, count) in enumerate(paths(ch, 1)):
+        for p, j in enumerate(assign.pipe_to_bit[:count]):
+            if j is not None:
+                rows[base + p] |= 1 << (i * ch.n + j)
     return _decodes(rows, ch.n, assign.m)
 
 

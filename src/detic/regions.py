@@ -103,9 +103,6 @@ class RegionSpec:
         values = ((0, den, 0), (0, 0, den), *ints[m + 1 :])  # alpha, beta, block lengths
         object.__setattr__(self, "form", IntegerForm(den, sides, ints[m], values))
 
-    def contains(self, alpha: Rat, beta: Rat, closure: bool = False) -> bool:
-        return self.form.contains(point_weights(Fraction(alpha), Fraction(beta)), closure)
-
     @cached_property
     def box(self) -> tuple[Rat, Rat, Rat, Rat]:
         """Bounding box of the closure in (eps, delta): eps range, then delta range."""

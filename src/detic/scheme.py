@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from importlib import resources
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -395,22 +395,14 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     failed elsewhere in the interior.
     """
     verts = polygon_vertices(region.polygon)
-    points = list(verts)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            points.append(
-                (
-                    (verts[i][0] + verts[j][0]) / 2,
-                    (verts[i][1] + verts[j][1]) / 2,
-                )
-            )
+    mids = [((u[0] + v[0]) / 2, (u[1] + v[1]) / 2) for u, v in combinations(verts, 2)]
     points = [
         (e, d)
-        for e, d in points
-        if region.contains(region.anchor_alpha + e, region.anchor_beta + d, closure=True)
-        and not degenerate_channel_point(region.anchor_alpha + e, region.anchor_beta + d)
+        for e, d in chain(verts, mids)  # all in the closure, which is convex
+        if not degenerate_channel_point(region.anchor_alpha + e, region.anchor_beta + d)
     ]
     points.append(interior_sample(region))
+    points = list(dict.fromkeys(points))  # Ed's interior sample is also a midpoint
     seen = set(points)
     lattice = []
     grid = (p for den in _GRID_DENOMINATORS for p in _interior_lattice(region, den))

@@ -13,7 +13,7 @@ from detic.oracle import (
     rank_decodable,
     witness_blocks,
 )
-from detic.regions import classify, dsym_at
+from detic.regions import classify, dsym_at, point_weights
 from detic.scheme import build_assignment, minimal_n
 
 
@@ -112,7 +112,7 @@ class TestExhaustiveSearch:
         # is at least the catalog rate wherever it completes.
         spec = regions_by_id["Bg"]
         alpha, beta = F(3, 2), F(1, 2)
-        assert spec.contains(alpha, beta)
+        assert spec.form.contains(point_weights(alpha, beta))
         best_m, _ = exhaustive_search(make_channel(3, 2, alpha, beta))
         assert best_m >= dsym_at(alpha, beta) * 2
 

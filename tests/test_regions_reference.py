@@ -64,7 +64,7 @@ def assert_matches_reference(table, alpha, beta):
         eps, delta = alpha - spec.anchor_alpha, beta - spec.anchor_beta
         for closure in (False, True):
             want = polygon_contains(spec.polygon, eps, delta, closure)
-            assert spec.contains(alpha, beta, closure) == want, (spec.id, alpha, beta, closure)
+            assert spec.form.contains(w, closure) == want, (spec.id, alpha, beta, closure)
         assert spec.form.rate_at(w) == affine_eval(spec.dsym, eps, delta), spec.id
         inside = all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
         assert spec.form.interior(w) == inside, spec.id

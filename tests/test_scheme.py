@@ -280,6 +280,13 @@ class TestValidationPoints:
                 beta = spec.anchor_beta + delta
                 assert alpha != 1 and beta != 1, spec.id
 
+    def test_points_are_distinct(self, table):
+        # Ed's interior sample (-1/6, 0) is also the midpoint of two of its
+        # vertices; a repeated point only repeats a rank test and a compile.
+        for spec in table:
+            points = validation_points(spec)
+            assert len(set(points)) == len(points), spec.id
+
     @pytest.mark.parametrize("den", [7, 12])
     def test_lattice_scan_matches_exact_rationals(self, table, den):
         # Every region's offsets lie in [-1, 1]^2, so this scan covers the
