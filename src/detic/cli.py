@@ -40,8 +40,8 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 
 # Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling a
-# channel's peeling schedule takes up to about 35 us per pipe (0.05-0.21 s
-# over the 18 frozen layouts and about 20 MB of working memory at N = 6000,
+# channel's peeling schedule takes up to about 25 us per pipe (0.03-0.15 s
+# over the 18 frozen layouts and about 15 MB of working memory at N = 6000,
 # growing faster than N), once per run: `simulate` decodes every receiver's
 # word with receiver 1's view.
 # A trial then draws, encodes, transmits and decodes one stack of K words, so
@@ -116,10 +116,12 @@ def _load_table(args):
 
 
 def _point_args(sub) -> None:
-    sub.add_argument("--alpha", help='exact rational, e.g. "8/5"')
-    sub.add_argument("--beta", help='exact rational, e.g. "9/10"')
-    sub.add_argument("--alpha-decimal", help='terminating decimal, e.g. "1.6"')
-    sub.add_argument("--beta-decimal", help='terminating decimal, e.g. "0.9"')
+    """Each coordinate as an exact rational or a terminating decimal, not both."""
+    alpha, beta = sub.add_mutually_exclusive_group(), sub.add_mutually_exclusive_group()
+    alpha.add_argument("--alpha", help='exact rational, e.g. "8/5"')
+    beta.add_argument("--beta", help='exact rational, e.g. "9/10"')
+    alpha.add_argument("--alpha-decimal", help='terminating decimal, e.g. "1.6"')
+    beta.add_argument("--beta-decimal", help='terminating decimal, e.g. "0.9"')
 
 
 def _classify_payload(res: reg.ClassifyResult) -> dict:
@@ -294,14 +296,15 @@ def _verify_search(table) -> tuple[bool, dict]:
     for k, n, alpha, beta, want in _SEARCH_CASES:
         ch = make_channel(k, n, alpha, beta)
         best_m, witness = exhaustive_search(ch)
-        expected = reg.dsym_at(alpha, beta, table) * n
+        dsym = reg.dsym_at(alpha, beta, table)  # None where the table has no region
+        expected = None if dsym is None else int(dsym * n)
         case_ok = best_m == want == expected
         ok &= case_ok
         detail.append(
             {
                 "channel": ch.to_json_dict(),
                 "bestM": best_m,
-                "expected": int(expected),
+                "expected": expected,
                 "witnessPipes": [b if b is None else int(b) for b in witness.pipe_to_bit],
                 "witnessBlocks": witness_blocks(witness),
                 "passed": case_ok,

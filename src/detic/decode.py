@@ -26,7 +26,10 @@ rows of a sparse GF(2) matrix over the received word, replayed as a gather
 and XOR of levels on one word or on a stack of words at once.  The compile
 places each level's (sender, bit) contributors once, in a level table, and a
 pass scans only the open levels: one whose contributors are all known has a
-fixed value, so it yields its check once and leaves the scan.
+fixed value, so it yields its check once and leaves the scan.  A level hears
+at most one pipe per path (direct, up, down) and the three senders are
+distinct (K >= 3), so it has at most three unknowns: cancelling a known
+aggregate there is a lookup of at most three pairs.
 
 The channel is cyclically symmetric (`channel.paths` gives every receiver the
 same geometry), so a channel has one schedule, compiled for receiver 1 on the
@@ -46,6 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -209,20 +213,6 @@ def _csr(masks: list[int], quiet: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(indptr, dtype=np.int32), np.array(indices, dtype=np.int32)
 
 
-def _cancel_pairs(
-    unknowns: list[Bit], acc: int, pairs: dict[tuple[Bit, Bit], int], partners: dict[Bit, list[Bit]]
-) -> tuple[list[Bit], int]:
-    """Cancel known aggregates out of a level's unknowns, smallest pair first
-    (one sorted sweep is the whole fixpoint: the live set only shrinks)."""
-    live = set(unknowns)
-    inside = {tuple(sorted((u, v))) for u in unknowns for v in partners.get(u, ()) if v in live}
-    for u, v in sorted(inside):
-        if u in live and v in live:
-            live -= {u, v}
-            acc ^= pairs[(u, v)]
-    return sorted(live), acc
-
-
 @lru_cache(maxsize=16)
 def _channel_program(assign: AssignmentMatrix, ch: ChannelParams) -> PeelProgram:
     """The channel's one schedule, compiled for receiver 1 (the views of one
@@ -261,7 +251,13 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
     with an unknown contributor at the start of the previous pass: once all
     of a level's contributors are known its mask is fixed, so after that
     pass's check it leaves the scan.  A level left without unknowns only by
-    cancelling a pair stays open, as a later pass can give it a new check."""
+    cancelling a pair stays open, as a later pass can give it a new check.
+
+    A level has at most three contributors, one per path, from three distinct
+    senders, hence at most three unknowns and three pairs among them.  The
+    first known pair in sorted order cancels, and it shares a bit with every
+    other pair, so one lookup sweep is the whole cancellation (smallest pair
+    first, the tie-break that `_rotate` relabels)."""
     levels: list[list[Bit]] = [[] for _ in range(2 * ch.n)]
     for _, s, base, limit in paths(ch, receiver):
         # One path per sender per receiver, so a (sender, bit) appears at
@@ -274,7 +270,6 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
 
     known: dict[Bit, int] = {}
     pairs: dict[tuple[Bit, Bit], int] = {}
-    partners: dict[Bit, list[Bit]] = {}  # pairs indexed by each endpoint
     checks: dict[int, tuple[int, int, int]] = {}  # mask -> origin, in execution order
     steps: list[PeelStep] = []
 
@@ -299,8 +294,14 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
                     acc ^= mask
             if unknowns:
                 still_open.append(level0)
-            if partners and len(unknowns) > 1:
-                unknowns, acc = _cancel_pairs(unknowns, acc, pairs, partners)
+            if len(unknowns) > 1:
+                unknowns.sort()
+                for key in combinations(unknowns, 2):
+                    mask = pairs.get(key)
+                    if mask is not None:
+                        acc ^= mask
+                        unknowns = [b for b in unknowns if b not in key]
+                        break
             if not unknowns:
                 check(acc, _LEVEL_DISAGREES, level0 + 1)
             elif len(unknowns) == 1:
@@ -311,7 +312,7 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
                 else:
                     resolved[b] = (False, acc)
             elif len(unknowns) == 2:
-                key = tuple(sorted(unknowns))
+                key = tuple(unknowns)
                 if key in new_pairs:
                     check(new_pairs[key] ^ acc, _AGGREGATE_CONFLICT, level0 + 1)
                 else:  # a known pair would have been cancelled
@@ -330,10 +331,7 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
         steps += _pass_steps(resolved, pass_index, symbols)
         for b, (_, mask) in resolved.items():
             known[b] = mask
-        for key, mask in new_pairs.items():
-            pairs[key] = mask
-            partners.setdefault(key[0], []).append(key[1])
-            partners.setdefault(key[1], []).append(key[0])
+        pairs.update(new_pairs)
 
     own = [known.get((receiver, bit)) for bit in range(assign.m)]
     if None in own:

@@ -314,57 +314,40 @@ def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
 # ---------------------------------------------------------------------------
 
 
-def _role_candidates(block_lens: tuple[Affine2, ...]) -> Iterator[tuple[str | tuple[str, int], ...]]:
-    """All role vectors in canonical order.
+def _layouts(region: RegionSpec) -> Iterator[Layout]:
+    """Every layout of the region's blocks that satisfies the rate identity
+    (singles and twin firsts sum to its rate), in canonical order.
 
-    Entry per block: ZERO, SINGLE, or ("twin", j) on the first copy with j the
-    partner index (the partner entry is filled as ("twin2", i)).  Options are
-    tried single first, then twins by ascending partner, then zero.
+    The blocks are walked in printed order; each block not already taken as
+    a twin second tries single, then twin with each later free block of equal
+    length (nearest first), then zero.  Symbols are numbered by first
+    appearance, and a twin second shares its first copy's symbol.
     """
-    n = len(block_lens)
-    roles: list = [None] * n
+    lens, values, rate = region.block_lens, region.form.values[2:], region.form.rate
+    roles: list[BlockRole | None] = [None] * len(lens)
 
-    def rec(i: int) -> Iterator[tuple]:
-        if i == n:
-            yield tuple(roles)
+    def rec(i: int, symbol: int, total: tuple[int, int, int]) -> Iterator[Layout]:
+        if i == len(lens):
+            if total == rate:
+                yield Layout(region.id, tuple(zip(lens, roles)))
             return
-        if roles[i] is not None:
-            yield from rec(i + 1)
+        if roles[i] is not None:  # a twin second
+            yield from rec(i + 1, symbol, total)
             return
-        roles[i] = SINGLE
-        yield from rec(i + 1)
-        for j in range(i + 1, n):
-            if roles[j] is None and block_lens[j] == block_lens[i]:
-                roles[i] = ("twin", j)
-                roles[j] = ("twin2", i)
-                yield from rec(i + 1)
+        k, a, b = values[i]
+        data = (total[0] + k, total[1] + a, total[2] + b)
+        roles[i] = BlockRole(SINGLE, symbol)
+        yield from rec(i + 1, symbol + 1, data)
+        for j in range(i + 1, len(lens)):
+            if roles[j] is None and lens[j] == lens[i]:
+                roles[i], roles[j] = BlockRole(TWIN_FIRST, symbol), BlockRole(TWIN_SECOND, symbol)
+                yield from rec(i + 1, symbol + 1, data)
                 roles[j] = None
-        roles[i] = ZERO
-        yield from rec(i + 1)
+        roles[i] = BlockRole(ZERO)
+        yield from rec(i + 1, symbol, total)
         roles[i] = None
 
-    yield from rec(0)
-
-
-def _to_layout(region: RegionSpec, raw_roles: tuple) -> Layout:
-    """Number symbols consecutively by first appearance."""
-    symbol = 0
-    assigned: dict[int, int] = {}
-    blocks: list[tuple[Affine2, BlockRole]] = []
-    for i, raw in enumerate(raw_roles):
-        length = region.block_lens[i]
-        if raw == ZERO:
-            blocks.append((length, BlockRole(ZERO)))
-        elif raw == SINGLE:
-            symbol += 1
-            blocks.append((length, BlockRole(SINGLE, symbol)))
-        elif raw[0] == "twin":
-            symbol += 1
-            assigned[i] = symbol
-            blocks.append((length, BlockRole(TWIN_FIRST, symbol)))
-        else:  # twin2, partner index raw[1] < i
-            blocks.append((length, BlockRole(TWIN_SECOND, assigned[raw[1]])))
-    return Layout(region.id, tuple(blocks))
+    yield from rec(0, 1, (0, 0, 0))
 
 
 def degenerate_channel_point(alpha: Rat, beta: Rat) -> bool:
@@ -535,16 +518,7 @@ def infer_roles(region: RegionSpec) -> Layout:
     """First role assignment (canonical order) that satisfies the rate
     identity symbolically and decodes at every validation point."""
     points = check_points(region)
-    lens, rate = region.form.values[2:], region.form.rate  # integer (k, a, b) triples
-    for raw in _role_candidates(region.block_lens):
-        # The rate identity: lengths of singles and twin firsts sum to dsym.
-        c0 = c_alpha = c_beta = 0
-        for (a, b, c), r in zip(lens, raw):
-            if r == SINGLE or (r != ZERO and r[0] == "twin"):
-                c0, c_alpha, c_beta = c0 + a, c_alpha + b, c_beta + c
-        if (c0, c_alpha, c_beta) != rate:
-            continue
-        layout = _to_layout(region, raw)
+    for layout in _layouts(region):
         if _decodes_everywhere(layout, points):
             return layout
     raise NoValidLayoutError(

@@ -77,6 +77,18 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["alpha"] == "8/5"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--alpha", "3/2", "--alpha-decimal", "9", "--beta", "1/2"),
+            ("--alpha", "3/2", "--beta", "1/2", "--beta-decimal", "0.5"),
+        ],
+    )
+    def test_rational_and_decimal_of_one_coordinate_conflict(self, capsys, flags):
+        code, out = run(capsys, "classify", *flags)
+        assert code == 2
+        assert "not allowed with argument" in json.loads(out)["error"]
+
     def test_bad_option_value_is_json_usage_error(self, capsys):
         code, out = run(capsys, "plan", "--alpha", "8/5", "--beta", "9/10", "--n", "six")
         assert code == 2
@@ -298,6 +310,18 @@ class TestTableOverride:
         )
         assert code == 0
         assert json.loads(out)["region"] == "-"
+
+    def test_search_suite_on_a_table_covering_no_search_point(self, capsys, tmp_path):
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        path = tmp_path / "only_df.json"
+        path.write_text(json.dumps([r for r in rows if r["id"] == "Df"]))
+        code, out = run(capsys, "--table", str(path), "verify", "--suite", "search")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["passed"] is False
+        # Df covers only the third search point, (4/3, 2/3).
+        assert [case["expected"] for case in payload["detail"]] == [None, None, 2]
+        assert [case["passed"] for case in payload["detail"]] == [False, False, True]
 
     def test_missing_table_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"

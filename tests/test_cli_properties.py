@@ -136,6 +136,7 @@ TABLE_COMMANDS = (
     ["plan", "--alpha=8/5", "--beta=9/10"],
     ["atlas", "--grid=5"],
     ["verify", "--suite=table"],
+    ["verify", "--suite=search"],
 )
 
 
@@ -145,6 +146,7 @@ TABLE_COMMANDS = (
 @example(rows=BUILTIN_ROWS[1:])  # loads: every command answers
 @example(rows=BUILTIN_ROWS + BUILTIN_ROWS[:1])  # a duplicated id
 @example(rows=[{**BUILTIN_ROWS[0], "dsym": "9" * 5000}])
+@example(rows=[row for row in BUILTIN_ROWS if row["id"] == "Df"])  # covers no search point
 def test_mutated_tables_always_end_in_json(rows):
     # A table that fails to load or validate exits 2 with a JSON error; one
     # that loads answers normally.  atlas answers with a CSV on exit 0.

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from detic.regions import load_region_table
-from detic.scheme import SINGLE, ZERO, _role_candidates, _to_layout
+from detic.scheme import _layouts
 
 GOLDEN = Path(__file__).parent / "data" / "role_candidates.json"
 SHUFFLES = 3
@@ -37,22 +37,11 @@ def _block_orders():
             yield dataclasses.replace(spec, block_lens=lens)
 
 
-def _rate_layouts(region):
-    lens, rate = region.form.values[2:], region.form.rate
-    for raw in _role_candidates(region.block_lens):
-        total = [0, 0, 0]
-        for length, r in zip(lens, raw):
-            if r == SINGLE or (r != ZERO and r[0] == "twin"):
-                total = [t + x for t, x in zip(total, length)]
-        if tuple(total) == rate:
-            yield _to_layout(region, raw)
-
-
 def digest() -> dict:
     h = hashlib.sha256()
     count = 0
     for region in _block_orders():
-        for layout in _rate_layouts(region):
+        for layout in _layouts(region):
             h.update(json.dumps(layout.to_json_dict(), sort_keys=True).encode())
             count += 1
     return {"layouts": count, "sha256": h.hexdigest()}
