@@ -255,9 +255,9 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
 
     A level has at most three contributors, one per path, from three distinct
     senders, hence at most three unknowns and three pairs among them.  The
-    first known pair in sorted order cancels, and it shares a bit with every
-    other pair, so one lookup sweep is the whole cancellation (smallest pair
-    first, the tie-break that `_rotate` relabels)."""
+    first known pair in sorted order cancels (smallest pair first), and it
+    shares a bit with every other pair, so one lookup sweep is the whole
+    cancellation."""
     levels: list[list[Bit]] = [[] for _ in range(2 * ch.n)]
     for _, s, base, limit in paths(ch, receiver):
         # One path per sender per receiver, so a (sender, bit) appears at
