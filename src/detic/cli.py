@@ -297,14 +297,14 @@ def _verify_search(table) -> tuple[bool, dict]:
         ch = make_channel(k, n, alpha, beta)
         best_m, witness = exhaustive_search(ch)
         dsym = reg.dsym_at(alpha, beta, table)  # None where the table has no region
-        expected = None if dsym is None else int(dsym * n)
+        expected = None if dsym is None else dsym * n
         case_ok = best_m == want == expected
         ok &= case_ok
         detail.append(
             {
                 "channel": ch.to_json_dict(),
                 "bestM": best_m,
-                "expected": expected,
+                "expected": None if expected is None else int(expected),
                 "witnessPipes": [b if b is None else int(b) for b in witness.pipe_to_bit],
                 "witnessBlocks": witness_blocks(witness),
                 "passed": case_ok,

@@ -323,6 +323,21 @@ class TestTableOverride:
         assert [case["expected"] for case in payload["detail"]] == [None, None, 2]
         assert [case["passed"] for case in payload["detail"]] == [False, False, True]
 
+    def test_search_suite_compares_the_exact_rate(self, capsys, tmp_path):
+        # At (4/3, 2/3) with N = 3 a rate of 5/6 gives 5/2 symbols, which is not
+        # the searched optimum 2 even though it rounds down to it.
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        for row in rows:
+            if row["anchor"] == ["4/3", "2/3"]:
+                row["dsym"][0] = "5/6"
+        path = tmp_path / "off_rate.json"
+        path.write_text(json.dumps(rows))
+        code, out = run(capsys, "--table", str(path), "verify", "--suite", "search")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["passed"] is False
+        assert [case["passed"] for case in payload["detail"]] == [True, True, False]
+
     def test_missing_table_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
         code, out = run(
