@@ -26,17 +26,13 @@ from .decode import (
 )
 from .exactmath import (
     Affine2,
-    EmptyRegionError,
     HalfPlane,
     Polygon,
     Rat,
-    UnboundedRegionError,
     affine_eval,
-    affine_nonneg_on,
     format_rat,
     parse_rat,
     polygon_contains,
-    polygon_vertices,
 )
 from .gf2 import NotBinaryError
 from .oracle import SearchBudgetError, exhaustive_search, rank_decodable

@@ -1,8 +1,11 @@
-"""Exact rational scalars, 2-D affine forms, and small half-plane polygons.
+"""Exact rational parsing and formatting, and the `Fraction` references.
 
-Everything here is exact: scalars are `fractions.Fraction`, affine forms are
-rational triples `c0 + c_eps*eps + c_delta*delta`, and polygons are finite
-intersections of half-planes in the (eps, delta) plane.  No floating point.
+Scalars are `fractions.Fraction`, affine forms are rational triples
+`c0 + c_eps*eps + c_delta*delta`, and polygons are finite intersections of
+half-planes in the (eps, delta) plane.  `affine_eval`, `HalfPlane.satisfied`
+and `polygon_contains` are the plain references that tests hold the integer
+forms of `regions.IntegerForm` (membership, rates, vertices) against.  No
+floating point.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -18,16 +20,10 @@ Rat = Fraction
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-class UnboundedRegionError(ValueError):
-    """Polygon closure is unbounded."""
-
-
-class EmptyRegionError(ValueError):
-    """Polygon closure is empty."""
-
-
 def parse_rat(text: str) -> Rat:
     """Parse an exact rational literal, "p/q" or a bare integer."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r}")
     s = text.strip().replace("−", "-")  # tolerate unicode minus
     if not _RAT_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
@@ -110,78 +106,3 @@ def polygon_contains(p: Polygon, eps: Rat, delta: Rat, closure: bool = False) ->
     eps = Fraction(eps)
     delta = Fraction(delta)
     return all(h.satisfied(eps, delta, closure) for h in p.halfplanes)
-
-
-def _line_intersection(f: Affine2, g: Affine2) -> tuple[Rat, Rat] | None:
-    """Solve f = 0, g = 0; None when the boundary lines are parallel."""
-    det = f.c_eps * g.c_delta - f.c_delta * g.c_eps
-    if det == 0:
-        return None
-    eps = (-f.c0 * g.c_delta + g.c0 * f.c_delta) / det
-    delta = (-f.c_eps * g.c0 + g.c_eps * f.c0) / det
-    return eps, delta
-
-
-def _is_bounded(p: Polygon) -> bool:
-    # The closure is bounded iff its recession cone {d : grad(h).d >= 0} is {0}.
-    # A nontrivial cone in 2-D contains a ray orthogonal to some constraint
-    # gradient, so testing those candidate rays is exhaustive.
-    grads = [(h.expr.c_eps, h.expr.c_delta) for h in p.halfplanes]
-    if not grads:
-        return False
-    candidates = []
-    for gx, gy in grads:
-        candidates.append((gy, -gx))
-        candidates.append((-gy, gx))
-    for dx, dy in candidates:
-        if dx == 0 and dy == 0:
-            continue
-        if all(gx * dx + gy * dy >= 0 for gx, gy in grads):
-            return False
-    return True
-
-
-def polygon_vertices(p: Polygon) -> tuple[tuple[Rat, Rat], ...]:
-    """Vertices of the closure, deduplicated and lexicographically sorted.
-
-    Candidates are pairwise boundary-line intersections kept when they satisfy
-    every constraint non-strictly.  Raises UnboundedRegionError or
-    EmptyRegionError when the closure is not a (nonempty) polytope.
-    """
-    if not _is_bounded(p):
-        raise UnboundedRegionError("polygon closure is unbounded")
-    verts: set[tuple[Rat, Rat]] = set()
-    for ha, hb in combinations(p.halfplanes, 2):
-        pt = _line_intersection(ha.expr, hb.expr)
-        if pt is None:
-            continue
-        if polygon_contains(p, pt[0], pt[1], closure=True):
-            verts.add(pt)
-    if not verts:
-        raise EmptyRegionError("polygon closure is empty")
-    return tuple(sorted(verts))
-
-
-def polygon_has_interior(p: Polygon) -> bool:
-    """True when the closure is a genuinely 2-D set (three affinely independent vertices)."""
-    try:
-        verts = polygon_vertices(p)
-    except (UnboundedRegionError, EmptyRegionError):
-        return False
-    if len(verts) < 3:
-        return False
-    (x0, y0) = verts[0]
-    for (x1, y1), (x2, y2) in combinations(verts[1:], 2):
-        area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        if area2 != 0:
-            return True
-    return False
-
-
-def affine_nonneg_on(f: Affine2, p: Polygon) -> bool:
-    """True iff f >= 0 everywhere on the closure.
-
-    An affine function attains its extrema at vertices of a polytope, so
-    checking the vertex set is exact.
-    """
-    return all(affine_eval(f, e, d) >= 0 for e, d in polygon_vertices(p))

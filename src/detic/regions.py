@@ -15,18 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
-from .exactmath import (
-    Affine2,
-    HalfPlane,
-    Polygon,
-    Rat,
-    format_rat,
-    polygon_has_interior,
-    polygon_vertices,
-)
+from .exactmath import Affine2, HalfPlane, Polygon, Rat, format_rat, parse_rat
 
 
 class TableInvalidError(ValueError):
@@ -53,6 +46,31 @@ class IntegerForm:
     sides: tuple[tuple[int, int, int, bool], ...]  # (k, a, b, strict)
     rate: tuple[int, int, int]
     values: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, int, int], ...]:
+        """Weights of the closure's vertices, sorted by (alpha, beta); () when the
+        closure is unbounded, empty, or has all its vertices on one line."""
+        grads = [(a, b) for _, a, b, _ in self.sides]
+        # Bounded iff no ray d has a.d >= 0 on every side; in 2-D such a ray, if
+        # any, can be taken along some side's boundary line.
+        for gx, gy in grads:
+            for dx, dy in ((gy, -gx), (-gy, gx)):
+                if (dx or dy) and all(a * dx + b * dy >= 0 for a, b in grads):
+                    return ()
+        verts = set()
+        for (*side, _), (*other, _) in combinations(self.sides, 2):
+            w = _cross(side, other)  # where both lines meet
+            if w[0]:
+                g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
+                w = (w[0] // g, w[1] // g, w[2] // g)
+                if self.contains(w, closure=True):
+                    verts.add(w)
+        verts = sorted(verts, key=lambda w: (Fraction(w[1], w[0]), Fraction(w[2], w[0])))
+        for u, v in combinations(verts[1:], 2):  # off the line through verts[0] and u
+            if sum(x * y for x, y in zip(_cross(verts[0], u), v)):
+                return tuple(verts)
+        return ()
 
     def contains(self, w: tuple[int, int, int], closure: bool = False) -> bool:
         """Membership, strictness as printed or relaxed (closure); strict v > 0 is v >= 1 (True)."""
@@ -82,6 +100,12 @@ class IntegerForm:
         return [(k * w[0] + a * w[1] + b * w[2]) * n // big for k, a, b in self.values[2:]]
 
 
+def _cross(u, v) -> tuple[int, int, int]:
+    """Cross product of integer triples: the weights where two lines (k, a, b)
+    meet, or the line through two points given as weights."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     id: str
@@ -104,9 +128,15 @@ class RegionSpec:
         object.__setattr__(self, "form", IntegerForm(den, sides, ints[m], values))
 
     @cached_property
+    def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
+        """The closure's vertices (eps, delta), in order; see IntegerForm.vertices."""
+        a0, b0 = self.anchor_alpha, self.anchor_beta
+        return tuple((Fraction(w[1], w[0]) - a0, Fraction(w[2], w[0]) - b0) for w in self.form.vertices)
+
+    @cached_property
     def box(self) -> tuple[Rat, Rat, Rat, Rat]:
         """Bounding box of the closure in (eps, delta): eps range, then delta range."""
-        eps, delta = zip(*polygon_vertices(self.polygon))
+        eps, delta = zip(*self.vertices)
         return min(eps), max(eps), min(delta), max(delta)
 
 
@@ -174,14 +204,17 @@ def _parse_table(text: str) -> tuple[RegionSpec, ...]:
 
 def _parse_row(row: dict) -> RegionSpec:
     anchor = row["anchor"]
-    halfplanes = [
-        HalfPlane(Affine2.from_strings(c["expr"]), bool(c["strict"]))
-        for c in row["constraints"]
-    ]
+    if not isinstance(anchor, list) or len(anchor) != 2:
+        raise ValueError(f"anchor must be a list of two rationals, got {anchor!r}")
+    halfplanes = []
+    for c in row["constraints"]:
+        if not isinstance(c["strict"], bool):
+            raise ValueError(f"strict must be a JSON boolean, got {c['strict']!r}")
+        halfplanes.append(HalfPlane(Affine2.from_strings(c["expr"]), c["strict"]))
     return RegionSpec(
         id=str(row["id"]),
-        anchor_alpha=Fraction(anchor[0]),
-        anchor_beta=Fraction(anchor[1]),
+        anchor_alpha=parse_rat(anchor[0]),
+        anchor_beta=parse_rat(anchor[1]),
         polygon=Polygon(halfplanes),
         dsym=Affine2.from_strings(row["dsym"]),
         block_lens=tuple(Affine2.from_strings(b) for b in row["blocks"]),
@@ -199,7 +232,7 @@ def _validate_row(spec: RegionSpec) -> None:
             f"row {spec.id}: block lengths sum to "
             f"{total.to_strings()} instead of the constant 1"
         )
-    if not polygon_has_interior(spec.polygon):
+    if not spec.form.vertices:
         raise TableInvalidError(f"row {spec.id}: polygon closure is not a 2-D polytope")
 
 

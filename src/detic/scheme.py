@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channel import ChannelParams, make_channel
-from .exactmath import Affine2, Rat, affine_nonneg_on, format_rat, polygon_vertices
+from .exactmath import Affine2, Rat, affine_eval, format_rat
 from .gf2 import DimensionMismatchError, to_bits
 from .regions import RegionSpec, point_weights
 
@@ -277,7 +277,7 @@ def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
     bad = [
         length.to_strings()
         for length, _ in layout.blocks
-        if not affine_nonneg_on(length, region.polygon)
+        if any(affine_eval(length, e, d) < 0 for e, d in region.vertices)
     ]
     checks.append(
         (
@@ -377,7 +377,7 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     wrong role assignment through: it decoded at every point of the set yet
     failed elsewhere in the interior.
     """
-    verts = polygon_vertices(region.polygon)
+    verts = region.vertices
     mids = [((u[0] + v[0]) / 2, (u[1] + v[1]) / 2) for u, v in combinations(verts, 2)]
     points = [
         (e, d)
@@ -389,7 +389,7 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     seen = set(points)
     lattice = []
     grid = (p for den in _GRID_DENOMINATORS for p in _interior_lattice(region, den))
-    for n, eps, delta in chain(grid, _ratio_points(region, verts)):
+    for n, eps, delta in chain(grid, _ratio_points(region)):
         if n <= _GRID_N_CAP and (eps, delta) not in seen:
             seen.add((eps, delta))
             lattice.append((n, eps, delta))
@@ -417,14 +417,12 @@ def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
     return best[2], best[3]
 
 
-def _ratio_points(region: RegionSpec, verts: list) -> Iterator[tuple[int, Rat, Rat]]:
+def _ratio_points(region: RegionSpec) -> Iterator[tuple[int, Rat, Rat]]:
     """(minimal N, eps, delta), per ordered pair of blocks and ratio r in
     _BLOCK_RATIOS, of the strictly interior point with the least minimal N
     (at most _GRID_N_CAP) at which the first block has r times the second's
     pipes.  Such points lie on lines that a lattice can miss: the Ee layout
-    frozen before they were added failed on them and nowhere else.  `verts`
-    are the closure's vertices (eps, delta)."""
-    weights = [point_weights(region.anchor_alpha + e, region.anchor_beta + d) for e, d in verts]
+    frozen before they were added failed on them and nowhere else."""
     lines = set()
     for len_i, len_j in permutations(region.form.values[2:], 2):
         for r in _BLOCK_RATIOS:
@@ -433,7 +431,7 @@ def _ratio_points(region: RegionSpec, verts: list) -> Iterator[tuple[int, Rat, R
             if not g:
                 continue  # block i is r times block j everywhere
             line = max(tuple(x // g for x in c), tuple(-x // g for x in c))
-            values = [sum(x * y for x, y in zip(line, w)) for w in weights]
+            values = [sum(x * y for x, y in zip(line, w)) for w in region.form.vertices]
             if line in lines or min(values) >= 0 or max(values) <= 0:
                 continue  # seen before, or it misses the open region
             lines.add(line)

@@ -13,7 +13,7 @@ import numpy as np
 from detic.channel import make_channel, transmit
 from detic.cli import main
 from detic.decode import peel_bits, peel_structure, receiver_view
-from detic.exactmath import affine_eval, polygon_vertices
+from detic.exactmath import affine_eval
 from detic.oracle import exhaustive_search, rank_decodable
 from detic.regions import boundary_consistency, classify, converse_bound, dsym_at
 from detic.scheme import build_assignment, degenerate_channel_point, minimal_n
@@ -76,7 +76,7 @@ def test_criterion_3_achievability_sweep(table, frozen_layouts, frozen_interiors
     degenerate = []
     for spec in table:
         layout = frozen_layouts[spec.id]
-        points = list(polygon_vertices(spec.polygon)) + [frozen_interiors[spec.id]]
+        points = [*spec.vertices, frozen_interiors[spec.id]]
         for eps, delta in points:
             alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
             n = minimal_n(spec, eps, delta)

@@ -355,6 +355,19 @@ class TestTableOverride:
         assert code == 2
         assert json.loads(out) == {"error": "row 0: expected a JSON object, got int"}
 
+    def test_inexact_anchor_is_usage_error(self, capsys, tmp_path):
+        # A float anchor once loaded as its binary value, and classify printed
+        # delta = 5404319552844595/36028797018963968 at (3/2, 1/4).
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        rows[0]["anchor"] = ["2", 0.1]
+        path = tmp_path / "float_anchor.json"
+        path.write_text(json.dumps(rows))
+        code, out = run(
+            capsys, "--table", str(path), "classify", "--alpha", "3/2", "--beta", "1/4"
+        )
+        assert code == 2
+        assert json.loads(out) == {"error": "row Aa: not a rational literal: 0.1"}
+
     @pytest.mark.parametrize(
         "argv",
         [

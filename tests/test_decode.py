@@ -231,18 +231,13 @@ class TestDenseInteriorSweep:
         # a layout that failed deep inside its region.
         import math
 
-        from detic.exactmath import polygon_vertices
         from detic.oracle import rank_decodable
         from detic.regions import point_weights
         from detic.scheme import minimal_n
 
         checked = 0
         for spec in table:
-            verts = polygon_vertices(spec.polygon)
-            lo_e = min(v[0] for v in verts)
-            hi_e = max(v[0] for v in verts)
-            lo_d = min(v[1] for v in verts)
-            hi_d = max(v[1] for v in verts)
+            lo_e, hi_e, lo_d, hi_d = spec.box
             seen = set()
             for den in (8, 12, 20):
                 for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):

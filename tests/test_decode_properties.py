@@ -30,7 +30,6 @@ from detic.decode import (
     peel_structure,
     receiver_view,
 )
-from detic.exactmath import polygon_vertices
 from detic.oracle import assignment_from_labels, rank_decodable
 from detic.regions import load_region_table, point_weights
 from detic.scheme import build_assignment, load_frozen_layouts, minimal_n
@@ -47,9 +46,7 @@ def interior_points() -> dict[str, tuple[tuple[F, F], ...]]:
     point with a small denominator whose minimal N is at most MAX_N."""
     points = {}
     for spec in REGIONS.values():
-        verts = polygon_vertices(spec.polygon)
-        eps_lo, eps_hi = min(v[0] for v in verts), max(v[0] for v in verts)
-        delta_lo, delta_hi = min(v[1] for v in verts), max(v[1] for v in verts)
+        eps_lo, eps_hi, delta_lo, delta_hi = spec.box
         seen, inside = set(), []
         for den in DENOMINATORS:
             for i in range(math.ceil(eps_lo * den), math.floor(eps_hi * den) + 1):

@@ -1,3 +1,8 @@
+"""Rational parsing and the Fraction references, and the integer-form closure
+geometry (RegionSpec.vertices, the loader's polytope check and check_validity's
+vertex test) held against them on small hand-made polygons."""
+
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,22 +10,44 @@ import pytest
 
 from detic.exactmath import (
     Affine2,
-    EmptyRegionError,
     HalfPlane,
     Polygon,
-    UnboundedRegionError,
     affine_eval,
-    affine_nonneg_on,
     format_rat,
     parse_rat,
     polygon_contains,
-    polygon_has_interior,
-    polygon_vertices,
 )
+from detic.regions import RegionSpec, TableInvalidError, load_region_table
+from detic.scheme import ZERO, BlockRole, Layout, check_validity
 
 
 def hp(c0, ce, cd, strict=False):
     return HalfPlane(Affine2(F(c0), F(ce), F(cd)), strict)
+
+
+def region(poly):
+    """A one-block region around the anchor (0, 0), so (eps, delta) = (alpha, beta)."""
+    return RegionSpec("X", F(0), F(0), poly, Affine2.const(1), (Affine2.const(1),))
+
+
+def load_polygon(tmp_path, poly):
+    """Load a one-row table whose constraints are the polygon's half-planes."""
+    row = {
+        "id": "X",
+        "anchor": ["0", "0"],
+        "constraints": [{"expr": h.expr.to_strings(), "strict": h.strict} for h in poly.halfplanes],
+        "dsym": ["1", "0", "0"],
+        "blocks": [["1", "0", "0"]],
+    }
+    path = tmp_path / "regions.json"
+    path.write_text(json.dumps([row]))
+    return load_region_table(path)
+
+
+def nonneg_on(f, poly):
+    """check_validity's verdict on "non-negative lengths" for a one-block layout."""
+    report = check_validity(Layout("X", ((f, BlockRole(ZERO)),)), region(poly))
+    return dict((name, ok) for name, ok, _ in report.checks)["non-negative lengths"]
 
 
 # Region "Df" in offset coordinates: eps <= 2*delta, eps >= delta/2, delta <= 1/3.
@@ -85,58 +112,78 @@ class TestPolygonContains:
 
 class TestPolygonVertices:
     def test_df_vertices(self):
-        assert set(polygon_vertices(DF_POLY)) == {
-            (F(0), F(0)),
-            (F(2, 3), F(1, 3)),
-            (F(1, 6), F(1, 3)),
-        }
+        assert region(DF_POLY).vertices == ((F(0), F(0)), (F(1, 6), F(1, 3)), (F(2, 3), F(1, 3)))
 
     def test_ab_vertices(self):
-        assert set(polygon_vertices(AB_POLY)) == {
-            (F(0), F(0)),
-            (F(0), F(1, 2)),
-            (F(-1, 2), F(1, 2)),
-        }
+        assert region(AB_POLY).vertices == ((F(-1, 2), F(1, 2)), (F(0), F(0)), (F(0), F(1, 2)))
 
-    def test_single_point_polygon(self):
+    def test_single_point_polygon(self, tmp_path):
         p = Polygon([hp(0, 1, 0), hp(0, -1, 0), hp(0, 0, 1), hp(0, 0, -1)])
-        assert set(polygon_vertices(p)) == {(F(0), F(0))}
-        assert not polygon_has_interior(p)
+        assert region(p).form.vertices == ()
+        with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
+            load_polygon(tmp_path, p)
 
-    def test_unbounded(self):
-        with pytest.raises(UnboundedRegionError):
-            polygon_vertices(Polygon([hp(0, 1, 0), hp(0, 0, 1)]))
+    def test_unbounded(self, tmp_path):
+        p = Polygon([hp(0, 1, 0), hp(0, 0, 1)])
+        assert region(p).form.vertices == ()
+        with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
+            load_polygon(tmp_path, p)
 
-    def test_empty(self):
+    def test_unbounded_with_three_vertices(self, tmp_path):
+        # Vertices (0, 2), (2/3, 2/3) and (2, 0), yet open towards (1, 1).
+        p = Polygon([hp(0, 1, 0), hp(0, 0, 1), hp(-2, 1, 2), hp(-2, 2, 1)])
+        assert region(p).form.vertices == ()
+        with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
+            load_polygon(tmp_path, p)
+
+    def test_empty(self, tmp_path):
         p = Polygon([hp(-1, 1, 0), hp(-1, -1, 0), hp(0, 0, 1), hp(1, 0, -1)])
-        with pytest.raises(EmptyRegionError):
-            polygon_vertices(p)
+        assert region(p).form.vertices == ()
+        with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
+            load_polygon(tmp_path, p)
 
     def test_vertices_lie_in_closure(self, table):
         for spec in table:
-            for e, d in polygon_vertices(spec.polygon):
+            assert len(spec.vertices) >= 3, spec.id
+            for e, d in spec.vertices:
                 assert polygon_contains(spec.polygon, e, d, closure=True)
+
+    def test_constant_sides(self, tmp_path):
+        # A side with no gradient is a constant: 1 >= 0 holds everywhere, -1 >= 0 nowhere.
+        ok = Polygon([*DF_POLY.halfplanes, hp(1, 0, 0)])
+        assert region(ok).vertices == region(DF_POLY).vertices
+        assert load_polygon(tmp_path, ok)[0].vertices == region(DF_POLY).vertices
+        bad = Polygon([*DF_POLY.halfplanes, hp(-1, 0, 0)])
+        assert region(bad).form.vertices == ()
+        with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
+            load_polygon(tmp_path, bad)
 
 
 class TestAffineNonnegOn:
     def test_df_block_lengths(self):
-        assert affine_nonneg_on(Affine2(F(1, 3), F(0), F(-1)), DF_POLY)
-        assert affine_nonneg_on(Affine2(F(0), F(1), F(-1, 2)), DF_POLY)
+        assert nonneg_on(Affine2(F(1, 3), F(0), F(-1)), DF_POLY)
+        assert nonneg_on(Affine2(F(0), F(1), F(-1, 2)), DF_POLY)
 
     def test_negative_constant(self):
-        assert not affine_nonneg_on(Affine2.const(-1), DF_POLY)
+        assert not nonneg_on(Affine2.const(-1), DF_POLY)
+
+    def test_negative_at_one_vertex(self):
+        # delta - 1/6 is -1/6 at the vertex (0, 0) and 1/6 at the other two.
+        f = Affine2(F(-1, 6), F(0), F(1))
+        assert [affine_eval(f, e, d) < 0 for e, d in region(DF_POLY).vertices] == [True, False, False]
+        assert not nonneg_on(f, DF_POLY)
 
     def test_implies_nonneg_at_interior_samples(self):
         # Random convex combinations of the vertices stay inside the closure.
         rng = random.Random(1)
-        verts = polygon_vertices(DF_POLY)
+        verts = region(DF_POLY).vertices
         forms = [
             Affine2(F(1, 3), F(0), F(-1)),
             Affine2(F(0), F(1), F(-1, 2)),
             Affine2(F(0), F(-1), F(2)),
         ]
         for f in forms:
-            assert affine_nonneg_on(f, DF_POLY)
+            assert nonneg_on(f, DF_POLY)
             for _ in range(1000):
                 weights = [F(rng.randint(0, 12)) for _ in verts]
                 total = sum(weights) or F(1)

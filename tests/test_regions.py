@@ -2,11 +2,14 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from detic import regions
-from detic.exactmath import Affine2, polygon_vertices
+from detic.exactmath import Affine2, HalfPlane, Polygon
 from detic.regions import (
     OutOfSquareError,
+    RegionSpec,
     TableInvalidError,
     atlas_rows,
     boundary_consistency,
@@ -61,7 +64,7 @@ class TestLoad:
 
     def test_vertices_inside_parameter_square(self, table):
         for spec in table:
-            for eps, delta in polygon_vertices(spec.polygon):
+            for eps, delta in spec.vertices:
                 alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
                 assert 1 <= alpha <= 2 and 0 <= beta <= 1, spec.id
 
@@ -81,6 +84,24 @@ class TestLoad:
         with pytest.raises(TableInvalidError, match=f"^row 1: expected a JSON object, got {kind}$"):
             load_region_table(bad)
 
+    @pytest.mark.parametrize("anchor", [["2", 0.1], ["2", "0.1"], ["2", True], ["2"], ["2", "0", "0"], "20"])
+    def test_loader_rejects_inexact_anchors(self, tmp_path, anchor):
+        rows = _raw_table()
+        rows[0]["anchor"] = anchor
+        bad = tmp_path / "regions.json"
+        bad.write_text(json.dumps(rows))
+        with pytest.raises(TableInvalidError, match="^row Aa: "):
+            load_region_table(bad)
+
+    @pytest.mark.parametrize("strict", ["false", "true", 0, 1, None])
+    def test_loader_rejects_non_boolean_strict(self, tmp_path, strict):
+        rows = _raw_table()
+        rows[0]["constraints"][0]["strict"] = strict
+        bad = tmp_path / "regions.json"
+        bad.write_text(json.dumps(rows))
+        with pytest.raises(TableInvalidError, match="^row Aa: strict must be a JSON boolean"):
+            load_region_table(bad)
+
     def test_loader_rejects_unbounded_region(self, tmp_path):
         rows = json.loads(json.dumps(_raw_table()))
         rows[0]["constraints"] = rows[0]["constraints"][:1]
@@ -88,6 +109,43 @@ class TestLoad:
         bad.write_text(json.dumps(rows))
         with pytest.raises(TableInvalidError):
             load_region_table(bad)
+
+
+RATIONALS = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(st.tuples(RATIONALS, RATIONALS), min_size=3, max_size=3, unique=True),
+    anchor=st.tuples(RATIONALS, RATIONALS),
+    strict=st.lists(st.booleans(), min_size=4, max_size=4),
+    grad=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    slack=st.sampled_from([F(0), F(0), F(1, 7), F(3)]),
+)
+def test_triangle_sides_recover_its_vertices(points, anchor, strict, grad, slack):
+    # The three edge lines of a triangle, each facing its opposite vertex,
+    # plus a redundant side g.(eps, delta) + c >= 0 that holds on the whole
+    # triangle (through a vertex when the slack is 0), give back exactly the
+    # triangle's corners.
+    (x0, y0), (x1, y1), (x2, y2) = points
+    assume((x1 - x0) * (y2 - y0) != (x2 - x0) * (y1 - y0))
+    a0, b0 = anchor
+    offsets = [(x - a0, y - b0) for x, y in points]
+    sides = []
+    for (p, q), r in zip([(1, 2), (2, 0), (0, 1)], range(3)):
+        (xp, yp), (xq, yq) = offsets[p], offsets[q]
+        f = Affine2(xp * yq - xq * yp, yp - yq, xq - xp)
+        e, d = offsets[r]
+        sign = 1 if f.c0 + f.c_eps * e + f.c_delta * d > 0 else -1
+        sides.append(Affine2(sign * f.c0, sign * f.c_eps, sign * f.c_delta))
+    if grad != (0, 0):
+        c = slack - min(grad[0] * e + grad[1] * d for e, d in offsets)
+        sides.append(Affine2(c, F(grad[0]), F(grad[1])))
+    spec = RegionSpec(
+        "T", a0, b0, Polygon(HalfPlane(f, s) for f, s in zip(sides, strict)),
+        Affine2.const(1), (Affine2.const(1),),
+    )
+    assert spec.vertices == tuple(sorted(offsets))
 
 
 def _raw_table():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detic.exactmath import affine_eval, format_rat, polygon_contains, polygon_vertices
+from detic.exactmath import affine_eval, format_rat, polygon_contains
 from detic.regions import (
     boundary_consistency,
     classify,
@@ -87,7 +87,7 @@ def special_points() -> tuple[tuple[F, F], ...]:
     points |= {
         (spec.anchor_alpha + e, spec.anchor_beta + d)
         for spec in TABLE
-        for e, d in polygon_vertices(spec.polygon)
+        for e, d in spec.vertices
     }
     for i in range(61):
         for j in range(61):

@@ -303,10 +303,10 @@ class TestValidationPoints:
             assert list(_interior_lattice(spec, den)) == want, spec.id
 
     def test_ratio_points_lie_on_block_ratio_lines(self, table):
-        from detic.exactmath import affine_eval, polygon_vertices
+        from detic.exactmath import affine_eval
 
         for spec in table:
-            points = list(scheme._ratio_points(spec, polygon_vertices(spec.polygon)))
+            points = list(scheme._ratio_points(spec))
             assert set(validation_points(spec)) >= {(e, d) for _, e, d in points}, spec.id
             for n, eps, delta in points:
                 assert all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
@@ -318,7 +318,7 @@ class TestValidationPoints:
                     for r in (1, 3)
                 ), (spec.id, eps, delta)
         ee = next(spec for spec in table if spec.id == "Ee")
-        ee_points = scheme._ratio_points(ee, polygon_vertices(ee.polygon))
+        ee_points = scheme._ratio_points(ee)
         assert (11, F(-1, 11), F(5, 33)) in list(ee_points)
 
     def test_interior_sample_is_strictly_inside(self, table, frozen_interiors):
