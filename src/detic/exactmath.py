@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rat = Fraction
 
@@ -52,9 +52,9 @@ class Affine2:
         return Affine2(Fraction(value), Fraction(0), Fraction(0))
 
     @staticmethod
-    def from_strings(triple: Sequence[str]) -> "Affine2":
-        if len(triple) != 3:
-            raise ValueError(f"affine form needs 3 coefficients, got {triple!r}")
+    def from_strings(triple: list[str]) -> "Affine2":
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise ValueError(f"affine form needs a list of 3 coefficients, got {triple!r}")
         return Affine2(*(parse_rat(t) for t in triple))
 
     def to_strings(self) -> list[str]:

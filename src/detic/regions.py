@@ -59,18 +59,18 @@ class IntegerForm:
                 if (dx or dy) and all(a * dx + b * dy >= 0 for a, b in grads):
                     return ()
         verts = set()
-        for (*side, _), (*other, _) in combinations(self.sides, 2):
-            w = _cross(side, other)  # where both lines meet
+        for (k, a, b, _), (k2, a2, b2, _) in combinations(self.sides, 2):
+            w = (a * b2 - b * a2, b * k2 - k * b2, k * a2 - a * k2)  # where both lines meet
             if w[0]:
                 g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
                 w = (w[0] // g, w[1] // g, w[2] // g)
                 if self.contains(w, closure=True):
                     verts.add(w)
-        verts = sorted(verts, key=lambda w: (Fraction(w[1], w[0]), Fraction(w[2], w[0])))
-        for u, v in combinations(verts[1:], 2):  # off the line through verts[0] and u
-            if sum(x * y for x, y in zip(_cross(verts[0], u), v)):
-                return tuple(verts)
-        return ()
+        # A flat closure has at most two: a side that holds on a segment and is 0
+        # inside it is 0 along all of it, so two such sides never cross there.
+        if len(verts) < 3:
+            return ()
+        return tuple(sorted(verts, key=lambda w: (Fraction(w[1], w[0]), Fraction(w[2], w[0]))))
 
     def contains(self, w: tuple[int, int, int], closure: bool = False) -> bool:
         """Membership, strictness as printed or relaxed (closure); strict v > 0 is v >= 1 (True)."""
@@ -98,12 +98,6 @@ class IntegerForm:
         """Block lengths times N, exact when minimal_n(w) divides N."""
         big = self.den * w[0]
         return [(k * w[0] + a * w[1] + b * w[2]) * n // big for k, a, b in self.values[2:]]
-
-
-def _cross(u, v) -> tuple[int, int, int]:
-    """Cross product of integer triples: the weights where two lines (k, a, b)
-    meet, or the line through two points given as weights."""
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 @dataclass(frozen=True)

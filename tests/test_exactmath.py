@@ -123,6 +123,13 @@ class TestPolygonVertices:
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
             load_polygon(tmp_path, p)
 
+    def test_segment_polygon(self, tmp_path):
+        # Flat closures have at most two vertices: here (0, 0) and (1, 0).
+        p = Polygon([hp(0, 1, 0), hp(1, -1, 0), hp(0, 0, 1), hp(0, 0, -1), hp(0, 1, 1)])
+        assert region(p).form.vertices == ()
+        with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
+            load_polygon(tmp_path, p)
+
     def test_unbounded(self, tmp_path):
         p = Polygon([hp(0, 1, 0), hp(0, 0, 1)])
         assert region(p).form.vertices == ()

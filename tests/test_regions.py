@@ -84,13 +84,25 @@ class TestLoad:
         with pytest.raises(TableInvalidError, match=f"^row 1: expected a JSON object, got {kind}$"):
             load_region_table(bad)
 
-    @pytest.mark.parametrize("anchor", [["2", 0.1], ["2", "0.1"], ["2", True], ["2"], ["2", "0", "0"], "20"])
+    @pytest.mark.parametrize(
+        "anchor", [["2", 0.1], ["2", "0.1"], ["2", True], [2, "0"], ["2"], ["2", "0", "0"], "20"]
+    )
     def test_loader_rejects_inexact_anchors(self, tmp_path, anchor):
         rows = _raw_table()
         rows[0]["anchor"] = anchor
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
         with pytest.raises(TableInvalidError, match="^row Aa: "):
+            load_region_table(bad)
+
+    @pytest.mark.parametrize("field,value", [("dsym", "100"), ("dsym", ["1", "0"]), ("blocks", ["1"])])
+    def test_loader_rejects_forms_that_are_not_triples(self, tmp_path, field, value):
+        # A three-character string once loaded as the triple of its characters.
+        rows = _raw_table()
+        rows[0][field] = value
+        bad = tmp_path / "regions.json"
+        bad.write_text(json.dumps(rows))
+        with pytest.raises(TableInvalidError, match="^row Aa: affine form needs a list of 3"):
             load_region_table(bad)
 
     @pytest.mark.parametrize("strict", ["false", "true", 0, 1, None])
