@@ -274,6 +274,7 @@ def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
     """The three symbolic validity conditions of a transmit layout."""
     checks = []
 
+    # An affine length is least at a vertex of the closure, so the vertices suffice.
     bad = [
         length.to_strings()
         for length, _ in layout.blocks
