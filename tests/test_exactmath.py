@@ -47,7 +47,7 @@ def load_polygon(tmp_path, poly):
 def nonneg_on(f, poly):
     """check_validity's verdict on "non-negative lengths" for a one-block layout."""
     report = check_validity(Layout("X", ((f, BlockRole(ZERO)),)), region(poly))
-    return dict((name, ok) for name, ok, _ in report.checks)["non-negative lengths"]
+    return {name: ok for name, ok, _ in report.checks}["non-negative lengths"]
 
 
 # Region "Df" in offset coordinates: eps <= 2*delta, eps >= delta/2, delta <= 1/3.
