@@ -208,11 +208,14 @@ def cmd_simulate(args) -> int:
     # The channel is cyclically symmetric, so receiver 1's view decodes every
     # receiver's word: row R of the stack yields sender R's bits.
     view = receiver_view(assign, ch, 1)
+    failed = np.zeros(ch.k, dtype=bool)  # receivers with a failed trial
     failures = 0
     for _ in range(args.trials):
         messages = rng.integers(0, 2, size=(ch.k, assign.m), dtype=np.uint8)
         got, _ = peel_bits(view, transmit(ch, assign.encode(messages)))
-        failures += ch.k if got is None else int((got != messages).any(axis=1).sum())
+        wrong = np.ones(ch.k, dtype=bool) if got is None else (got != messages).any(axis=1)
+        failed |= wrong
+        failures += int(wrong.sum())
     # The trace does not depend on the bits, and relabelling for another
     # receiver keeps each step's rule: every receiver and trial repeats one's.
     rules: dict[str, int] = {}
@@ -225,10 +228,11 @@ def cmd_simulate(args) -> int:
         "m": assign.m,
         "trials": args.trials,
         "seed": args.seed,
-        "decodedReceivers": ch.k,
+        "decodedReceivers": int(ch.k - failed.sum()),
         "failures": failures,
         "success": failures == 0,
-        "achievedRate": format_rat(Fraction(assign.m, assign.n)),
+        # m/N is delivered only when no receiver failed a trial.
+        "achievedRate": format_rat(Fraction(assign.m, assign.n) if failures == 0 else 0),
         "traceSummary": dict(sorted(rules.items())),
     }
     _emit(payload)

@@ -42,6 +42,10 @@ no receiver compiles its own.  By the same symmetry receiver 1's view decodes
 sender R's bits from receiver R's word, so one view decodes a whole stack of
 `transmit` output.  A view places its blocks, which only the renderer reads,
 on first use too.
+
+Role inference asks only whether a schedule succeeds: `peel_succeeds` runs
+the same fixpoint and reads whether every own bit is known, emitting no
+trace, matrix or origins.
 """
 
 from __future__ import annotations
@@ -242,9 +246,46 @@ def _rotate(program: PeelProgram, k: int, receiver: int) -> PeelProgram:
 
 
 def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> PeelProgram:
-    """Run the fixpoint once, without bit values.  Each known bit or aggregate
-    is an int mask of the received levels whose XOR is its value; a check is
-    a mask whose XOR must be 0.
+    """Run the fixpoint once, then emit its program: the own-bit rows, the
+    checks in execution order, one row per quiet level, and the trace."""
+    levels, known, checks, passes = _fixpoint(assign, ch, receiver)
+    symbols = _symbols(assign)
+    steps = [st for i, resolved in enumerate(passes, 1) for st in _pass_steps(resolved, i, symbols)]
+    own = [known.get((receiver, bit)) for bit in range(assign.m)]
+    if None in own:
+        own = []
+    # Every level that data reaches was checked once its contributors were
+    # all known; the rest of the residual is that no other level reads 1.
+    quiet = [level0 for level0, contributors in enumerate(levels) if not contributors]
+    indptr, indices = _csr(own + list(checks), quiet)
+    origins = list(checks.values()) + [(_QUIET_LEVEL, level0 + 1, 0) for level0 in quiet]
+    return PeelProgram(
+        success=len(own) == assign.m,
+        trace=DecodeTrace(tuple(steps)),
+        own=len(own),
+        indptr=indptr,
+        indices=indices,
+        origins=np.array(origins, dtype=np.int32).reshape(-1, 3),
+    )
+
+
+def peel_succeeds(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> bool:
+    """Whether peeling recovers the receiver's own bits, as
+    `_compile(assign, ch, receiver).success` says, from the fixpoint alone:
+    no trace, matrix or origins are emitted.  Raises DimensionMismatchError
+    when N differs or the receiver is outside 1..K."""
+    if assign.n != ch.n:
+        raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
+    known = _fixpoint(assign, ch, receiver)[1]
+    return all((receiver, bit) in known for bit in range(assign.m))
+
+
+def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tuple:
+    """The value-free fixpoint.  Each known bit or aggregate is an int mask of
+    the received levels whose XOR is its value; a check is a mask whose XOR
+    must be 0.  Returns the level table, the known bits' masks, the checks
+    (mask -> origin, in execution order) and each pass's resolved bits
+    (bit -> (via a pair, mask)).
 
     `levels[l]` lists the (sender, bit) pairs that land on level l, placed
     once through `channel.paths`.  A pass walks only the open levels, those
@@ -266,21 +307,18 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
             if bit is not None:
                 levels[base + p].append((s, bit))
     open_levels = [level0 for level0, contributors in enumerate(levels) if contributors]
-    symbols = _symbols(assign)
 
     known: dict[Bit, int] = {}
     pairs: dict[tuple[Bit, Bit], int] = {}
-    checks: dict[int, tuple[int, int, int]] = {}  # mask -> origin, in execution order
-    steps: list[PeelStep] = []
+    checks: dict[int, tuple[int, int, int]] = {}
+    passes: list[dict[Bit, tuple[bool, int]]] = []
 
     def check(mask: int, kind: int, a: int, b: int = 0) -> None:
         if mask and mask not in checks:
             checks[mask] = (kind, a, b)
 
-    pass_index = 0
     while True:
-        pass_index += 1
-        resolved: dict[Bit, tuple[bool, int]] = {}  # bit -> (via a pair, mask)
+        resolved: dict[Bit, tuple[bool, int]] = {}
         new_pairs: dict[tuple[Bit, Bit], int] = {}
         still_open = []
         for level0 in open_levels:
@@ -327,28 +365,11 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
                 if target not in resolved:
                     resolved[target] = (True, mask ^ source)
         if not resolved and not new_pairs:
-            break
-        steps += _pass_steps(resolved, pass_index, symbols)
+            return levels, known, checks, passes
+        passes.append(resolved)
         for b, (_, mask) in resolved.items():
             known[b] = mask
         pairs.update(new_pairs)
-
-    own = [known.get((receiver, bit)) for bit in range(assign.m)]
-    if None in own:
-        own = []
-    # Every level that data reaches was checked once its contributors were
-    # all known; the rest of the residual is that no other level reads 1.
-    quiet = [level0 for level0, contributors in enumerate(levels) if not contributors]
-    indptr, indices = _csr(own + list(checks), quiet)
-    origins = list(checks.values()) + [(_QUIET_LEVEL, level0 + 1, 0) for level0 in quiet]
-    return PeelProgram(
-        success=len(own) == assign.m,
-        trace=DecodeTrace(tuple(steps)),
-        own=len(own),
-        indptr=indptr,
-        indices=indices,
-        origins=np.array(origins, dtype=np.int32).reshape(-1, 3),
-    )
 
 
 def _pass_steps(resolved: dict, pass_index: int, symbols: tuple) -> list[PeelStep]:

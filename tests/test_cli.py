@@ -200,6 +200,44 @@ class TestSimulate:
         assert code == 0
         assert (payload["region"], payload["failures"], payload["m"]) == ("Ee", 0, 6)
 
+    @pytest.mark.parametrize(
+        "point,failures",
+        [(("--alpha", "1", "--beta", "1/2", "--n", "4", "--trials", "2"), 6),
+         (("--alpha", "3/2", "--beta", "1", "--n", "6"), 30)],
+        ids=["alpha-one", "beta-one"],
+    )
+    def test_failed_run_reports_nothing_decoded(self, capsys, point, failures):
+        # On a degenerate edge every decode fails, so nothing was delivered.
+        code, out = run(capsys, "simulate", *point)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["failures"] == failures
+        assert payload["success"] is False
+        assert payload["achievedRate"] == "0/1"
+        assert payload["decodedReceivers"] == 0
+
+    def test_receiver_with_a_wrong_trial_is_not_counted(self, capsys, monkeypatch):
+        from detic import cli
+
+        real, calls = cli.peel_bits, []
+
+        def peel_bits(view, words):  # flips one bit of receiver 2 in the second trial
+            got, trace = real(view, words)
+            calls.append(None)
+            if len(calls) == 2:
+                got = got.copy()
+                got[1, 0] ^= 1
+            return got, trace
+
+        monkeypatch.setattr(cli, "peel_bits", peel_bits)
+        code, out = run(
+            capsys, "simulate", "--alpha", "8/5", "--beta", "9/10", "--n", "20", "--trials", "3"
+        )
+        payload = json.loads(out)
+        assert code == 1
+        assert (payload["failures"], payload["decodedReceivers"]) == (1, 2)
+        assert payload["achievedRate"] == "0/1"
+
     def test_too_few_pairs_is_usage_error(self, capsys):
         code, out = run(capsys, "simulate", "--alpha", "4/3", "--beta", "2/3", "--k", "2")
         assert code == 2

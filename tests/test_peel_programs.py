@@ -14,6 +14,11 @@ row or trace shows up here.  The families are:
   second use of a bit used once) at N <= 4 on every integral (alpha, beta),
   K in {3, 4} and every receiver.
 
+`peel_succeeds` runs the same fixpoint without emitting a program; two
+tests check that its answer is the compiled program's `success` on every
+validation point under each candidate role layout that passes rank there,
+and on the search class.
+
 Run this file as a script to print the digests of the current tree; with
 `--write` it records them.
 """
@@ -27,11 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from detic.channel import make_channel
-from detic.decode import _compile
-from detic.oracle import assignment_from_labels
+from detic.decode import _compile, peel_succeeds
+from detic.oracle import assignment_from_labels, rank_decodable
 from detic.regions import load_region_table
 from detic.scheme import (
+    _layouts,
     build_assignment,
+    check_points,
     load_frozen_interiors,
     load_frozen_layouts,
     minimal_n,
@@ -84,7 +91,8 @@ def _labelings(n: int, prefix=(), fresh: int = 0, used_once=()):
         yield from _labelings(n, prefix + (bit,), fresh, rest)
 
 
-def _search_class(table, layouts):
+def _search_cases():
+    """(assignment, channel, receiver) for every search-class pipe map."""
     for n in range(1, SEARCH_MAX_N + 1):
         for labels in _labelings(n):
             assign = assignment_from_labels(labels)
@@ -93,7 +101,12 @@ def _search_class(table, layouts):
                     for k in (3, 4):
                         ch = make_channel(k, n, 1 + Fraction(a, n), Fraction(b, n))
                         for receiver in range(1, k + 1):
-                            yield _compile(assign, ch, receiver)
+                            yield assign, ch, receiver
+
+
+def _search_class(table, layouts):
+    for case in _search_cases():
+        yield _compile(*case)
 
 
 FAMILIES = {
@@ -117,6 +130,34 @@ def digests() -> dict[str, str]:
 
 def test_compiled_programs_match_recorded_digests():
     assert digests() == json.loads(GOLDEN.read_text())
+
+
+def test_fixpoint_success_matches_compile_on_role_candidates(table, frozen_layouts):
+    # The candidates infer_roles tries, up to the accepted one, at every
+    # validation point where they pass rank (not only up to the first that
+    # refutes them).
+    compared = 0
+    for spec in table:
+        points = check_points(spec)
+        for layout in _layouts(spec):
+            for point in points:
+                assign = point.assignment(layout)
+                if rank_decodable(point.ch, assign):
+                    want = _compile(assign, point.ch, 1).success
+                    assert peel_succeeds(assign, point.ch, 1) == want, (spec.id, point.ch)
+                    compared += 1
+            if layout == frozen_layouts[spec.id]:
+                break
+    assert compared >= 524  # at least the accepted layouts at every point
+
+
+def test_fixpoint_success_matches_compile_on_search_class():
+    outcomes = set()
+    for assign, ch, receiver in _search_cases():
+        want = _compile(assign, ch, receiver).success
+        assert peel_succeeds(assign, ch, receiver) == want, (assign.pipe_to_bit, ch, receiver)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 if __name__ == "__main__":

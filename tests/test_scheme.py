@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import itertools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -301,6 +302,26 @@ class TestValidationPoints:
                 if spec.form.interior(point_weights(a + eps, b + delta))
             ]
             assert list(_interior_lattice(spec, den)) == want, spec.id
+
+    def test_lattice_rows_match_per_point_filter(self, table):
+        # The reference tests every point of the bounding box against every
+        # side; the scan solves each column for its interior rows instead.
+        for spec in table:
+            lo_e, hi_e, lo_d, hi_d = spec.box
+            a0, a1, a2 = point_weights(spec.anchor_alpha, spec.anchor_beta)
+            for den in scheme._SAMPLE_DENOMINATORS:
+                box = (
+                    (i, j)
+                    for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1)
+                    for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1)
+                )
+                weights = (((a0 * den, a1 * den + a0 * i, a2 * den + a0 * j), i, j) for i, j in box)
+                want = [
+                    (spec.form.minimal_n(w), F(i, den), F(j, den))
+                    for w, i, j in weights
+                    if spec.form.interior(w)
+                ]
+                assert list(_interior_lattice(spec, den)) == want, (spec.id, den)
 
     def test_ratio_points_lie_on_block_ratio_lines(self, table):
         from detic.exactmath import affine_eval
