@@ -27,6 +27,8 @@ from .exactmath import Affine2, Rat, affine_eval, format_rat
 from .gf2 import DimensionMismatchError, to_bits
 from .regions import RegionSpec, point_weights
 
+Weights = tuple[int, int, int]  # (w0, w1, w2) for the point (w1/w0, w2/w0)
+
 ZERO = "zero"
 SINGLE = "single"
 TWIN_FIRST = "twin-first"
@@ -146,7 +148,7 @@ class AssignmentMatrix:
         return np.take(padded, self._gather, axis=-1)
 
 
-def _closure_weights(region: RegionSpec, alpha: Fraction, beta: Fraction) -> tuple[int, int, int]:
+def _closure_weights(region: RegionSpec, alpha: Fraction, beta: Fraction) -> Weights:
     """Integer weights of (alpha, beta); raises OutsideRegionError outside the region closure."""
     w = point_weights(alpha, beta)
     if not region.form.contains(w, closure=True):
@@ -169,9 +171,7 @@ def instantiate(region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
     region has those); requires N >= 1 and the point in the region closure."""
     if n < 1:
         raise PipeCountError(f"N >= 1 required, got N = {n}")
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    w = _closure_weights(region, alpha, beta)
+    w = _closure_weights(region, Fraction(alpha), Fraction(beta))
     need = region.form.minimal_n(w)
     if n % need != 0:
         raise NonIntegralBlocksError(
@@ -179,12 +179,18 @@ def instantiate(region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
             f"minimal valid N is {need}",
             minimal_n=need,
         )
+    return _block_counts(region, w, n)
+
+
+def _block_counts(region: RegionSpec, w: Weights, n: int) -> list[int]:
+    """Per-block pipe counts at N, a multiple of the point's minimal N; raises
+    OutsideRegionError where a block length is negative."""
     counts = region.form.block_counts(w, n)
     for length, c in zip(region.block_lens, counts):
         if c < 0:
             raise OutsideRegionError(
                 f"block length {length.to_strings()} negative at "
-                f"({format_rat(alpha)}, {format_rat(beta)})"
+                f"({format_rat(Fraction(w[1], w[0]))}, {format_rat(Fraction(w[2], w[0]))})"
             )
     assert sum(counts) == n
     return counts
@@ -254,8 +260,9 @@ def check_points(region: RegionSpec) -> list[CheckPoint]:
     for eps, delta in validation_points(region):
         alpha = region.anchor_alpha + eps
         beta = region.anchor_beta + delta
-        n = minimal_n(region, eps, delta)
-        counts = instantiate(region, alpha, beta, n)
+        w = _closure_weights(region, alpha, beta)
+        n = region.form.minimal_n(w)
+        counts = _block_counts(region, w, n)
         out.append(CheckPoint(make_channel(3, n, alpha, beta), tuple(counts)))
     return out
 
@@ -377,14 +384,16 @@ _BLOCK_RATIOS = (1, 3)
 
 
 def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
-    """Non-degenerate decodability checkpoints covering the whole region.
+    """Non-degenerate decodability checkpoints covering the whole region, each once.
 
     Closure vertices and edge midpoints pin the boundary; the interior sample
-    plus a small-denominator interior lattice (minimal N capped) pin the
+    and the interior points of the denominator-12 and -20 lattices pin the
     inside, and the block-ratio points of `_ratio_points` pin the lines
-    through it on which a lattice has no point.  Sparser sets twice let a
-    wrong role assignment through: it decoded at every point of the set yet
-    failed elsewhere in the interior.
+    through it on which a lattice has no point.  Lattice and ratio points
+    come last, up to minimal N = _GRID_N_CAP, cheapest first so unfit
+    candidates fail fast.  Sparser sets twice let a wrong role assignment
+    through: it decoded at every point of the set yet failed elsewhere in the
+    interior.
     """
     verts = region.vertices
     mids = [((u[0] + v[0]) / 2, (u[1] + v[1]) / 2) for u, v in combinations(verts, 2)]
@@ -394,7 +403,7 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
         if not degenerate_channel_point(region.anchor_alpha + e, region.anchor_beta + d)
     ]
     points.append(interior_sample(region))
-    points = list(dict.fromkeys(points))  # Ed's interior sample is also a midpoint
+    points = list(dict.fromkeys(points))  # a sample or a midpoint can repeat a point
     seen = set(points)
     lattice = []
     grid = (p for den in _GRID_DENOMINATORS for p in _interior_lattice(region, den))
@@ -402,44 +411,27 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
         if n <= _GRID_N_CAP and (eps, delta) not in seen:
             seen.add((eps, delta))
             lattice.append((n, eps, delta))
-    # Cheap instances first so unfit candidates fail fast.
     points.extend((e, d) for _, e, d in sorted(lattice))
     return points
 
 
-_SAMPLE_DENOMINATORS = (*range(2, 37), 40, 42, 45, 48, 60)
-
-
 def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
-    """Deterministic strictly-interior rational point with a small minimal N.
-
-    Scans the lattices of _SAMPLE_DENOMINATORS in order, keeping the point
-    that minimizes (minimal N, denominator, eps, delta), and stops after the
-    first denominator at which the best point so far has N <= 12.  So it does
-    not return the interior point of least minimal N: Aa's sample (-1/2, 1/4)
-    has N = 8, although (-3/5, 1/5) is strictly inside with N = 5.  Its output
-    stays as it is for now, because the `interior` entries of layouts.json
-    and the benchmark's simulate cases are built from it.
-    """
-    best: tuple[int, int, Rat, Rat] | None = None
-    for den in _SAMPLE_DENOMINATORS:
-        for n, eps, delta in _interior_lattice(region, den):
-            key = (n, den, eps, delta)
-            if best is None or key < best:
-                best = key
-        if best is not None and best[0] <= 12:
-            break
-    if best is None:
-        raise NoValidLayoutError(f"region {region.id}: no small interior sample found")
-    return best[2], best[3]
+    """(eps, delta) of the strictly interior point of least minimal N, then
+    least alpha, then least beta: the first point of `_interior_weights`.
+    Raises NoValidLayoutError when no interior point has N <= _GRID_N_CAP.
+    The pinned points of `load_frozen_interiors` may differ."""
+    w = next(_interior_weights(region), None)
+    if w is None:
+        raise NoValidLayoutError(f"region {region.id}: no interior point with N <= {_GRID_N_CAP}")
+    return _offset(region, w)
 
 
 def _ratio_points(region: RegionSpec) -> Iterator[tuple[int, Rat, Rat]]:
     """(minimal N, eps, delta), per ordered pair of blocks and ratio r in
-    _BLOCK_RATIOS, of the strictly interior point with the least minimal N
-    (at most _GRID_N_CAP) at which the first block has r times the second's
-    pipes.  Such points lie on lines that a lattice can miss: the Ee layout
-    frozen before they were added failed on them and nowhere else."""
+    _BLOCK_RATIOS, of the first point of `_interior_weights` on the line where
+    the first block has r times the second's pipes.  Such lines can miss a
+    lattice: the Ee layout frozen before they were added failed on them and
+    nowhere else."""
     lines = set()
     for len_i, len_j in permutations(region.form.values[2:], 2):
         for r in _BLOCK_RATIOS:
@@ -452,36 +444,37 @@ def _ratio_points(region: RegionSpec) -> Iterator[tuple[int, Rat, Rat]]:
             if line in lines or min(values) >= 0 or max(values) <= 0:
                 continue  # seen before, or it misses the open region
             lines.add(line)
-            w = _least_point_on(region, line)
+            w = next(_interior_weights(region, line), None)
             if w is not None:
-                n, a, b = w
-                yield n, Fraction(a, n) - region.anchor_alpha, Fraction(b, n) - region.anchor_beta
+                yield (w[0], *_offset(region, w))
 
 
-def _least_point_on(region: RegionSpec, line: tuple[int, int, int]) -> tuple[int, int, int] | None:
-    """Weights (N, A, B) of the strictly interior point (A/N, B/N) on the line
-    c0*N + c1*A + c2*B = 0 with the least minimal N (at most _GRID_N_CAP), then
-    the least A.  Each N solves the line in integers across the bounding box
-    instead of scanning denominators."""
-    c0, c1, c2 = line
+def _offset(region: RegionSpec, w: Weights) -> tuple[Rat, Rat]:
+    return Fraction(w[1], w[0]) - region.anchor_alpha, Fraction(w[2], w[0]) - region.anchor_beta
+
+
+def _interior_weights(
+    region: RegionSpec, line: tuple[int, int, int] | None = None
+) -> Iterator[Weights]:
+    """Weights (N, A, B) of every strictly interior point (A/N, B/N) whose
+    minimal N is N, for N = 1 ... _GRID_N_CAP, in (N, A, B) order.  A line c
+    keeps only the points where the integer v = c0*N + c1*A + c2*B is 0, so
+    it adds two bounds to each column: v + 1 > 0 and 1 - v > 0."""
     lo_e, hi_e, lo_d, hi_d = region.box
     a_lo, a_hi = region.anchor_alpha + lo_e, region.anchor_alpha + hi_e
     b_lo, b_hi = region.anchor_beta + lo_d, region.anchor_beta + hi_d
     for n in range(1, _GRID_N_CAP + 1):
-        if c2:  # B from each A
-            on_line = (
-                (n, a, -(c0 * n + c1 * a) // c2)
-                for a in _multiples(a_lo, a_hi, n)
-                if (c0 * n + c1 * a) % c2 == 0
-            )
-        elif c0 * n % c1 == 0:  # the line alpha = -c0 / c1
-            on_line = ((n, -c0 * n // c1, b) for b in _multiples(b_lo, b_hi, n))
-        else:
-            continue
-        for w in on_line:
-            if region.form.interior(w) and n % region.form.minimal_n(w) == 0:
-                return w
-    return None
+        for a in _multiples(a_lo, a_hi, n):
+            bounds = []
+            if line is not None:
+                t = line[0] * n + line[1] * a  # v = t + c2*B
+                if line[2] and t % line[2]:
+                    continue  # no integer B has v = 0
+                bounds = [(t + 1, line[2]), (1 - t, -line[2])]
+            bounds += [(k * n + sa * a, sb) for k, sa, sb, _ in region.form.sides]
+            for b in _interior_rows(bounds, _multiples(b_lo, b_hi, n)):
+                if region.form.minimal_n((n, a, b)) == n:
+                    yield n, a, b
 
 
 def _multiples(lo: Rat, hi: Rat, n: int) -> range:
@@ -491,29 +484,31 @@ def _multiples(lo: Rat, hi: Rat, n: int) -> range:
 
 def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, Rat]]:
     """(minimal N, eps, delta) of every strictly interior point of the region
-    on the lattice (i/den, j/den) of its bounding box, in (eps, delta) order.
-
-    In column i a side's value is c + d*j, so each side bounds j from one
-    side (or, with d = 0, keeps or empties the column); the interior of the
-    column is the j between the tightest bounds, found by floor division."""
+    on the lattice (i/den, j/den) of its bounding box, in (eps, delta) order."""
     lo_e, hi_e, lo_d, hi_d = region.box
     a0, a1, a2 = point_weights(region.anchor_alpha, region.anchor_beta)
     w0, w2 = a0 * den, a2 * den  # w = anchor + (i, j)/den = (w0, w1, w2 + a0*j)
-    for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
+    for i in _multiples(lo_e, hi_e, den):
         w1 = a1 * den + a0 * i
-        j_lo, j_hi = math.ceil(lo_d * den), math.floor(hi_d * den)
-        for k, a, b, _ in region.form.sides:
-            c, d = k * w0 + a * w1 + b * w2, b * a0  # c + d*j > 0
-            if d > 0:
-                j_lo = max(j_lo, -c // d + 1)
-            elif d < 0:
-                j_hi = min(j_hi, (c - 1) // -d)
-            elif c <= 0:
-                break
-        else:
-            for j in range(j_lo, j_hi + 1):
-                w = (w0, w1, w2 + a0 * j)
-                yield region.form.minimal_n(w), Fraction(i, den), Fraction(j, den)
+        bounds = [(k * w0 + a * w1 + b * w2, b * a0) for k, a, b, _ in region.form.sides]
+        for j in _interior_rows(bounds, _multiples(lo_d, hi_d, den)):
+            yield region.form.minimal_n((w0, w1, w2 + a0 * j)), Fraction(i, den), Fraction(j, den)
+
+
+def _interior_rows(bounds: list[tuple[int, int]], rows: range) -> range:
+    """The j of `rows` with c + d*j > 0 for every (c, d) of `bounds`, the
+    values of a column's sides at row j.  Each pair bounds j from one side
+    (or, with d = 0, keeps or empties the column), so the column's interior
+    is the j between the tightest bounds, found by floor division."""
+    lo, hi = rows.start, rows.stop - 1
+    for c, d in bounds:
+        if d > 0:
+            lo = max(lo, -c // d + 1)
+        elif d < 0:
+            hi = min(hi, (c - 1) // -d)
+        elif c <= 0:
+            return range(0)
+    return range(lo, hi + 1)
 
 
 def rank_assignments(layout: Layout, points: list[CheckPoint]) -> list[AssignmentMatrix] | None:
@@ -595,15 +590,14 @@ def load_frozen_layouts(table: Iterable[RegionSpec]) -> dict[str, Layout]:
 
 
 def load_frozen_interiors() -> dict[str, tuple[Rat, Rat]]:
-    """Frozen interior sample point per region id."""
-    out = {}
-    for entry in _read_frozen():
-        if "interior" in entry:
-            out[entry["region"]] = (
-                Fraction(entry["interior"][0]),
-                Fraction(entry["interior"][1]),
-            )
-    return out
+    """Pinned interior probe point per region id: the `interior` entries of
+    layouts.json, which tools/freeze_layouts.py carries over (a new region gets
+    its `interior_sample`), so the cases built on them stay put."""
+    return {
+        entry["region"]: (Fraction(entry["interior"][0]), Fraction(entry["interior"][1]))
+        for entry in _read_frozen()
+        if "interior" in entry
+    }
 
 
 @cache

@@ -376,6 +376,26 @@ class TestTableOverride:
         assert payload["passed"] is False
         assert [case["passed"] for case in payload["detail"]] == [True, True, False]
 
+    def test_region_without_a_small_interior_point_is_usage_error(self, capsys, tmp_path):
+        # The sliver 0 < delta < eps/500, eps < 1/2 has no interior point with
+        # N <= 120, so no validation point set and no layout can be derived.
+        row = {
+            "id": "Zz",
+            "anchor": ["3/2", "1/2"],
+            "constraints": [
+                {"expr": ["0", "0", "1"], "strict": True},
+                {"expr": ["0", "1", "-500"], "strict": True},
+                {"expr": ["1/2", "-1", "0"], "strict": True},
+            ],
+            "dsym": ["1/2", "0", "0"],
+            "blocks": [["1", "0", "0"]],
+        }
+        path = tmp_path / "sliver.json"
+        path.write_text(json.dumps([row]))
+        code, out = run(capsys, "--table", str(path), "verify", "--suite", "oracle")
+        assert code == 2
+        assert json.loads(out) == {"error": "region Zz: no interior point with N <= 120"}
+
     def test_missing_table_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
         code, out = run(

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import functools
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from detic import scheme
 from detic.exactmath import Affine2
 from detic.gf2 import DimensionMismatchError, NotBinaryError
-from detic.regions import point_weights
+from detic.regions import load_region_table, point_weights
 from detic.scheme import (
     SINGLE,
     TWIN_FIRST,
@@ -23,11 +24,13 @@ from detic.scheme import (
     OutsideRegionError,
     PipeCountError,
     _interior_lattice,
+    _ratio_points,
     build_assignment,
     check_points,
     check_validity,
     infer_roles,
     instantiate,
+    interior_sample,
     layout_for,
     layout_from_json_dict,
     load_frozen_interiors,
@@ -234,6 +237,27 @@ class TestEncode:
 
 
 class TestCheckPoints:
+    def test_negative_block_at_a_validation_point_is_refused(self, tmp_path):
+        # The block 1/4 - eps is -1/4 at the vertex (1/2, 0) of this square.
+        row = {
+            "id": "Zz",
+            "anchor": ["3/2", "1/4"],
+            "constraints": [
+                {"expr": ["0", "1", "0"], "strict": False},
+                {"expr": ["0", "0", "1"], "strict": False},
+                {"expr": ["1/2", "-1", "0"], "strict": False},
+                {"expr": ["1/2", "0", "-1"], "strict": False},
+            ],
+            "dsym": ["1/4", "-1", "0"],
+            "blocks": [["1/4", "-1", "0"], ["3/4", "1", "0"]],
+        }
+        path = tmp_path / "negative_block.json"
+        path.write_text(json.dumps([row]))
+        (spec,) = load_region_table(path)
+        assert (F(1, 2), F(0)) in validation_points(spec)
+        with pytest.raises(OutsideRegionError, match=r"negative at \(2/1, 1/4\)"):
+            check_points(spec)
+
     def test_assignment_matches_build_assignment(self, table, frozen_layouts):
         for spec in table:
             layout = frozen_layouts[spec.id]
@@ -282,8 +306,8 @@ class TestValidationPoints:
                 assert alpha != 1 and beta != 1, spec.id
 
     def test_points_are_distinct(self, table):
-        # Ed's interior sample (-1/6, 0) is also the midpoint of two of its
-        # vertices; a repeated point only repeats a rank test and a compile.
+        # Ed's old interior sample (-1/6, 0) was also the midpoint of two of
+        # its vertices; a repeated point only repeats a rank test and a compile.
         for spec in table:
             points = validation_points(spec)
             assert len(set(points)) == len(points), spec.id
@@ -307,21 +331,38 @@ class TestValidationPoints:
         # The reference tests every point of the bounding box against every
         # side; the scan solves each column for its interior rows instead.
         for spec in table:
-            lo_e, hi_e, lo_d, hi_d = spec.box
-            a0, a1, a2 = point_weights(spec.anchor_alpha, spec.anchor_beta)
-            for den in scheme._SAMPLE_DENOMINATORS:
-                box = (
-                    (i, j)
-                    for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1)
-                    for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1)
-                )
-                weights = (((a0 * den, a1 * den + a0 * i, a2 * den + a0 * j), i, j) for i, j in box)
-                want = [
-                    (spec.form.minimal_n(w), F(i, den), F(j, den))
-                    for w, i, j in weights
-                    if spec.form.interior(w)
-                ]
+            for den in range(1, 61):
+                want = _per_point_lattice(spec, den)
                 assert list(_interior_lattice(spec, den)) == want, (spec.id, den)
+
+    def test_interior_sample_is_least_n(self, table):
+        # No interior point of offset denominator <= 60 has a smaller minimal
+        # N, or the same N and a smaller (alpha, beta); the scan finds the
+        # sample itself unless its offsets need a larger denominator.
+        for spec in table:
+            eps, delta = interior_sample(spec)
+            w = point_weights(spec.anchor_alpha + eps, spec.anchor_beta + delta)
+            assert spec.form.interior(w), spec.id
+            got = (minimal_n(spec, eps, delta), eps, delta)
+            best = min(p for den in range(1, 61) for p in _per_point_lattice(spec, den))
+            assert got <= best, (spec.id, got, best)
+            assert got == best or max(eps.denominator, delta.denominator) > 60, spec.id
+
+    def test_ratio_points_are_least_n_on_their_lines(self, table):
+        for spec in table:
+            lines = set()
+            for len_i, len_j in itertools.permutations(spec.form.values[2:], 2):
+                for r in (1, 3):
+                    c = [x - r * y for x, y in zip(len_i, len_j)]
+                    g = math.gcd(*c)
+                    if g:  # one line per pair of opposite normals
+                        lines.add(max(tuple(x // g for x in c), tuple(-x // g for x in c)))
+            want = set()
+            for line in lines:
+                if (w := _least_point_on(spec, line)) is not None:
+                    n, a, b = w
+                    want.add((n, F(a, n) - spec.anchor_alpha, F(b, n) - spec.anchor_beta))
+            assert set(_ratio_points(spec)) == want, spec.id
 
     def test_ratio_points_lie_on_block_ratio_lines(self, table):
         from detic.exactmath import affine_eval
@@ -349,3 +390,44 @@ class TestValidationPoints:
             eps, delta = frozen_interiors[spec.id]
             for h in spec.polygon.halfplanes:
                 assert affine_eval(h.expr, eps, delta) > 0, spec.id
+
+
+@functools.cache
+def _per_point_lattice(spec, den):
+    """(minimal N, eps, delta) of every strictly interior point (i/den, j/den)
+    of the bounding box, each point tested against every side."""
+    lo_e, hi_e, lo_d, hi_d = spec.box
+    a0, a1, a2 = point_weights(spec.anchor_alpha, spec.anchor_beta)
+    box = (
+        (i, j)
+        for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1)
+        for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1)
+    )
+    weights = (((a0 * den, a1 * den + a0 * i, a2 * den + a0 * j), i, j) for i, j in box)
+    return [
+        (spec.form.minimal_n(w), F(i, den), F(j, den))
+        for w, i, j in weights
+        if spec.form.interior(w)
+    ]
+
+
+def _least_point_on(spec, line):
+    """Weights (N, A, B) of the strictly interior point (A/N, B/N) on the line
+    c0*N + c1*A + c2*B = 0 with the least minimal N (at most 120), then the
+    least A, each candidate tested against every side."""
+    c0, c1, c2 = line
+    lo_e, hi_e, lo_d, hi_d = spec.box
+    a_lo, a_hi = spec.anchor_alpha + lo_e, spec.anchor_alpha + hi_e
+    b_lo, b_hi = spec.anchor_beta + lo_d, spec.anchor_beta + hi_d
+    for n in range(1, 121):
+        b_range = range(math.ceil(b_lo * n), math.floor(b_hi * n) + 1)
+        for a in range(math.ceil(a_lo * n), math.floor(a_hi * n) + 1):
+            if c2:  # the line's one B in this column, if it is an integer
+                bs = [-(c0 * n + c1 * a) // c2] if (c0 * n + c1 * a) % c2 == 0 else []
+            else:
+                bs = b_range if c0 * n + c1 * a == 0 else []
+            for b in bs:
+                w = (n, a, b)
+                if spec.form.interior(w) and spec.form.minimal_n(w) == n:
+                    return w
+    return None

@@ -8,7 +8,14 @@ every layout reproduces it.
     PYTHONPATH=src python tools/freeze_layouts.py --check  # compare only
 
 With --check nothing is written, and the exit code is 1 when the re-derived
-file differs from the checked-in one in any byte.
+file differs from the checked-in one in any byte; the message names the first
+region and field that differ.
+
+Each entry's `interior` is a pinned probe point, not re-derived: a region
+that already has one keeps it, and only a new region gets its
+`scheme.interior_sample`.  The benchmark's simulate cases and the frozen
+interiors pinned by tests/data/peel_programs.json are built from these
+points, so moving one would move them.
 """
 
 from __future__ import annotations
@@ -20,22 +27,42 @@ from pathlib import Path
 
 from detic.exactmath import format_rat
 from detic.regions import load_region_table
-from detic.scheme import infer_roles, interior_sample
+from detic.scheme import infer_roles, interior_sample, load_frozen_interiors
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "detic" / "data" / "layouts.json"
 
 
 def derive() -> str:
     """The layouts.json text re-derived from the built-in region catalog."""
+    pinned = load_frozen_interiors()
     entries = []
     for spec in load_region_table():
         layout = infer_roles(spec)
-        eps, delta = interior_sample(spec)
+        eps, delta = pinned.get(spec.id) or interior_sample(spec)
         entry = layout.to_json_dict()
         entry["interior"] = [format_rat(eps), format_rat(delta)]
         entries.append(entry)
         print(f"{spec.id}: {[r.to_string() for _, r in layout.blocks]}")
     return json.dumps(entries, indent=2) + "\n"
+
+
+def first_difference(old: str, new: str) -> str:
+    """Where the checked-in text `old` first differs from the re-derived `new`:
+    the first region and field, else the entry count, else the formatting."""
+    try:
+        old_entries = json.loads(old)
+    except json.JSONDecodeError as exc:
+        return f"the checked-in file is not valid JSON ({exc})"
+    new_entries = json.loads(new)
+    for i, (was, now) in enumerate(zip(old_entries, new_entries)):
+        if not isinstance(was, dict):
+            return f"entry {i} is not a JSON object"
+        for key in dict.fromkeys([*now, *was]):
+            if was.get(key) != now.get(key):
+                return f"region {now.get('region', i)}: field {key!r} differs"
+    if len(old_entries) != len(new_entries):
+        return f"{len(old_entries)} entries checked in, {len(new_entries)} re-derived"
+    return "same entries, different formatting"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     text = derive()
     if args.check:
         if OUT.read_bytes() != text.encode():
-            print(f"{OUT} differs from the re-derived layouts", file=sys.stderr)
+            where = first_difference(OUT.read_text(), text)
+            print(f"{OUT} differs from the re-derived layouts: {where}", file=sys.stderr)
             return 1
         print(f"{OUT} matches the re-derived layouts")
         return 0
