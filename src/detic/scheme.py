@@ -459,20 +459,21 @@ def _interior_weights(
     """Weights (N, A, B) of every strictly interior point (A/N, B/N) whose
     minimal N is N, for N = 1 ... _GRID_N_CAP, in (N, A, B) order.  A line c
     keeps only the points where the integer v = c0*N + c1*A + c2*B is 0, so
-    it adds two bounds to each column: v + 1 > 0 and 1 - v > 0."""
+    it adds two bounds to each column: v + 1 > 0 and 1 - v > 0.  With no
+    line, v is 0 everywhere."""
+    c0, c1, c2 = line or (0, 0, 0)
     lo_e, hi_e, lo_d, hi_d = region.box
     a_lo, a_hi = region.anchor_alpha + lo_e, region.anchor_alpha + hi_e
     b_lo, b_hi = region.anchor_beta + lo_d, region.anchor_beta + hi_d
     for n in range(1, _GRID_N_CAP + 1):
+        rows = _multiples(b_lo, b_hi, n)
         for a in _multiples(a_lo, a_hi, n):
-            bounds = []
-            if line is not None:
-                t = line[0] * n + line[1] * a  # v = t + c2*B
-                if line[2] and t % line[2]:
-                    continue  # no integer B has v = 0
-                bounds = [(t + 1, line[2]), (1 - t, -line[2])]
+            t = c0 * n + c1 * a  # v = t + c2*B
+            if c2 and t % c2:
+                continue  # no integer B has v = 0
+            bounds = [(t + 1, c2), (1 - t, -c2)]
             bounds += [(k * n + sa * a, sb) for k, sa, sb, _ in region.form.sides]
-            for b in _interior_rows(bounds, _multiples(b_lo, b_hi, n)):
+            for b in _interior_rows(bounds, rows):
                 if region.form.minimal_n((n, a, b)) == n:
                     yield n, a, b
 
