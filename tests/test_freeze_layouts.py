@@ -26,6 +26,7 @@ def test_check_reports_difference_and_writes_nothing(freeze, monkeypatch, tmp_pa
     monkeypatch.setattr(freeze, "OUT", stale)
     monkeypatch.setattr(freeze, "derive", lambda: "[]\n")
     assert freeze.main(["--check"]) == 1
+    assert capsys.readouterr().err.strip().endswith("same entries, different formatting")
     assert stale.read_bytes() == content
 
 

@@ -49,17 +49,11 @@ def derive() -> str:
 def first_difference(old: str, new: str) -> str:
     """Where the checked-in text `old` first differs from the re-derived `new`:
     the first region and field, else the entry count, else the formatting."""
-    try:
-        old_entries = json.loads(old)
-    except json.JSONDecodeError as exc:
-        return f"the checked-in file is not valid JSON ({exc})"
-    new_entries = json.loads(new)
-    for i, (was, now) in enumerate(zip(old_entries, new_entries)):
-        if not isinstance(was, dict):
-            return f"entry {i} is not a JSON object"
+    old_entries, new_entries = json.loads(old), json.loads(new)
+    for was, now in zip(old_entries, new_entries):
         for key in dict.fromkeys([*now, *was]):
             if was.get(key) != now.get(key):
-                return f"region {now.get('region', i)}: field {key!r} differs"
+                return f"region {now['region']}: field {key!r} differs"
     if len(old_entries) != len(new_entries):
         return f"{len(old_entries)} entries checked in, {len(new_entries)} re-derived"
     return "same entries, different formatting"
