@@ -1,6 +1,7 @@
 """Command-line front door: classify, plan, simulate, verify, atlas, render.
 
-Exit codes: 0 success, 1 check failure, 2 usage/input error.  Parameters are
+Exit codes: 0 success, 1 check failure, 2 usage/input error; `main` alone
+turns a raised refusal into one JSON error and its exit code.  Parameters are
 exact rationals ("8/5"); *-decimal variants accept terminating decimals.
 Payloads go to standard output as JSON, CSV, or SVG.  `plan`, `simulate` and
 `render` refuse N > MAX_N, `simulate` also runs beyond its size budget
@@ -65,16 +66,23 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class UsageError(ValueError):
-    pass
+    """A refusal: `main` prints {"error": message, **fields} and exits with `code`."""
+
+    code = EXIT_USAGE
+
+    def __init__(self, message: str, **fields):
+        super().__init__(message)
+        self.fields = fields
+
+
+class UncoveredPointError(UsageError):
+    """No region of the catalog covers the point: a failed check, not bad input."""
+
+    code = EXIT_CHECK
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
-
-
-def _fail(code: int, message: str, **extra) -> int:
-    _emit({"error": message, **extra})
-    return code
 
 
 def _parse_decimal(text: str) -> Fraction:
@@ -137,8 +145,7 @@ def _classify_payload(res: reg.ClassifyResult) -> dict:
     return payload
 
 
-def cmd_classify(args) -> int:
-    table = _load_table(args)
+def cmd_classify(args, table) -> int:
     alpha, beta = _parse_point(args)
     res = reg.classify(alpha, beta, table)
     _emit(_classify_payload(res))
@@ -151,8 +158,8 @@ def _plan(args, table):
     alpha, beta = _parse_point(args)
     res = reg.classify(alpha, beta, table)
     if not res.covered:
-        return None, _fail(EXIT_CHECK, "point is not covered by the region catalog",
-                           alpha=format_rat(alpha), beta=format_rat(beta))
+        raise UncoveredPointError("point is not covered by the region catalog",
+                                  alpha=format_rat(alpha), beta=format_rat(beta))
     need = minimal_n(res.region, res.eps, res.delta)
     n = args.n if args.n is not None else need
     if n > MAX_N:
@@ -161,16 +168,12 @@ def _plan(args, table):
     try:
         assign = build_assignment(layout, res.region, alpha, beta, n)
     except NonIntegralBlocksError as exc:
-        return None, _fail(EXIT_USAGE, str(exc), minimalN=exc.minimal_n)
-    return (res, layout, assign, need), None
+        raise UsageError(str(exc), minimalN=exc.minimal_n) from None
+    return res, layout, assign, need
 
 
-def cmd_plan(args) -> int:
-    table = _load_table(args)
-    planned, err = _plan(args, table)
-    if err is not None:
-        return err
-    res, layout, assign, need = planned
+def cmd_plan(args, table) -> int:
+    res, layout, assign, need = _plan(args, table)
     counts = [seg.count for seg in assign.segments]
     _emit(
         {
@@ -196,12 +199,8 @@ def _check_simulate_size(n: int, k: int, trials: int) -> None:
             raise UsageError(f"{name} = {value} exceeds the simulate budget {name} <= {limit}")
 
 
-def cmd_simulate(args) -> int:
-    table = _load_table(args)
-    planned, err = _plan(args, table)
-    if err is not None:
-        return err
-    res, layout, assign, _ = planned
+def cmd_simulate(args, table) -> int:
+    res, _, assign, _ = _plan(args, table)
     _check_simulate_size(assign.n, args.k, args.trials)
     ch = make_channel(args.k, assign.n, res.alpha, res.beta)
     rng = np.random.default_rng(args.seed)
@@ -317,23 +316,23 @@ def _verify_search(table) -> tuple[bool, dict]:
     return ok, {"detail": detail}
 
 
-def cmd_verify(args) -> int:
-    table = _load_table(args)
-    suites = {
-        "table": _verify_table,
-        "boundaries": _verify_boundaries,
-        "oracle": _verify_oracle,
-        "search": _verify_search,
-    }
-    ok, detail = suites[args.suite](table)
+_SUITES = {
+    "table": _verify_table,
+    "boundaries": _verify_boundaries,
+    "oracle": _verify_oracle,
+    "search": _verify_search,
+}
+
+
+def cmd_verify(args, table) -> int:
+    ok, detail = _SUITES[args.suite](table)
     _emit({"suite": args.suite, "passed": ok, **detail})
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def cmd_atlas(args) -> int:
-    table = _load_table(args)
+def cmd_atlas(args, table) -> int:
     if not 2 <= args.grid <= ATLAS_MAX_GRID:
-        return _fail(EXIT_USAGE, f"grid must be in 2..{ATLAS_MAX_GRID}, got {args.grid}")
+        raise UsageError(f"grid must be in 2..{ATLAS_MAX_GRID}, got {args.grid}")
     rows = reg.atlas_rows(args.grid, table)
     if args.format == "csv":
         sys.stdout.write(atlas_csv(rows))
@@ -342,20 +341,15 @@ def cmd_atlas(args) -> int:
     return EXIT_OK
 
 
-def cmd_render(args) -> int:
-    table = _load_table(args)
-    planned, err = _plan(args, table)
-    if err is not None:
-        return err
-    res, layout, assign, _ = planned
+def cmd_render(args, table) -> int:
+    res, _, assign, _ = _plan(args, table)
     ch = make_channel(args.k, assign.n, res.alpha, res.beta)
     view = receiver_view(assign, ch, args.receiver)
-    _, trace = peel_structure(view)
     title = (
         f"region {res.region.id} at ({format_rat(res.alpha)}, {format_rat(res.beta)}), "
         f"N = {assign.n}, receiver {args.receiver}"
     )
-    print(render_scheme(view, trace, title))
+    print(render_scheme(view, title))
     return EXIT_OK
 
 
@@ -402,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=["table", "boundaries", "oracle", "search"], required=True)
+    p.add_argument("--suite", choices=_SUITES, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("atlas", help="classify a rational grid over the square")
@@ -425,9 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        return args.func(args, _load_table(args))
+    except UsageError as exc:
+        code, payload = exc.code, {"error": str(exc), **exc.fields}
+    except ValueError as exc:  # a typed refusal of the library: bad input
+        code, payload = EXIT_USAGE, {"error": str(exc)}
+    _emit(payload)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ to diff and post-process.
 from __future__ import annotations
 
 from .channel import DIRECT, V_PATH, W_PATH
-from .decode import DecodeTrace, ReceiverView
+from .decode import ReceiverView
 from .scheme import TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
 
 _SYMBOL_FILLS = [
@@ -69,31 +69,28 @@ def _transmit_elems(assign: AssignmentMatrix, x0: float, y0: float, scale: float
     return body
 
 
-def render_scheme(
-    view: ReceiverView, trace: DecodeTrace | None = None, title: str = ""
-) -> str:
+def render_scheme(view: ReceiverView, title: str) -> str:
     """One document: the transmit stack plus the three receiver path columns.
 
     All four columns share the receive-level axis; the transmit stack is drawn
     at its direct-path position, data hatched by symbol color, zero blocks
-    gray, and twin copies tagged + / *.  Decode step numbers from the trace
-    annotate each placed block.
+    gray, and twin copies tagged + / *.  Decode step numbers from the view's
+    peeling trace annotate each placed block.
     """
     ch = view.params
     assign = view.assign
     scale = max(3.0, 300.0 / (2 * ch.n))
     col_w, gap, x0, y0 = 90.0, 40.0, 200.0, 60.0
     cols = {DIRECT: 0, V_PATH: 1, W_PATH: 2}
-    body = [_text(10, 18, title or f"receiver {view.receiver}")]
+    body = [_text(10, 18, title)]
     body.append(_text(60, y0 - 10, "X (sent)"))
     body += _transmit_elems(assign, 60.0, y0 + ch.n * scale, scale)
     for path, idx in cols.items():
         body.append(_text(x0 + idx * (col_w + gap), y0 - 10, _PATH_TITLES[path]))
 
     step_of_symbol: dict[tuple[int, int], int] = {}
-    if trace is not None:
-        for k, step in enumerate(trace.steps, start=1):
-            step_of_symbol.setdefault((step.sender, step.symbol_id), k)
+    for k, step in enumerate(view.program.trace.steps, start=1):
+        step_of_symbol.setdefault((step.sender, step.symbol_id), k)
 
     for b in view.blocks:
         x = x0 + cols[b.path] * (col_w + gap)
