@@ -24,7 +24,7 @@ best count so far, and stops once a labeling reaches the converse bound.
 from __future__ import annotations
 
 from .channel import ChannelParams, paths
-from .gf2 import pivot_bits
+from .gf2 import DimensionMismatchError, pivot_bits
 from .regions import converse_bound
 from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
 
@@ -51,9 +51,10 @@ def _decodes(rows: list[int], n: int, m: int) -> bool:
 
 
 def rank_decodable(ch: ChannelParams, assign: AssignmentMatrix) -> bool:
-    """Exact decodability of the receiver's own bits under any linear decoder."""
+    """Exact decodability of the receiver's own bits under any linear decoder.
+    Raises DimensionMismatchError unless the assignment's N is the channel's."""
     if assign.n != ch.n:
-        raise ValueError(f"assignment N = {assign.n} != channel N = {ch.n}")
+        raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
     rows = [0] * (2 * ch.n)
     for i, (_, _, base, count) in enumerate(paths(ch, 1)):
         for p, j in enumerate(assign.pipe_to_bit[:count]):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from detic.channel import make_channel
 from detic.decode import peel_structure, receiver_view
+from detic.gf2 import DimensionMismatchError
 from detic.oracle import (
     SearchBudgetError,
     assignment_from_labels,
@@ -76,6 +77,12 @@ class TestRankDecodable:
         ch = make_channel(3, 2, F(3, 2), F(1, 2))
         assign = assignment_from_labels((None, None))
         assert rank_decodable(ch, assign)
+
+    def test_assignment_of_another_n_is_refused(self):
+        ch = make_channel(3, 3, F(4, 3), F(2, 3))
+        assign = assignment_from_labels((0, 1))
+        with pytest.raises(DimensionMismatchError, match="assignment N = 2 != channel N = 3"):
+            rank_decodable(ch, assign)
 
 
 class TestExhaustiveSearch:
