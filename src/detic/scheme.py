@@ -386,7 +386,9 @@ _BLOCK_RATIOS = (1, 3)
 def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     """Non-degenerate decodability checkpoints covering the whole region, each once.
 
-    Closure vertices and edge midpoints pin the boundary; the interior sample
+    Closure vertices and the midpoint of every pair of them (a quadrilateral
+    such as Bb, Eb or Ed gets 6: 4 on edges, 2 on diagonals) pin the
+    boundary; the interior sample
     and the interior points of the denominator-12 and -20 lattices pin the
     inside, and the block-ratio points of `_ratio_points` pin the lines
     through it on which a lattice has no point.  Lattice and ratio points
@@ -397,22 +399,16 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     """
     verts = region.vertices
     mids = [((u[0] + v[0]) / 2, (u[1] + v[1]) / 2) for u, v in combinations(verts, 2)]
-    points = [
+    boundary = [
         (e, d)
         for e, d in chain(verts, mids)  # all in the closure, which is convex
         if not degenerate_channel_point(region.anchor_alpha + e, region.anchor_beta + d)
     ]
-    points.append(interior_sample(region))
-    points = list(dict.fromkeys(points))  # a sample or a midpoint can repeat a point
-    seen = set(points)
-    lattice = []
     grid = (p for den in _GRID_DENOMINATORS for p in _interior_lattice(region, den))
-    for n, eps, delta in chain(grid, _ratio_points(region)):
-        if n <= _GRID_N_CAP and (eps, delta) not in seen:
-            seen.add((eps, delta))
-            lattice.append((n, eps, delta))
-    points.extend((e, d) for _, e, d in sorted(lattice))
-    return points
+    inner = sorted(p for p in chain(grid, _ratio_points(region)) if p[0] <= _GRID_N_CAP)
+    # A sample, midpoint, lattice or ratio point can repeat an earlier point.
+    points = chain(boundary, [interior_sample(region)], ((e, d) for _, e, d in inner))
+    return list(dict.fromkeys(points))
 
 
 def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
