@@ -386,29 +386,28 @@ _BLOCK_RATIOS = (1, 3)
 def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     """Non-degenerate decodability checkpoints covering the whole region, each once.
 
-    Closure vertices and the midpoint of every pair of them (a quadrilateral
-    such as Bb, Eb or Ed gets 6: 4 on edges, 2 on diagonals) pin the
-    boundary; the interior sample
-    and the interior points of the denominator-12 and -20 lattices pin the
-    inside, and the block-ratio points of `_ratio_points` pin the lines
-    through it on which a lattice has no point.  Lattice and ratio points
-    come last, up to minimal N = _GRID_N_CAP, cheapest first so unfit
-    candidates fail fast.  Sparser sets twice let a wrong role assignment
-    through: it decoded at every point of the set yet failed elsewhere in the
-    interior.
+    Closure vertices and the midpoint of every pair of them (in the
+    quadrilaterals Bb, Eb and Ed, 4 on edges and 2 on diagonals) pin the
+    boundary; the interior sample and the interior points of the
+    denominator-12 and -20 lattices pin the inside, and the block-ratio
+    points of `_ratio_points` pin the lines through it on which a lattice has
+    no point.  Lattice and ratio points come last, up to minimal N =
+    _GRID_N_CAP, cheapest first so unfit candidates fail fast.  Sparser sets
+    twice let a wrong role assignment through: it decoded at every point of
+    the set yet failed elsewhere in the interior.
     """
     verts = region.vertices
     mids = [((u[0] + v[0]) / 2, (u[1] + v[1]) / 2) for u, v in combinations(verts, 2)]
-    boundary = [
+    points = [
         (e, d)
         for e, d in chain(verts, mids)  # all in the closure, which is convex
         if not degenerate_channel_point(region.anchor_alpha + e, region.anchor_beta + d)
     ]
+    points.append(interior_sample(region))
     grid = (p for den in _GRID_DENOMINATORS for p in _interior_lattice(region, den))
     inner = sorted(p for p in chain(grid, _ratio_points(region)) if p[0] <= _GRID_N_CAP)
-    # A sample, midpoint, lattice or ratio point can repeat an earlier point.
-    points = chain(boundary, [interior_sample(region)], ((e, d) for _, e, d in inner))
-    return list(dict.fromkeys(points))
+    points += [(e, d) for _, e, d in inner]
+    return list(dict.fromkeys(points))  # any point can repeat an earlier one
 
 
 def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
