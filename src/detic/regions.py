@@ -36,6 +36,10 @@ def point_weights(alpha: Rat, beta: Rat) -> tuple[int, int, int]:
     return q * s, alpha.numerator * s, beta.numerator * q
 
 
+def _dot(f: tuple[int, int, int], w: tuple[int, int, int]) -> int:
+    return f[0] * w[0] + f[1] * w[1] + f[2] * w[2]
+
+
 @dataclass(frozen=True)
 class IntegerForm:
     """A region's half-planes, rate and values (alpha, beta, block lengths) in absolute
@@ -85,8 +89,7 @@ class IntegerForm:
         return all(k * w[0] + a * w[1] + b * w[2] > 0 for k, a, b, _ in self.sides)
 
     def rate_at(self, w: tuple[int, int, int]) -> Rat:
-        k, a, b = self.rate
-        return Fraction(k * w[0] + a * w[1] + b * w[2], self.den * w[0])
+        return Fraction(_dot(self.rate, w), self.den * w[0])
 
     def minimal_n(self, w: tuple[int, int, int]) -> int:
         """Least common denominator of alpha, beta and every block length."""
@@ -264,13 +267,20 @@ def converse_bound(alpha: Rat, beta: Rat) -> Rat:
     min(1, (alpha-beta)/2) when the two interference images do not overlap
     (alpha - beta >= 1), else min(1, 1 - (alpha-beta)/2).
     """
-    return _converse(point_weights(*check_square(alpha, beta)))
+    return Fraction(*_converse(point_weights(*check_square(alpha, beta))))
 
 
-def _converse(w: tuple[int, int, int]) -> Rat:
+def _converse(w: tuple[int, int, int]) -> tuple[int, int]:
+    """The converse bound at weights w as (numerator, denominator), not reduced."""
     gap = w[1] - w[2]  # (alpha - beta) * w0
     bound = gap if gap >= w[0] else 2 * w[0] - gap  # times 2 * w0
-    return Fraction(min(bound, 2 * w[0]), 2 * w[0])
+    return min(bound, 2 * w[0]), 2 * w[0]
+
+
+def _ratio(num: int, den: int) -> str:
+    """format_rat(Fraction(num, den)) for den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 @dataclass
@@ -310,11 +320,15 @@ def boundary_consistency(
         points += [(d, d + i, j) for i in range(d + 1) for j in range(d + 1)]
     report = ConsistencyReport(points_checked=len(points))
     for w in points:
-        matches = [(s.id, s.form.rate_at(w)) for s in table if s.form.contains(w, closure=True)]
+        matches = [s for s in table if s.form.contains(w, closure=True)]
         if len(matches) >= 2:
             report.multi_region_points += 1
-            if len({v for _, v in matches}) > 1:
-                report.violations.append((Fraction(w[1], w[0]), Fraction(w[2], w[0]), matches))
+            # Rate n / (den * w0) per match: equal rates have equal n * den' (w0 cancels).
+            rates = [(_dot(s.form.rate, w), s.form.den) for s in matches]
+            n0, d0 = rates[0]
+            if any(n * d0 != n0 * d for n, d in rates[1:]):
+                values = [(s.id, s.form.rate_at(w)) for s in matches]
+                report.violations.append((Fraction(w[1], w[0]), Fraction(w[2], w[0]), values))
     return report
 
 
@@ -322,26 +336,60 @@ def atlas_rows(grid: int, table: Iterable[RegionSpec] | None = None) -> list[dic
     """Classification of a grid x grid rational lattice over the square.
 
     Each row carries exact "p/q" strings; uncovered points use region "-"
-    and an empty rate field.
+    and an empty rate field.  Column i (alpha = 1 + i/g, g = grid - 1) has
+    weights (g, g + i, j), where each side is c + b*j: one `_interior_rows`
+    solve per region gives the j it holds, and each j goes to the first
+    region in printed order that holds it.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     table = load_region_table() if table is None else tuple(table)
     g = grid - 1
-    betas = [format_rat(Fraction(j, g)) for j in range(grid)]
+    betas = [_ratio(j, g) for j in range(grid)]
     rows = []
     for i in range(grid):
-        alpha = format_rat(Fraction(g + i, g))
-        for j, beta in enumerate(betas):
-            w = (g, g + i, j)  # (1 + i/g, j/g), inside the square by construction
-            spec = next((spec for spec in table if spec.form.contains(w)), None)
+        w1 = g + i
+        owner: list[RegionSpec | None] = [None] * grid
+        left = grid
+        for spec in table:
+            # Strict c + b*j > 0 as printed; non-strict c + b*j >= 0 is c + 1 + b*j > 0.
+            bounds = [(k * g + a * w1 + (not strict), b) for k, a, b, strict in spec.form.sides]
+            for j in _interior_rows(bounds, range(grid)):
+                if owner[j] is None:
+                    owner[j] = spec
+                    left -= 1
+            if not left:
+                break
+        alpha = _ratio(w1, g)
+        for j, spec in enumerate(owner):
+            if spec is None:
+                region, dsym = "-", ""
+            else:
+                k, a, b = spec.form.rate
+                region, dsym = spec.id, _ratio(k * g + a * w1 + b * j, spec.form.den * g)
             rows.append(
                 {
                     "alpha": alpha,
-                    "beta": beta,
-                    "region": "-" if spec is None else spec.id,
-                    "dsym": "" if spec is None else format_rat(spec.form.rate_at(w)),
-                    "converse": format_rat(_converse(w)),
+                    "beta": betas[j],
+                    "region": region,
+                    "dsym": dsym,
+                    "converse": _ratio(*_converse((g, w1, j))),
                 }
             )
     return rows
+
+
+def _interior_rows(bounds: list[tuple[int, int]], rows: range) -> range:
+    """The j of `rows` with c + d*j > 0 for every (c, d) of `bounds`, the
+    values of a column's sides at row j.  Each pair bounds j from one side
+    (or, with d = 0, keeps or empties the column), so the column's interior
+    is the j between the tightest bounds, found by floor division."""
+    lo, hi = rows.start, rows.stop - 1
+    for c, d in bounds:
+        if d > 0:
+            lo = max(lo, -c // d + 1)
+        elif d < 0:
+            hi = min(hi, (c - 1) // -d)
+        elif c <= 0:
+            return range(0)
+    return range(lo, hi + 1)

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ChannelParams, make_channel
 from .exactmath import Affine2, Rat, affine_eval, format_rat
 from .gf2 import DimensionMismatchError, to_bits
-from .regions import RegionSpec, point_weights
+from .regions import RegionSpec, _interior_rows, point_weights
 
 Weights = tuple[int, int, int]  # (w0, w1, w2) for the point (w1/w0, w2/w0)
 
@@ -489,22 +489,6 @@ def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, 
         bounds = [(k * w0 + a * w1 + b * w2, b * a0) for k, a, b, _ in region.form.sides]
         for j in _interior_rows(bounds, _multiples(lo_d, hi_d, den)):
             yield region.form.minimal_n((w0, w1, w2 + a0 * j)), Fraction(i, den), Fraction(j, den)
-
-
-def _interior_rows(bounds: list[tuple[int, int]], rows: range) -> range:
-    """The j of `rows` with c + d*j > 0 for every (c, d) of `bounds`, the
-    values of a column's sides at row j.  Each pair bounds j from one side
-    (or, with d = 0, keeps or empties the column), so the column's interior
-    is the j between the tightest bounds, found by floor division."""
-    lo, hi = rows.start, rows.stop - 1
-    for c, d in bounds:
-        if d > 0:
-            lo = max(lo, -c // d + 1)
-        elif d < 0:
-            hi = min(hi, (c - 1) // -d)
-        elif c <= 0:
-            return range(0)
-    return range(lo, hi + 1)
 
 
 def rank_assignments(layout: Layout, points: list[CheckPoint]) -> list[AssignmentMatrix] | None:
