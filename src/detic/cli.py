@@ -202,6 +202,8 @@ def _check_simulate_size(n: int, k: int, trials: int) -> None:
 def cmd_simulate(args, table) -> int:
     res, _, assign, _ = _plan(args, table)
     _check_simulate_size(assign.n, args.k, args.trials)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     ch = make_channel(args.k, assign.n, res.alpha, res.beta)
     rng = np.random.default_rng(args.seed)
     # The channel is cyclically symmetric, so receiver 1's view decodes every

@@ -238,6 +238,11 @@ class TestSimulate:
         assert (payload["failures"], payload["decodedReceivers"]) == (1, 2)
         assert payload["achievedRate"] == "0/1"
 
+    def test_negative_seed_is_refused_by_name(self, capsys):
+        code, out = run(capsys, "simulate", "--alpha", "8/5", "--beta", "9/10", "--seed", "-1")
+        assert code == 2
+        assert json.loads(out) == {"error": "--seed must be >= 0, got -1"}
+
     def test_too_few_pairs_is_usage_error(self, capsys):
         code, out = run(capsys, "simulate", "--alpha", "4/3", "--beta", "2/3", "--k", "2")
         assert code == 2
