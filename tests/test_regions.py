@@ -252,9 +252,6 @@ class TestBoundaryConsistency:
         assert report.multi_region_points > 0
         assert report.ok
 
-    def test_fine_grid_in_acceptance(self):
-        pass  # the 1/60 grid audit runs in the acceptance suite
-
 
 class TestAtlas:
     def test_grid_three(self, table):
