@@ -7,7 +7,10 @@ anchor offsets, as the catalog did before the integer forms.  A property test
 draws rational points in the square with denominators up to 120, plus every
 anchor, closure vertex and 1/60 grid point on a region edge as explicit
 examples.  A custom table whose common denominator exceeds 2**64 guards
-against any fixed-width shortcut.
+against any fixed-width shortcut.  `atlas_rows`, which classifies a whole
+lattice column per region at once, is checked row by row against the same
+per-point reference on drawn grids, with the table as printed, reversed,
+shuffled and with the huge denominator.
 """
 
 import json
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from detic.exactmath import affine_eval, format_rat, polygon_contains
 from detic.regions import (
+    atlas_rows,
     boundary_consistency,
     classify,
     converse_bound,
@@ -161,3 +165,39 @@ def test_common_denominator_beyond_64_bits(tmp_path):
     assert report.multi_region_points == len(multi)
     assert report.violations == [(a, b, m) for a, b, m in multi if len({v for _, v in m}) > 1]
     assert report.violations
+
+
+@pytest.fixture(scope="module", params=["printed", "reversed", "shuffled", "huge denominator"])
+def atlas_table(request, tmp_path_factory):
+    """The reversed and shuffled orders move which row wins a point on a shared edge."""
+    if request.param == "printed":
+        return TABLE
+    if request.param == "reversed":
+        return TABLE[::-1]
+    if request.param == "shuffled":
+        rows = list(TABLE)
+        random.Random(20).shuffle(rows)
+        return tuple(rows)
+    return huge_denominator_table(tmp_path_factory.mktemp("atlas"))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(grid=st.integers(2, 40))
+def test_atlas_rows_match_per_point_reference(atlas_table, grid):
+    rows = atlas_rows(grid, atlas_table)
+    g = grid - 1
+    want = []
+    for i in range(grid):
+        for j in range(grid):
+            alpha, beta = 1 + F(i, g), F(j, g)
+            rid, _, _, rate = reference_classify(atlas_table, alpha, beta)
+            want.append(
+                {
+                    "alpha": format_rat(alpha),
+                    "beta": format_rat(beta),
+                    "region": "-" if rid is None else rid,
+                    "dsym": "" if rid is None else format_rat(rate),
+                    "converse": format_rat(converse_bound(alpha, beta)),
+                }
+            )
+    assert rows == want
