@@ -323,7 +323,7 @@ def boundary_consistency(
         matches = [s for s in table if s.form.contains(w, closure=True)]
         if len(matches) >= 2:
             report.multi_region_points += 1
-            # Rate n / (den * w0) per match: equal rates have equal n * den' (w0 cancels).
+            # A rate is n / (den * w0) and w0 is shared: n/den == n'/den' by cross-multiplying.
             rates = [(_dot(s.form.rate, w), s.form.den) for s in matches]
             n0, d0 = rates[0]
             if any(n * d0 != n0 * d for n, d in rates[1:]):
@@ -362,18 +362,14 @@ def atlas_rows(grid: int, table: Iterable[RegionSpec] | None = None) -> list[dic
                 break
         alpha = _ratio(w1, g)
         for j, spec in enumerate(owner):
-            if spec is None:
-                region, dsym = "-", ""
-            else:
-                k, a, b = spec.form.rate
-                region, dsym = spec.id, _ratio(k * g + a * w1 + b * j, spec.form.den * g)
+            w = (g, w1, j)  # (1 + i/g, j/g), inside the square by construction
             rows.append(
                 {
                     "alpha": alpha,
                     "beta": betas[j],
-                    "region": region,
-                    "dsym": dsym,
-                    "converse": _ratio(*_converse((g, w1, j))),
+                    "region": "-" if spec is None else spec.id,
+                    "dsym": "" if spec is None else _ratio(_dot(spec.form.rate, w), spec.form.den * g),
+                    "converse": _ratio(*_converse(w)),
                 }
             )
     return rows
