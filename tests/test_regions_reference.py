@@ -181,7 +181,7 @@ def atlas_table(request, tmp_path_factory):
     return huge_denominator_table(tmp_path_factory.mktemp("atlas"))
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(grid=st.integers(2, 40))
 def test_atlas_rows_match_per_point_reference(atlas_table, grid):
     rows = atlas_rows(grid, atlas_table)
