@@ -51,7 +51,8 @@ EXIT_USAGE = 2
 # about 20 ns, and a `simulate` run at the limits takes 5-9 s (8.5 s at
 # N = 20, K = 10,000, 1,568 trials; 4.9 s at N = 20, K = 3, 78,800 trials).
 # `render` at N = 60000 took 8.9 s and 1.46 GB.  An atlas point costs about
-# 6-7 us, so the largest grid (40,401 points) takes under 0.5 s.
+# 3 us as CSV and 5 us as SVG, so the largest grid (40,401 points) takes
+# 0.3-0.6 s end to end, a quarter second of it start-up.
 MAX_N = 6000
 SIMULATE_MAX_COMPILE = 200_000  # N * K
 SIMULATE_MAX_DECODE = 320_000_000  # trials * (N * K + 4000)
