@@ -27,6 +27,7 @@ CASES = {
     "render_k5_r2.svg": (0, "render", *WORKED, "--k", "5", "--receiver", "2"),
     "simulate_readme.json": (0, "simulate", *WORKED, "--k", "3", "--trials", "50", "--seed", "1"),
     "plan_n60.json": (0, "plan", *WORKED),
+    "verify_table.json": (0, "verify", "--suite", "table"),
     "verify_oracle.json": (0, "verify", "--suite", "oracle"),
     "verify_search.json": (0, "verify", "--suite", "search"),
     "verify_boundaries.json": (0, "verify", "--suite", "boundaries"),

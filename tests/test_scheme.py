@@ -87,9 +87,15 @@ class TestValidity:
         spec = regions_by_id["Ab"]
         layout = Layout("Ab", tuple((length, BlockRole(ZERO)) for length in spec.block_lens))
         report = check_validity(layout, spec)
-        names = {name: ok for name, ok, _ in report.checks}
-        assert names["lengths sum to one"]
-        assert not names["distinct data equals rate"]
+        assert report.checks == [
+            ("non-negative lengths", True, "all block lengths >= 0 on the region closure"),
+            ("lengths sum to one", True, "sum = ['1/1', '0/1', '0/1']"),
+            (
+                "distinct data equals rate",
+                False,
+                "distinct sum = ['0/1', '0/1', '0/1'], rate = ['1/1', '0/1', '-1/1']",
+            ),
+        ]
 
     def test_df_vertex_lengths(self, regions_by_id):
         # At the closure vertex (2/3, 1/3) the layout degenerates to two
