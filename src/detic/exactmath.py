@@ -48,10 +48,6 @@ class Affine2:
     c_delta: Rat
 
     @staticmethod
-    def const(value) -> "Affine2":
-        return Affine2(Fraction(value), Fraction(0), Fraction(0))
-
-    @staticmethod
     def from_strings(triple: list[str]) -> "Affine2":
         if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"affine form needs a list of 3 coefficients, got {triple!r}")
@@ -59,9 +55,6 @@ class Affine2:
 
     def to_strings(self) -> list[str]:
         return [format_rat(self.c0), format_rat(self.c_eps), format_rat(self.c_delta)]
-
-    def __add__(self, other: "Affine2") -> "Affine2":
-        return Affine2(self.c0 + other.c0, self.c_eps + other.c_eps, self.c_delta + other.c_delta)
 
     @property
     def is_zero(self) -> bool:

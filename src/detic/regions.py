@@ -40,6 +40,10 @@ def _dot(f: tuple[int, int, int], w: tuple[int, int, int]) -> int:
     return f[0] * w[0] + f[1] * w[1] + f[2] * w[2]
 
 
+def _total(forms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    return tuple(map(sum, zip((0, 0, 0), *forms)))
+
+
 @dataclass(frozen=True)
 class IntegerForm:
     """A region's half-planes, rate and values (alpha, beta, block lengths) in absolute
@@ -123,6 +127,14 @@ class RegionSpec:
         sides = tuple((*f, h.strict) for f, h in zip(ints, halfplanes))
         values = ((0, den, 0), (0, 0, den), *ints[m + 1 :])  # alpha, beta, block lengths
         object.__setattr__(self, "form", IntegerForm(den, sides, ints[m], values))
+
+    def offset_strings(self, f: tuple[int, int, int]) -> list[str]:
+        """The integer triple f of `form` printed as offset coefficients, as the
+        row prints them: (k + a*alpha0 + b*beta0)/den, a/den and b/den."""
+        k, a, b = f
+        den = self.form.den
+        c0 = (k + a * self.anchor_alpha + b * self.anchor_beta) / den
+        return Affine2(c0, Fraction(a, den), Fraction(b, den)).to_strings()
 
     @cached_property
     def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
@@ -221,13 +233,11 @@ def _parse_row(row: dict) -> RegionSpec:
 def _validate_row(spec: RegionSpec) -> None:
     if not spec.block_lens:
         raise TableInvalidError(f"row {spec.id}: empty block list")
-    total = Affine2.const(0)
-    for b in spec.block_lens:
-        total = total + b
-    if total != Affine2.const(1):
+    total = _total(spec.form.values[2:])
+    if total != (spec.form.den, 0, 0):
         raise TableInvalidError(
             f"row {spec.id}: block lengths sum to "
-            f"{total.to_strings()} instead of the constant 1"
+            f"{spec.offset_strings(total)} instead of the constant 1"
         )
     if not spec.form.vertices:
         raise TableInvalidError(f"row {spec.id}: polygon closure is not a 2-D polytope")

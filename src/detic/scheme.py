@@ -23,9 +23,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channel import ChannelParams, make_channel
-from .exactmath import Affine2, Rat, affine_eval, format_rat
+from .exactmath import Affine2, Rat, format_rat
 from .gf2 import DimensionMismatchError, to_bits
-from .regions import RegionSpec, _interior_rows, point_weights
+from .regions import RegionSpec, _dot, _interior_rows, _total, point_weights
 
 Weights = tuple[int, int, int]  # (w0, w1, w2) for the point (w1/w0, w2/w0)
 
@@ -78,14 +78,6 @@ class BlockRole:
 class Layout:
     region_id: str
     blocks: tuple[tuple[Affine2, BlockRole], ...]
-
-    def distinct_data_sum(self) -> Affine2:
-        """Sum of block lengths counting each twin pair once."""
-        total = Affine2.const(0)
-        for length, role in self.blocks:
-            if role.kind in (SINGLE, TWIN_FIRST):
-                total = total + length
-        return total
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,13 +249,10 @@ def check_points(region: RegionSpec) -> list[CheckPoint]:
     """The region's validation points, each instantiated once; the pipe counts
     depend only on the block lengths, which every layout of the region shares."""
     out = []
-    for eps, delta in validation_points(region):
-        alpha = region.anchor_alpha + eps
-        beta = region.anchor_beta + delta
-        w = _closure_weights(region, alpha, beta)
+    for w in _validation_weights(region):
         n = region.form.minimal_n(w)
-        counts = _block_counts(region, w, n)
-        out.append(CheckPoint(make_channel(3, n, alpha, beta), tuple(counts)))
+        ch = make_channel(3, n, Fraction(w[1], w[0]), Fraction(w[2], w[0]))
+        out.append(CheckPoint(ch, tuple(_block_counts(region, w, n))))
     return out
 
 
@@ -278,15 +267,18 @@ class ValidityReport:
 
 
 def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
-    """The three symbolic validity conditions of a transmit layout."""
+    """The three symbolic validity conditions of a transmit layout, on the
+    region's integer form: block i's length is `form.values[2 + i]` and its
+    role the layout's.  Raises ValueError when the layout's block lengths are
+    not the region's."""
+    if tuple(length for length, _ in layout.blocks) != region.block_lens:
+        raise ValueError(f"layout {layout.region_id}: block lengths differ from region {region.id}")
+    form, show = region.form, region.offset_strings
+    lens = form.values[2:]
     checks = []
 
     # An affine length is least at a vertex of the closure, so the vertices suffice.
-    bad = [
-        length.to_strings()
-        for length, _ in layout.blocks
-        if any(affine_eval(length, e, d) < 0 for e, d in region.vertices)
-    ]
+    bad = [show(f) for f in lens if any(_dot(f, w) < 0 for w in form.vertices)]
     checks.append(
         (
             "non-negative lengths",
@@ -295,23 +287,16 @@ def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
         )
     )
 
-    total = Affine2.const(0)
-    for length, _ in layout.blocks:
-        total = total + length
-    checks.append(
-        (
-            "lengths sum to one",
-            total == Affine2.const(1),
-            f"sum = {total.to_strings()}",
-        )
-    )
+    total = _total(lens)
+    checks.append(("lengths sum to one", total == (form.den, 0, 0), f"sum = {show(total)}"))
 
-    distinct = layout.distinct_data_sum()
+    data = (SINGLE, TWIN_FIRST)  # each twin pair counts once
+    distinct = _total(f for f, (_, role) in zip(lens, layout.blocks) if role.kind in data)
     checks.append(
         (
             "distinct data equals rate",
-            distinct == region.dsym,
-            f"distinct sum = {distinct.to_strings()}, rate = {region.dsym.to_strings()}",
+            distinct == form.rate,
+            f"distinct sum = {show(distinct)}, rate = {show(form.rate)}",
         )
     )
     return ValidityReport(layout.region_id, checks)
@@ -396,18 +381,24 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     twice let a wrong role assignment through: it decoded at every point of
     the set yet failed elsewhere in the interior.
     """
-    verts = region.vertices
-    mids = [((u[0] + v[0]) / 2, (u[1] + v[1]) / 2) for u, v in combinations(verts, 2)]
-    points = [
-        (e, d)
-        for e, d in chain(verts, mids)  # all in the closure, which is convex
-        if not degenerate_channel_point(region.anchor_alpha + e, region.anchor_beta + d)
+    return [_offset(region, w) for w in _validation_weights(region)]
+
+
+def _validation_weights(region: RegionSpec) -> list[Weights]:
+    """The gcd-reduced weights of `validation_points`, in its order."""
+    verts = region.form.vertices
+    mids = [
+        (2 * u[0] * v[0], u[1] * v[0] + v[1] * u[0], u[2] * v[0] + v[2] * u[0])
+        for u, v in combinations(verts, 2)
     ]
-    points.append(interior_sample(region))
-    grid = (p for den in _GRID_DENOMINATORS for p in _interior_lattice(region, den))
-    inner = sorted(p for p in chain(grid, _ratio_points(region)) if p[0] <= _GRID_N_CAP)
-    points += [(e, d) for _, e, d in inner]
-    return list(dict.fromkeys(points))  # any point can repeat an earlier one
+    # All in the closure, which is convex; drop alpha = 1 and beta = 1, where
+    # `degenerate_channel_point` holds.
+    points = [w for w in chain(verts, mids) if w[0] != w[1] and w[0] != w[2]]
+    points.append(_least_interior(region))
+    grid = (w for den in _GRID_DENOMINATORS for w in _interior_lattice(region, den))
+    points += sorted(w for w in chain(grid, _ratio_points(region)) if w[0] <= _GRID_N_CAP)
+    reduced = (tuple(x // math.gcd(*w) for x in w) for w in points)
+    return list(dict.fromkeys(reduced))  # any point can repeat an earlier one
 
 
 def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
@@ -415,18 +406,22 @@ def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
     least alpha, then least beta: the first point of `_interior_weights`.
     Raises NoValidLayoutError when no interior point has N <= _GRID_N_CAP.
     The pinned points of `load_frozen_interiors` may differ."""
+    return _offset(region, _least_interior(region))
+
+
+def _least_interior(region: RegionSpec) -> Weights:
     w = next(_interior_weights(region), None)
     if w is None:
         raise NoValidLayoutError(f"region {region.id}: no interior point with N <= {_GRID_N_CAP}")
-    return _offset(region, w)
+    return w
 
 
-def _ratio_points(region: RegionSpec) -> Iterator[tuple[int, Rat, Rat]]:
-    """(minimal N, eps, delta), per ordered pair of blocks and ratio r in
-    _BLOCK_RATIOS, of the first point of `_interior_weights` on the line where
-    the first block has r times the second's pipes.  Such lines can miss a
-    lattice: the Ee layout frozen before they were added failed on them and
-    nowhere else."""
+def _ratio_points(region: RegionSpec) -> Iterator[Weights]:
+    """Weights (N, A, B) at the minimal N, per ordered pair of blocks and
+    ratio r in _BLOCK_RATIOS, of the first point of `_interior_weights` on
+    the line where the first block has r times the second's pipes.  Such
+    lines can miss a lattice: the Ee layout frozen before they were added
+    failed on them and nowhere else."""
     lines = set()
     for len_i, len_j in permutations(region.form.values[2:], 2):
         for r in _BLOCK_RATIOS:
@@ -435,13 +430,13 @@ def _ratio_points(region: RegionSpec) -> Iterator[tuple[int, Rat, Rat]]:
             if not g:
                 continue  # block i is r times block j everywhere
             line = max(tuple(x // g for x in c), tuple(-x // g for x in c))
-            values = [sum(x * y for x, y in zip(line, w)) for w in region.form.vertices]
+            values = [_dot(line, w) for w in region.form.vertices]
             if line in lines or min(values) >= 0 or max(values) <= 0:
                 continue  # seen before, or it misses the open region
             lines.add(line)
             w = next(_interior_weights(region, line), None)
             if w is not None:
-                yield (w[0], *_offset(region, w))
+                yield w
 
 
 def _offset(region: RegionSpec, w: Weights) -> tuple[Rat, Rat]:
@@ -478,9 +473,10 @@ def _multiples(lo: Rat, hi: Rat, n: int) -> range:
     return range(-(-lo.numerator * n // lo.denominator), hi.numerator * n // hi.denominator + 1)
 
 
-def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, Rat]]:
-    """(minimal N, eps, delta) of every strictly interior point of the region
-    on the lattice (i/den, j/den) of its bounding box, in (eps, delta) order."""
+def _interior_lattice(region: RegionSpec, den: int) -> Iterator[Weights]:
+    """Weights (N, A, B) at the minimal N of every strictly interior point of
+    the region on the offset lattice (i/den, j/den) of its bounding box, in
+    (alpha, beta) order."""
     lo_e, hi_e, lo_d, hi_d = region.box
     a0, a1, a2 = point_weights(region.anchor_alpha, region.anchor_beta)
     w0, w2 = a0 * den, a2 * den  # w = anchor + (i, j)/den = (w0, w1, w2 + a0*j)
@@ -488,7 +484,8 @@ def _interior_lattice(region: RegionSpec, den: int) -> Iterator[tuple[int, Rat, 
         w1 = a1 * den + a0 * i
         bounds = [(k * w0 + a * w1 + b * w2, b * a0) for k, a, b, _ in region.form.sides]
         for j in _interior_rows(bounds, _multiples(lo_d, hi_d, den)):
-            yield region.form.minimal_n((w0, w1, w2 + a0 * j)), Fraction(i, den), Fraction(j, den)
+            n = region.form.minimal_n((w0, w1, w2 + a0 * j))
+            yield n, w1 * n // w0, (w2 + a0 * j) * n // w0
 
 
 def rank_assignments(layout: Layout, points: list[CheckPoint]) -> list[AssignmentMatrix] | None:

@@ -1,6 +1,7 @@
 """Rational parsing and the Fraction references, and the integer-form closure
-geometry (RegionSpec.vertices, the loader's polytope check and check_validity's
-vertex test) held against them on small hand-made polygons."""
+geometry held against them on small hand-made polygons: RegionSpec.vertices,
+the loader's polytope check, and check_validity's sign test of a block's
+integer length at the integer vertices."""
 
 import json
 import random
@@ -25,9 +26,12 @@ def hp(c0, ce, cd, strict=False):
     return HalfPlane(Affine2(F(c0), F(ce), F(cd)), strict)
 
 
-def region(poly):
+ONE = Affine2(F(1), F(0), F(0))
+
+
+def region(poly, block=ONE):
     """A one-block region around the anchor (0, 0), so (eps, delta) = (alpha, beta)."""
-    return RegionSpec("X", F(0), F(0), poly, Affine2.const(1), (Affine2.const(1),))
+    return RegionSpec("X", F(0), F(0), poly, ONE, (block,))
 
 
 def load_polygon(tmp_path, poly):
@@ -46,7 +50,7 @@ def load_polygon(tmp_path, poly):
 
 def nonneg_on(f, poly):
     """check_validity's verdict on "non-negative lengths" for a one-block layout."""
-    report = check_validity(Layout("X", ((f, BlockRole(ZERO)),)), region(poly))
+    report = check_validity(Layout("X", ((f, BlockRole(ZERO)),)), region(poly, f))
     return {name: ok for name, ok, _ in report.checks}["non-negative lengths"]
 
 
@@ -87,7 +91,7 @@ class TestAffineEval:
         assert affine_eval(f, F(4, 15), F(7, 30)) == F(11, 20)
 
     def test_zero_form(self):
-        z = Affine2.const(0)
+        z = Affine2(F(0), F(0), F(0))
         assert affine_eval(z, F(9, 7), F(-3, 5)) == 0
 
     def test_cancelling_coefficients(self):
@@ -172,7 +176,7 @@ class TestAffineNonnegOn:
         assert nonneg_on(Affine2(F(0), F(1), F(-1, 2)), DF_POLY)
 
     def test_negative_constant(self):
-        assert not nonneg_on(Affine2.const(-1), DF_POLY)
+        assert not nonneg_on(Affine2(F(-1), F(0), F(0)), DF_POLY)
 
     def test_negative_at_one_vertex(self):
         # delta - 1/6 is -1/6 at the vertex (0, 0) and 1/6 at the other two.

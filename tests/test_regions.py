@@ -43,12 +43,9 @@ class TestLoad:
         assert [spec.id for spec in table] == ROW_IDS
 
     def test_block_sums_are_one(self, table):
-        one = Affine2.const(1)
         for spec in table:
-            total = Affine2.const(0)
-            for b in spec.block_lens:
-                total = total + b
-            assert total == one, spec.id
+            coeffs = [(b.c0, b.c_eps, b.c_delta) for b in spec.block_lens]
+            assert [sum(c) for c in zip(*coeffs)] == [1, 0, 0], spec.id
 
     def test_family_anchors(self, table):
         for spec in table:
@@ -155,7 +152,7 @@ def test_triangle_sides_recover_its_vertices(points, anchor, strict, grad, slack
         sides.append(Affine2(c, F(grad[0]), F(grad[1])))
     spec = RegionSpec(
         "T", a0, b0, Polygon(HalfPlane(f, s) for f, s in zip(sides, strict)),
-        Affine2.const(1), (Affine2.const(1),),
+        Affine2(F(1), F(0), F(0)), (Affine2(F(1), F(0), F(0)),),
     )
     assert spec.vertices == tuple(sorted(offsets))
 

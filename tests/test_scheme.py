@@ -44,6 +44,11 @@ def kinds(layout):
     return [role.kind for _, role in layout.blocks]
 
 
+def rate_check(layout, spec):
+    """check_validity's verdict on "distinct data equals rate"."""
+    return {name: ok for name, ok, _ in check_validity(layout, spec).checks}["distinct data equals rate"]
+
+
 class TestInferRoles:
     def test_rederivation_matches_frozen(self, table, frozen_layouts):
         # The search is deterministic; the checked-in layouts are its output.
@@ -61,7 +66,7 @@ class TestInferRoles:
         for form in (Affine2(F(0), F(1), F(-1, 2)), Affine2(F(0), F(-1), F(2))):
             pair = sorted(r.kind for (length, r) in layout.blocks if length == form)
             assert pair == [TWIN_FIRST, TWIN_SECOND]
-        assert layout.distinct_data_sum() == spec.dsym
+        assert rate_check(layout, spec)
 
     def test_db_shape(self, frozen_layouts):
         assert kinds(frozen_layouts["Db"]) == [SINGLE, ZERO, SINGLE]
@@ -74,7 +79,7 @@ class TestInferRoles:
         # single, delta is zero; distinct data matches the rate formula.
         layout = frozen_layouts["Aa"]
         assert kinds(layout) == [ZERO, TWIN_FIRST, SINGLE, TWIN_SECOND]
-        assert layout.distinct_data_sum() == regions_by_id["Aa"].dsym
+        assert rate_check(layout, regions_by_id["Aa"])
 
 
 class TestValidity:
@@ -326,7 +331,7 @@ class TestValidationPoints:
         for spec in table:
             a, b = spec.anchor_alpha, spec.anchor_beta
             want = [
-                (minimal_n(spec, eps, delta), eps, delta)
+                _weights_at(minimal_n(spec, eps, delta), a + eps, b + delta)
                 for eps in grid
                 for delta in grid
                 if spec.form.interior(point_weights(a + eps, b + delta))
@@ -349,7 +354,7 @@ class TestValidationPoints:
             eps, delta = interior_sample(spec)
             w = point_weights(spec.anchor_alpha + eps, spec.anchor_beta + delta)
             assert spec.form.interior(w), spec.id
-            got = (minimal_n(spec, eps, delta), eps, delta)
+            got = _weights_at(minimal_n(spec, eps, delta), spec.anchor_alpha + eps, spec.anchor_beta + delta)
             best = min(p for den in range(1, 61) for p in _per_point_lattice(spec, den))
             assert got <= best, (spec.id, got, best)
             assert got == best or max(eps.denominator, delta.denominator) > 60, spec.id
@@ -364,17 +369,15 @@ class TestValidationPoints:
                     if g:  # one line per pair of opposite normals
                         lines.add(max(tuple(x // g for x in c), tuple(-x // g for x in c)))
             want = set()
-            for line in lines:
-                if (w := _least_point_on(spec, line)) is not None:
-                    n, a, b = w
-                    want.add((n, F(a, n) - spec.anchor_alpha, F(b, n) - spec.anchor_beta))
+            want = {w for line in lines if (w := _least_point_on(spec, line)) is not None}
             assert set(_ratio_points(spec)) == want, spec.id
 
     def test_ratio_points_lie_on_block_ratio_lines(self, table):
         from detic.exactmath import affine_eval
 
         for spec in table:
-            points = list(scheme._ratio_points(spec))
+            a, b = spec.anchor_alpha, spec.anchor_beta
+            points = [(n, F(x, n) - a, F(y, n) - b) for n, x, y in _ratio_points(spec)]
             assert set(validation_points(spec)) >= {(e, d) for _, e, d in points}, spec.id
             for n, eps, delta in points:
                 assert all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
@@ -386,8 +389,8 @@ class TestValidationPoints:
                     for r in (1, 3)
                 ), (spec.id, eps, delta)
         ee = next(spec for spec in table if spec.id == "Ee")
-        ee_points = scheme._ratio_points(ee)
-        assert (11, F(-1, 11), F(5, 33)) in list(ee_points)
+        # The offsets (-1/11, 5/33) from Ee's anchor (2, 2/3): (21/11, 9/11) at N = 11.
+        assert (11, 21, 9) in list(_ratio_points(ee))
 
     def test_interior_sample_is_strictly_inside(self, table, frozen_interiors):
         from detic.exactmath import affine_eval
@@ -398,10 +401,15 @@ class TestValidationPoints:
                 assert affine_eval(h.expr, eps, delta) > 0, spec.id
 
 
+def _weights_at(n, alpha, beta):
+    """Weights (N, A, B) of (alpha, beta) = (A/N, B/N)."""
+    return n, int(alpha * n), int(beta * n)
+
+
 @functools.cache
 def _per_point_lattice(spec, den):
-    """(minimal N, eps, delta) of every strictly interior point (i/den, j/den)
-    of the bounding box, each point tested against every side."""
+    """Weights (N, A, B) at the minimal N of every strictly interior point
+    (i/den, j/den) of the bounding box, each point tested against every side."""
     lo_e, hi_e, lo_d, hi_d = spec.box
     a0, a1, a2 = point_weights(spec.anchor_alpha, spec.anchor_beta)
     box = (
@@ -409,10 +417,10 @@ def _per_point_lattice(spec, den):
         for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1)
         for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1)
     )
-    weights = (((a0 * den, a1 * den + a0 * i, a2 * den + a0 * j), i, j) for i, j in box)
+    weights = ((a0 * den, a1 * den + a0 * i, a2 * den + a0 * j) for i, j in box)
     return [
-        (spec.form.minimal_n(w), F(i, den), F(j, den))
-        for w, i, j in weights
+        _weights_at(spec.form.minimal_n(w), F(w[1], w[0]), F(w[2], w[0]))
+        for w in weights
         if spec.form.interior(w)
     ]
 
