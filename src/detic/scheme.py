@@ -209,7 +209,7 @@ def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatr
     first_bit_lo: dict[int, int] = {}  # symbol -> bit_lo of the twin-first copy
     next_bit = 0
     pipe_hi = n
-    for (_, role), count in zip(layout.blocks, counts):
+    for (_, role), count in zip(layout.blocks, counts, strict=True):
         pipe_lo = pipe_hi - count
         bit_lo: int | None = None
         if role.kind in (SINGLE, TWIN_FIRST):
@@ -544,6 +544,11 @@ def _parse_role(text: str) -> tuple[str, int | None]:
 
 
 def layout_from_json_dict(data: dict, region: RegionSpec) -> Layout:
+    if len(data["blocks"]) != len(region.block_lens):
+        raise ValueError(
+            f"layout {data['region']}: {len(data['blocks'])} blocks, "
+            f"region has {len(region.block_lens)}"
+        )
     blocks: list[tuple[Affine2, BlockRole]] = []
     for i, entry in enumerate(data["blocks"]):
         length = Affine2.from_strings(entry["len"])

@@ -381,6 +381,19 @@ class TestTableOverride:
         assert payload["passed"] is False
         assert [case["passed"] for case in payload["detail"]] == [True, True, False]
 
+    def test_extra_blocks_are_not_read_through_the_frozen_layout(self, capsys, tmp_path):
+        # Two blocks appended to Ab still sum to 1, but the second is negative
+        # inside Ab.  The built-in 2-block layout of Ab must not be reused for
+        # the 4-block row: it would check and fill only the first two blocks.
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        ab = next(r for r in rows if r["id"] == "Ab")
+        ab["blocks"] += [["1/10", "0", "0"], ["-1/10", "0", "0"]]
+        path = tmp_path / "ab_tail.json"
+        path.write_text(json.dumps(rows))
+        code, out = run(capsys, "--table", str(path), "verify", "--suite", "table")
+        assert code == 2
+        assert json.loads(out) == {"error": "block length ['-1/10', '0/1', '0/1'] negative at (3/2, 1/2)"}
+
     def test_region_without_a_small_interior_point_is_usage_error(self, capsys, tmp_path):
         # The sliver 0 < delta < eps/500, eps < 1/2 has no interior point with
         # N <= 120, so no validation point set and no layout can be derived.
