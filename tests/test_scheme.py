@@ -12,7 +12,7 @@ import pytest
 from detic import scheme
 from detic.exactmath import Affine2
 from detic.gf2 import DimensionMismatchError, NotBinaryError
-from detic.regions import load_region_table, point_weights
+from detic.regions import RegionSpec, load_region_table, point_weights
 from detic.scheme import (
     SINGLE,
     TWIN_FIRST,
@@ -101,6 +101,20 @@ class TestValidity:
                 "distinct sum = ['0/1', '0/1', '0/1'], rate = ['1/1', '0/1', '-1/1']",
             ),
         ]
+
+    def test_negative_witness_prints_offset_coefficients(self, regions_by_id):
+        # Two blocks appended to Ab sum to 0; 1/10 + eps is negative at eps = -1/2
+        # and -1/10 - eps at eps = 0, both on Ab's closure.
+        ab = regions_by_id["Ab"]
+        tail = (Affine2(F(1, 10), F(1), F(0)), Affine2(F(-1, 10), F(-1), F(0)))
+        spec = RegionSpec("Ab", ab.anchor_alpha, ab.anchor_beta, ab.polygon, ab.dsym, ab.block_lens + tail)
+        layout = Layout("Ab", tuple((length, BlockRole(ZERO)) for length in spec.block_lens))
+        assert check_validity(layout, spec).checks[:2] == [
+            ("non-negative lengths", False, "negative: [['1/10', '1/1', '0/1'], ['-1/10', '-1/1', '0/1']]"),
+            ("lengths sum to one", True, "sum = ['1/1', '0/1', '0/1']"),
+        ]
+        with pytest.raises(ValueError, match="block lengths differ"):
+            check_validity(layout, ab)
 
     def test_df_vertex_lengths(self, regions_by_id):
         # At the closure vertex (2/3, 1/3) the layout degenerates to two
