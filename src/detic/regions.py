@@ -132,9 +132,8 @@ class RegionSpec:
         """The integer triple f of `form` printed as offset coefficients, as the
         row prints them: (k + a*alpha0 + b*beta0)/den, a/den and b/den."""
         k, a, b = f
-        den = self.form.den
-        c0 = (k + a * self.anchor_alpha + b * self.anchor_beta) / den
-        return Affine2(c0, Fraction(a, den), Fraction(b, den)).to_strings()
+        c0 = k + a * self.anchor_alpha + b * self.anchor_beta
+        return [format_rat(Fraction(c, self.form.den)) for c in (c0, a, b)]
 
     @cached_property
     def vertices(self) -> tuple[tuple[Rat, Rat], ...]:

@@ -275,30 +275,24 @@ def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
         raise ValueError(f"layout {layout.region_id}: block lengths differ from region {region.id}")
     form, show = region.form, region.offset_strings
     lens = form.values[2:]
-    checks = []
-
     # An affine length is least at a vertex of the closure, so the vertices suffice.
     bad = [show(f) for f in lens if any(_dot(f, w) < 0 for w in form.vertices)]
-    checks.append(
+    total = _total(lens)
+    data = (SINGLE, TWIN_FIRST)  # each twin pair counts once
+    distinct = _total(f for f, (_, role) in zip(lens, layout.blocks) if role.kind in data)
+    checks = [
         (
             "non-negative lengths",
             not bad,
             "all block lengths >= 0 on the region closure" if not bad else f"negative: {bad}",
-        )
-    )
-
-    total = _total(lens)
-    checks.append(("lengths sum to one", total == (form.den, 0, 0), f"sum = {show(total)}"))
-
-    data = (SINGLE, TWIN_FIRST)  # each twin pair counts once
-    distinct = _total(f for f, (_, role) in zip(lens, layout.blocks) if role.kind in data)
-    checks.append(
+        ),
+        ("lengths sum to one", total == (form.den, 0, 0), f"sum = {show(total)}"),
         (
             "distinct data equals rate",
             distinct == form.rate,
             f"distinct sum = {show(distinct)}, rate = {show(form.rate)}",
-        )
-    )
+        ),
+    ]
     return ValidityReport(layout.region_id, checks)
 
 
@@ -544,18 +538,14 @@ def _parse_role(text: str) -> tuple[str, int | None]:
 
 
 def layout_from_json_dict(data: dict, region: RegionSpec) -> Layout:
-    if len(data["blocks"]) != len(region.block_lens):
-        raise ValueError(
-            f"layout {data['region']}: {len(data['blocks'])} blocks, "
-            f"region has {len(region.block_lens)}"
-        )
-    blocks: list[tuple[Affine2, BlockRole]] = []
-    for i, entry in enumerate(data["blocks"]):
-        length = Affine2.from_strings(entry["len"])
-        if length != region.block_lens[i]:
-            raise ValueError(f"layout {data['region']}: block {i} length mismatch")
-        blocks.append((length, BlockRole(*_parse_role(entry["role"]))))
-    return Layout(str(data["region"]), tuple(blocks))
+    entries, rid = data["blocks"], data["region"]
+    if len(entries) != len(region.block_lens):
+        raise ValueError(f"layout {rid}: {len(entries)} blocks, region has {len(region.block_lens)}")
+    for i, entry in enumerate(entries):
+        if Affine2.from_strings(entry["len"]) != region.block_lens[i]:
+            raise ValueError(f"layout {rid}: block {i} length mismatch")
+    roles = (BlockRole(*_parse_role(entry["role"])) for entry in entries)
+    return Layout(str(rid), tuple(zip(region.block_lens, roles)))
 
 
 def load_frozen_layouts(table: Iterable[RegionSpec]) -> dict[str, Layout]:

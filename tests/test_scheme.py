@@ -301,6 +301,15 @@ class TestLayoutSerialization:
             again = layout_from_json_dict(layout.to_json_dict(), spec)
             assert again == layout
 
+    def test_entry_with_another_block_count_is_refused(self, regions_by_id, frozen_layouts):
+        # A region with blocks appended must not reuse its shorter frozen entry.
+        ab = regions_by_id["Ab"]
+        tail = (Affine2(F(1, 10), F(0), F(0)), Affine2(F(-1, 10), F(0), F(0)))
+        longer = RegionSpec("Ab", ab.anchor_alpha, ab.anchor_beta, ab.polygon, ab.dsym, ab.block_lens + tail)
+        with pytest.raises(ValueError, match="layout Ab: 2 blocks, region has 4"):
+            layout_from_json_dict(frozen_layouts["Ab"].to_json_dict(), longer)
+        assert scheme._builtin_layout(longer) is None  # so layout_for re-derives it
+
     def test_builtin_layouts_are_parsed_once(self, table, frozen_layouts, monkeypatch):
         parses = []
 
