@@ -2,10 +2,12 @@
 
 Scalars are `fractions.Fraction`, affine forms are rational triples
 `c0 + c_eps*eps + c_delta*delta`, and polygons are finite intersections of
-half-planes in the (eps, delta) plane.  `affine_eval`, `HalfPlane.satisfied`
-and `polygon_contains` are the plain references that tests hold the integer
-forms of `regions.IntegerForm` (membership, rates, vertices) against.  No
-floating point.
+half-planes in the (eps, delta) plane.  The package computes on the integer
+forms of `regions.IntegerForm`; `Affine2` only parses a catalog row and
+prints a form back.  `affine_eval`, `HalfPlane.satisfied` and
+`polygon_contains` are the plain references that tests hold those integer
+forms (membership, rates, vertices, layout validity) against.  No floating
+point.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -67,10 +68,12 @@ class TestLoad:
 
     def test_loader_rejects_bad_block_sum(self, tmp_path):
         rows = json.loads(json.dumps(_raw_table()))
-        rows[0]["blocks"][0] = ["1/2", "0", "1"]
+        rows[0]["blocks"][0] = ["1/2", "1/3", "1"]
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
-        with pytest.raises(TableInvalidError, match="Aa"):
+        # The sum is printed in Aa's offset coordinates around its anchor (2, 0).
+        want = "row Aa: block lengths sum to ['3/2', '1/3', '0/1'] instead of the constant 1"
+        with pytest.raises(TableInvalidError, match=re.escape(want)):
             load_region_table(bad)
 
     @pytest.mark.parametrize("bad_row,kind", [(2, "int"), ("Df", "str"), ([], "list"), (None, "NoneType")])

@@ -44,6 +44,13 @@ def kinds(layout):
     return [role.kind for _, role in layout.blocks]
 
 
+def ab_with_tail(ab):
+    """Ab with two blocks appended, 1/10 + eps and -1/10 - eps: they sum to 0,
+    so the row still loads, but each is negative somewhere on Ab's closure."""
+    tail = (Affine2(F(1, 10), F(1), F(0)), Affine2(F(-1, 10), F(-1), F(0)))
+    return RegionSpec("Ab", ab.anchor_alpha, ab.anchor_beta, ab.polygon, ab.dsym, ab.block_lens + tail)
+
+
 def rate_check(layout, spec):
     """check_validity's verdict on "distinct data equals rate"."""
     return {name: ok for name, ok, _ in check_validity(layout, spec).checks}["distinct data equals rate"]
@@ -103,11 +110,9 @@ class TestValidity:
         ]
 
     def test_negative_witness_prints_offset_coefficients(self, regions_by_id):
-        # Two blocks appended to Ab sum to 0; 1/10 + eps is negative at eps = -1/2
-        # and -1/10 - eps at eps = 0, both on Ab's closure.
+        # 1/10 + eps is negative at eps = -1/2 and -1/10 - eps at eps = 0.
         ab = regions_by_id["Ab"]
-        tail = (Affine2(F(1, 10), F(1), F(0)), Affine2(F(-1, 10), F(-1), F(0)))
-        spec = RegionSpec("Ab", ab.anchor_alpha, ab.anchor_beta, ab.polygon, ab.dsym, ab.block_lens + tail)
+        spec = ab_with_tail(ab)
         layout = Layout("Ab", tuple((length, BlockRole(ZERO)) for length in spec.block_lens))
         assert check_validity(layout, spec).checks[:2] == [
             ("non-negative lengths", False, "negative: [['1/10', '1/1', '0/1'], ['-1/10', '-1/1', '0/1']]"),
@@ -303,9 +308,7 @@ class TestLayoutSerialization:
 
     def test_entry_with_another_block_count_is_refused(self, regions_by_id, frozen_layouts):
         # A region with blocks appended must not reuse its shorter frozen entry.
-        ab = regions_by_id["Ab"]
-        tail = (Affine2(F(1, 10), F(0), F(0)), Affine2(F(-1, 10), F(0), F(0)))
-        longer = RegionSpec("Ab", ab.anchor_alpha, ab.anchor_beta, ab.polygon, ab.dsym, ab.block_lens + tail)
+        longer = ab_with_tail(regions_by_id["Ab"])
         with pytest.raises(ValueError, match="layout Ab: 2 blocks, region has 4"):
             layout_from_json_dict(frozen_layouts["Ab"].to_json_dict(), longer)
         assert scheme._builtin_layout(longer) is None  # so layout_for re-derives it
