@@ -34,7 +34,7 @@ from .exactmath import (
     parse_rat,
     polygon_contains,
 )
-from .gf2 import NotBinaryError
+from .gf2 import DimensionMismatchError, NotBinaryError
 from .oracle import SearchBudgetError, exhaustive_search, rank_decodable
 from .regions import (
     ClassifyResult,

@@ -101,19 +101,15 @@ def _parse_decimal(text: str) -> Fraction:
 
 
 def _parse_point(args) -> tuple[Fraction, Fraction]:
-    if args.alpha is not None:
-        alpha = parse_rat(args.alpha)
-    elif getattr(args, "alpha_decimal", None) is not None:
-        alpha = _parse_decimal(args.alpha_decimal)
-    else:
-        raise UsageError("missing --alpha")
-    if args.beta is not None:
-        beta = parse_rat(args.beta)
-    elif getattr(args, "beta_decimal", None) is not None:
-        beta = _parse_decimal(args.beta_decimal)
-    else:
-        raise UsageError("missing --beta")
-    return alpha, beta
+    point = []
+    for name in ("alpha", "beta"):
+        if (text := getattr(args, name)) is not None:
+            point.append(parse_rat(text))
+        elif (text := getattr(args, f"{name}_decimal", None)) is not None:
+            point.append(_parse_decimal(text))
+        else:
+            raise UsageError(f"missing --{name}")
+    return tuple(point)
 
 
 def _load_table(args):

@@ -46,14 +46,14 @@ def _total(forms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class IntegerForm:
-    """A region's half-planes, rate and values (alpha, beta, block lengths) in absolute
-    coordinates times one common denominator `den`, as integer triples (k, a, b).  Weights
-    w (w0 > 0) stand for (w1/w0, w2/w0), where a triple is (k*w0 + a*w1 + b*w2) / (den*w0)."""
+    """A region's half-planes, rate and block lengths in absolute coordinates times one
+    common denominator `den`, as integer triples (k, a, b).  Weights w (w0 > 0) stand
+    for (w1/w0, w2/w0), where a triple is (k*w0 + a*w1 + b*w2) / (den*w0)."""
 
     den: int
     sides: tuple[tuple[int, int, int, bool], ...]  # (k, a, b, strict)
     rate: tuple[int, int, int]
-    values: tuple[tuple[int, int, int], ...]
+    blocks: tuple[tuple[int, int, int], ...]
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, int, int], ...]:
@@ -80,6 +80,13 @@ class IntegerForm:
             return ()
         return tuple(sorted(verts, key=lambda w: (Fraction(w[1], w[0]), Fraction(w[2], w[0]))))
 
+    @cached_property
+    def box(self) -> tuple[Rat, Rat, Rat, Rat]:
+        """Bounding box of the closure: its alpha range, then its beta range."""
+        alpha = [Fraction(w[1], w[0]) for w in self.vertices]
+        beta = [Fraction(w[2], w[0]) for w in self.vertices]
+        return min(alpha), max(alpha), min(beta), max(beta)
+
     def contains(self, w: tuple[int, int, int], closure: bool = False) -> bool:
         """Membership, strictness as printed or relaxed (closure); strict v > 0 is v >= 1 (True)."""
         w0, w1, w2 = w
@@ -88,23 +95,20 @@ class IntegerForm:
                 return False
         return True
 
-    def interior(self, w: tuple[int, int, int]) -> bool:
-        """Strictly inside every side, whatever its printed strictness."""
-        return all(k * w[0] + a * w[1] + b * w[2] > 0 for k, a, b, _ in self.sides)
-
     def rate_at(self, w: tuple[int, int, int]) -> Rat:
         return Fraction(_dot(self.rate, w), self.den * w[0])
 
     def minimal_n(self, w: tuple[int, int, int]) -> int:
         """Least common denominator of alpha, beta and every block length."""
         big = self.den * w[0]
-        nums = (k * w[0] + a * w[1] + b * w[2] for k, a, b in self.values)
-        return math.lcm(*(big // math.gcd(v, big) for v in nums))
+        nums = (k * w[0] + a * w[1] + b * w[2] for k, a, b in self.blocks)
+        dens = (big // math.gcd(v, big) for v in nums)
+        return math.lcm(w[0] // math.gcd(w[1], w[0]), w[0] // math.gcd(w[2], w[0]), *dens)
 
     def block_counts(self, w: tuple[int, int, int], n: int) -> list[int]:
         """Block lengths times N, exact when minimal_n(w) divides N."""
         big = self.den * w[0]
-        return [(k * w[0] + a * w[1] + b * w[2]) * n // big for k, a, b in self.values[2:]]
+        return [(k * w[0] + a * w[1] + b * w[2]) * n // big for k, a, b in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,7 @@ class RegionSpec:
         ints = [tuple(int(c * den) for c in f) for f in absolute]
         m = len(halfplanes)
         sides = tuple((*f, h.strict) for f, h in zip(ints, halfplanes))
-        values = ((0, den, 0), (0, 0, den), *ints[m + 1 :])  # alpha, beta, block lengths
-        object.__setattr__(self, "form", IntegerForm(den, sides, ints[m], values))
+        object.__setattr__(self, "form", IntegerForm(den, sides, ints[m], tuple(ints[m + 1 :])))
 
     def offset_strings(self, f: tuple[int, int, int]) -> list[str]:
         """The integer triple f of `form` printed as offset coefficients, as the
@@ -134,18 +137,6 @@ class RegionSpec:
         k, a, b = f
         c0 = k + a * self.anchor_alpha + b * self.anchor_beta
         return [format_rat(Fraction(c, self.form.den)) for c in (c0, a, b)]
-
-    @cached_property
-    def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
-        """The closure's vertices (eps, delta), in order; see IntegerForm.vertices."""
-        a0, b0 = self.anchor_alpha, self.anchor_beta
-        return tuple((Fraction(w[1], w[0]) - a0, Fraction(w[2], w[0]) - b0) for w in self.form.vertices)
-
-    @cached_property
-    def box(self) -> tuple[Rat, Rat, Rat, Rat]:
-        """Bounding box of the closure in (eps, delta): eps range, then delta range."""
-        eps, delta = zip(*self.vertices)
-        return min(eps), max(eps), min(delta), max(delta)
 
 
 @dataclass(frozen=True)
@@ -232,7 +223,7 @@ def _parse_row(row: dict) -> RegionSpec:
 def _validate_row(spec: RegionSpec) -> None:
     if not spec.block_lens:
         raise TableInvalidError(f"row {spec.id}: empty block list")
-    total = _total(spec.form.values[2:])
+    total = _total(spec.form.blocks)
     if total != (spec.form.den, 0, 0):
         raise TableInvalidError(
             f"row {spec.id}: block lengths sum to "

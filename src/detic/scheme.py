@@ -5,7 +5,7 @@ which blocks carry data, which are zero, and which form repeated ("twin")
 pairs is reconstructed by a constrained search: a candidate role set must
 make the distinct-data length sum match the region's rate formula
 symbolically, and must decode (rank criterion and peeling) at the region's
-validation points (see `validation_points`).  Derived layouts are frozen
+validation points (see `_validation_weights`).  Derived layouts are frozen
 into data/layouts.json for reproducibility.
 """
 
@@ -198,9 +198,17 @@ def build_assignment(
     rank oracle at the region sample points singles out this reading.  Singles
     and twin firsts take fresh consecutive bit indices (ascending with pipe
     index), twin seconds take their partner's indices in reverse, zeros take
-    nothing.
+    nothing.  Raises ValueError when the layout's block lengths are not the
+    region's.
     """
+    _check_blocks(layout, region)
     return _fill_pipes(layout, instantiate(region, alpha, beta, n), n)
+
+
+def _check_blocks(layout: Layout, region: RegionSpec) -> None:
+    """Raises ValueError unless the layout's block lengths are the region's."""
+    if tuple(length for length, _ in layout.blocks) != region.block_lens:
+        raise ValueError(f"layout {layout.region_id}: block lengths differ from region {region.id}")
 
 
 def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatrix:
@@ -268,13 +276,12 @@ class ValidityReport:
 
 def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
     """The three symbolic validity conditions of a transmit layout, on the
-    region's integer form: block i's length is `form.values[2 + i]` and its
-    role the layout's.  Raises ValueError when the layout's block lengths are
-    not the region's."""
-    if tuple(length for length, _ in layout.blocks) != region.block_lens:
-        raise ValueError(f"layout {layout.region_id}: block lengths differ from region {region.id}")
+    region's integer form: block i's length is `form.blocks[i]` and its role
+    the layout's.  Raises ValueError when the layout's block lengths are not
+    the region's."""
+    _check_blocks(layout, region)
     form, show = region.form, region.offset_strings
-    lens = form.values[2:]
+    lens = form.blocks
     # An affine length is least at a vertex of the closure, so the vertices suffice.
     bad = [show(f) for f in lens if any(_dot(f, w) < 0 for w in form.vertices)]
     total = _total(lens)
@@ -314,7 +321,7 @@ def _layouts(region: RegionSpec) -> Iterator[Layout]:
     i, i + 1, ...; a subtree whose missing rate is no such sum holds no
     layout and is skipped, so the candidates and their order stay the same.
     """
-    lens, values = region.block_lens, region.form.values[2:]
+    lens, values = region.block_lens, region.form.blocks
     roles: list[BlockRole | None] = [None] * len(lens)
     reach = [{(0, 0, 0)}]  # reach[i]: every subset sum of values[i:]
     for k, a, b in reversed(values):
@@ -362,8 +369,9 @@ _GRID_N_CAP = 120
 _BLOCK_RATIOS = (1, 3)
 
 
-def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
-    """Non-degenerate decodability checkpoints covering the whole region, each once.
+def _validation_weights(region: RegionSpec) -> list[Weights]:
+    """Gcd-reduced weights of the non-degenerate decodability checkpoints
+    covering the whole region, each once.
 
     Closure vertices and the midpoint of every pair of them (in the
     quadrilaterals Bb, Eb and Ed, 4 on edges and 2 on diagonals) pin the
@@ -375,11 +383,6 @@ def validation_points(region: RegionSpec) -> list[tuple[Rat, Rat]]:
     twice let a wrong role assignment through: it decoded at every point of
     the set yet failed elsewhere in the interior.
     """
-    return [_offset(region, w) for w in _validation_weights(region)]
-
-
-def _validation_weights(region: RegionSpec) -> list[Weights]:
-    """The gcd-reduced weights of `validation_points`, in its order."""
     verts = region.form.vertices
     mids = [
         (2 * u[0] * v[0], u[1] * v[0] + v[1] * u[0], u[2] * v[0] + v[2] * u[0])
@@ -400,7 +403,8 @@ def interior_sample(region: RegionSpec) -> tuple[Rat, Rat]:
     least alpha, then least beta: the first point of `_interior_weights`.
     Raises NoValidLayoutError when no interior point has N <= _GRID_N_CAP.
     The pinned points of `load_frozen_interiors` may differ."""
-    return _offset(region, _least_interior(region))
+    w = _least_interior(region)
+    return Fraction(w[1], w[0]) - region.anchor_alpha, Fraction(w[2], w[0]) - region.anchor_beta
 
 
 def _least_interior(region: RegionSpec) -> Weights:
@@ -417,7 +421,7 @@ def _ratio_points(region: RegionSpec) -> Iterator[Weights]:
     lines can miss a lattice: the Ee layout frozen before they were added
     failed on them and nowhere else."""
     lines = set()
-    for len_i, len_j in permutations(region.form.values[2:], 2):
+    for len_i, len_j in permutations(region.form.blocks, 2):
         for r in _BLOCK_RATIOS:
             c = [x - r * y for x, y in zip(len_i, len_j)]
             g = math.gcd(*c)
@@ -433,10 +437,6 @@ def _ratio_points(region: RegionSpec) -> Iterator[Weights]:
                 yield w
 
 
-def _offset(region: RegionSpec, w: Weights) -> tuple[Rat, Rat]:
-    return Fraction(w[1], w[0]) - region.anchor_alpha, Fraction(w[2], w[0]) - region.anchor_beta
-
-
 def _interior_weights(
     region: RegionSpec, line: tuple[int, int, int] | None = None
 ) -> Iterator[Weights]:
@@ -446,9 +446,7 @@ def _interior_weights(
     it adds two bounds to each column: v + 1 > 0 and 1 - v > 0.  With no
     line, v is 0 everywhere."""
     c0, c1, c2 = line or (0, 0, 0)
-    lo_e, hi_e, lo_d, hi_d = region.box
-    a_lo, a_hi = region.anchor_alpha + lo_e, region.anchor_alpha + hi_e
-    b_lo, b_hi = region.anchor_beta + lo_d, region.anchor_beta + hi_d
+    a_lo, a_hi, b_lo, b_hi = region.form.box
     for n in range(1, _GRID_N_CAP + 1):
         rows = _multiples(b_lo, b_hi, n)
         for a in _multiples(a_lo, a_hi, n):
@@ -471,13 +469,15 @@ def _interior_lattice(region: RegionSpec, den: int) -> Iterator[Weights]:
     """Weights (N, A, B) at the minimal N of every strictly interior point of
     the region on the offset lattice (i/den, j/den) of its bounding box, in
     (alpha, beta) order."""
-    lo_e, hi_e, lo_d, hi_d = region.box
-    a0, a1, a2 = point_weights(region.anchor_alpha, region.anchor_beta)
+    a_lo, a_hi, b_lo, b_hi = region.form.box
+    alpha, beta = region.anchor_alpha, region.anchor_beta
+    a0, a1, a2 = point_weights(alpha, beta)
     w0, w2 = a0 * den, a2 * den  # w = anchor + (i, j)/den = (w0, w1, w2 + a0*j)
-    for i in _multiples(lo_e, hi_e, den):
+    rows = _multiples(b_lo - beta, b_hi - beta, den)
+    for i in _multiples(a_lo - alpha, a_hi - alpha, den):
         w1 = a1 * den + a0 * i
         bounds = [(k * w0 + a * w1 + b * w2, b * a0) for k, a, b, _ in region.form.sides]
-        for j in _interior_rows(bounds, _multiples(lo_d, hi_d, den)):
+        for j in _interior_rows(bounds, rows):
             n = region.form.minimal_n((w0, w1, w2 + a0 * j))
             yield n, w1 * n // w0, (w2 + a0 * j) * n // w0
 

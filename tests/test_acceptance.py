@@ -17,6 +17,7 @@ from detic.exactmath import affine_eval
 from detic.oracle import exhaustive_search, rank_decodable
 from detic.regions import boundary_consistency, classify, converse_bound, dsym_at
 from detic.scheme import build_assignment, degenerate_channel_point, minimal_n
+from test_regions_reference import offset_vertices
 
 
 def report(name, detail, t0):
@@ -76,7 +77,7 @@ def test_criterion_3_achievability_sweep(table, frozen_layouts, frozen_interiors
     degenerate = []
     for spec in table:
         layout = frozen_layouts[spec.id]
-        points = [*spec.vertices, frozen_interiors[spec.id]]
+        points = [*offset_vertices(spec), frozen_interiors[spec.id]]
         for eps, delta in points:
             alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
             n = minimal_n(spec, eps, delta)

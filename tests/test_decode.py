@@ -232,19 +232,18 @@ class TestDenseInteriorSweep:
         import math
 
         from detic.oracle import rank_decodable
-        from detic.regions import point_weights
         from detic.scheme import minimal_n
+        from test_regions_reference import offset_box, strictly_inside
 
         checked = 0
         for spec in table:
-            lo_e, hi_e, lo_d, hi_d = spec.box
+            lo_e, hi_e, lo_d, hi_d = offset_box(spec)
             seen = set()
             for den in (8, 12, 20):
                 for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
                     for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1):
                         e, d = F(i, den), F(j, den)
-                        w = point_weights(spec.anchor_alpha + e, spec.anchor_beta + d)
-                        if (e, d) in seen or not spec.form.interior(w):
+                        if (e, d) in seen or not strictly_inside(spec, e, d):
                             continue
                         seen.add((e, d))
                         n = minimal_n(spec, e, d)

@@ -31,9 +31,10 @@ from detic.decode import (
     receiver_view,
 )
 from detic.oracle import assignment_from_labels, rank_decodable
-from detic.regions import load_region_table, point_weights
+from detic.regions import load_region_table
 from detic.scheme import build_assignment, load_frozen_layouts, minimal_n
 from test_oracle_properties import cases
+from test_regions_reference import offset_box, strictly_inside
 
 MAX_N = 120
 DENOMINATORS = range(2, 17)
@@ -46,14 +47,13 @@ def interior_points() -> dict[str, tuple[tuple[F, F], ...]]:
     point with a small denominator whose minimal N is at most MAX_N."""
     points = {}
     for spec in REGIONS.values():
-        eps_lo, eps_hi, delta_lo, delta_hi = spec.box
+        eps_lo, eps_hi, delta_lo, delta_hi = offset_box(spec)
         seen, inside = set(), []
         for den in DENOMINATORS:
             for i in range(math.ceil(eps_lo * den), math.floor(eps_hi * den) + 1):
                 for j in range(math.ceil(delta_lo * den), math.floor(delta_hi * den) + 1):
                     eps, delta = F(i, den), F(j, den)
-                    w = point_weights(spec.anchor_alpha + eps, spec.anchor_beta + delta)
-                    if (eps, delta) in seen or not spec.form.interior(w):
+                    if (eps, delta) in seen or not strictly_inside(spec, eps, delta):
                         continue
                     seen.add((eps, delta))
                     if minimal_n(spec, eps, delta) <= MAX_N:

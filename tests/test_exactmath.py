@@ -1,5 +1,5 @@
 """Rational parsing and the Fraction references, and the integer-form closure
-geometry held against them on small hand-made polygons: RegionSpec.vertices,
+geometry held against them on small hand-made polygons: IntegerForm.vertices,
 the loader's polytope check, and check_validity's sign test of a block's
 integer length at the integer vertices."""
 
@@ -20,6 +20,7 @@ from detic.exactmath import (
 )
 from detic.regions import RegionSpec, TableInvalidError, load_region_table
 from detic.scheme import ZERO, BlockRole, Layout, check_validity
+from test_regions_reference import offset_vertices
 
 
 def hp(c0, ce, cd, strict=False):
@@ -116,10 +117,10 @@ class TestPolygonContains:
 
 class TestPolygonVertices:
     def test_df_vertices(self):
-        assert region(DF_POLY).vertices == ((F(0), F(0)), (F(1, 6), F(1, 3)), (F(2, 3), F(1, 3)))
+        assert offset_vertices(region(DF_POLY)) == ((F(0), F(0)), (F(1, 6), F(1, 3)), (F(2, 3), F(1, 3)))
 
     def test_ab_vertices(self):
-        assert region(AB_POLY).vertices == ((F(-1, 2), F(1, 2)), (F(0), F(0)), (F(0), F(1, 2)))
+        assert offset_vertices(region(AB_POLY)) == ((F(-1, 2), F(1, 2)), (F(0), F(0)), (F(0), F(1, 2)))
 
     def test_single_point_polygon(self, tmp_path):
         p = Polygon([hp(0, 1, 0), hp(0, -1, 0), hp(0, 0, 1), hp(0, 0, -1)])
@@ -155,15 +156,15 @@ class TestPolygonVertices:
 
     def test_vertices_lie_in_closure(self, table):
         for spec in table:
-            assert len(spec.vertices) >= 3, spec.id
-            for e, d in spec.vertices:
+            assert len(offset_vertices(spec)) >= 3, spec.id
+            for e, d in offset_vertices(spec):
                 assert polygon_contains(spec.polygon, e, d, closure=True)
 
     def test_constant_sides(self, tmp_path):
         # A side with no gradient is a constant: 1 >= 0 holds everywhere, -1 >= 0 nowhere.
         ok = Polygon([*DF_POLY.halfplanes, hp(1, 0, 0)])
-        assert region(ok).vertices == region(DF_POLY).vertices
-        assert load_polygon(tmp_path, ok)[0].vertices == region(DF_POLY).vertices
+        assert offset_vertices(region(ok)) == offset_vertices(region(DF_POLY))
+        assert offset_vertices(load_polygon(tmp_path, ok)[0]) == offset_vertices(region(DF_POLY))
         bad = Polygon([*DF_POLY.halfplanes, hp(-1, 0, 0)])
         assert region(bad).form.vertices == ()
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
@@ -181,13 +182,14 @@ class TestAffineNonnegOn:
     def test_negative_at_one_vertex(self):
         # delta - 1/6 is -1/6 at the vertex (0, 0) and 1/6 at the other two.
         f = Affine2(F(-1, 6), F(0), F(1))
-        assert [affine_eval(f, e, d) < 0 for e, d in region(DF_POLY).vertices] == [True, False, False]
+        verts = offset_vertices(region(DF_POLY))
+        assert [affine_eval(f, e, d) < 0 for e, d in verts] == [True, False, False]
         assert not nonneg_on(f, DF_POLY)
 
     def test_implies_nonneg_at_interior_samples(self):
         # Random convex combinations of the vertices stay inside the closure.
         rng = random.Random(1)
-        verts = region(DF_POLY).vertices
+        verts = offset_vertices(region(DF_POLY))
         forms = [
             Affine2(F(1, 3), F(0), F(-1)),
             Affine2(F(0), F(1), F(-1, 2)),

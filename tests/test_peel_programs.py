@@ -37,12 +37,12 @@ from detic.oracle import assignment_from_labels, rank_decodable
 from detic.regions import load_region_table
 from detic.scheme import (
     _layouts,
+    _validation_weights,
     build_assignment,
     check_points,
     load_frozen_interiors,
     load_frozen_layouts,
     minimal_n,
-    validation_points,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "peel_programs.json"
@@ -72,9 +72,9 @@ def _frozen_interiors(table, layouts):
 
 def _validation_points(table, layouts):
     for spec in table:
-        for eps, delta in sorted(set(validation_points(spec))):
-            alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
-            n = minimal_n(spec, eps, delta)
+        points = {(Fraction(w[1], w[0]), Fraction(w[2], w[0])) for w in _validation_weights(spec)}
+        for alpha, beta in sorted(points):
+            n = minimal_n(spec, alpha - spec.anchor_alpha, beta - spec.anchor_beta)
             assign = build_assignment(layouts[spec.id], spec, alpha, beta, n)
             yield _compile(assign, make_channel(3, n, alpha, beta), 1)
 

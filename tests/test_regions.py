@@ -19,6 +19,7 @@ from detic.regions import (
     dsym_at,
     load_region_table,
 )
+from test_regions_reference import offset_vertices
 
 ROW_IDS = [
     "Aa", "Ab", "Ba", "Bb", "Bc", "Bd", "Be", "Bf", "Bg",
@@ -62,9 +63,15 @@ class TestLoad:
 
     def test_vertices_inside_parameter_square(self, table):
         for spec in table:
-            for eps, delta in spec.vertices:
+            for eps, delta in offset_vertices(spec):
                 alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
                 assert 1 <= alpha <= 2 and 0 <= beta <= 1, spec.id
+
+    def test_box_bounds_the_closure(self, table):
+        for spec in table:
+            alpha = [spec.anchor_alpha + e for e, _ in offset_vertices(spec)]
+            beta = [spec.anchor_beta + d for _, d in offset_vertices(spec)]
+            assert spec.form.box == (min(alpha), max(alpha), min(beta), max(beta)), spec.id
 
     def test_loader_rejects_bad_block_sum(self, tmp_path):
         rows = json.loads(json.dumps(_raw_table()))
@@ -157,7 +164,7 @@ def test_triangle_sides_recover_its_vertices(points, anchor, strict, grad, slack
         "T", a0, b0, Polygon(HalfPlane(f, s) for f, s in zip(sides, strict)),
         Affine2(F(1), F(0), F(0)), (Affine2(F(1), F(0), F(0)),),
     )
-    assert spec.vertices == tuple(sorted(offsets))
+    assert offset_vertices(spec) == tuple(sorted(offsets))
 
 
 def _raw_table():

@@ -10,7 +10,9 @@ examples.  A custom table whose common denominator exceeds 2**64 guards
 against any fixed-width shortcut.  `atlas_rows`, which classifies a whole
 lattice column per region at once, is checked row by row against the same
 per-point reference on drawn grids, with the table as printed, reversed,
-shuffled and with the huge denominator.
+shuffled and with the huge denominator.  `offset_vertices`, `offset_box` and
+`strictly_inside` give the other test modules a region's closure in anchor
+offsets.
 """
 
 import json
@@ -70,8 +72,6 @@ def assert_matches_reference(table, alpha, beta):
             want = polygon_contains(spec.polygon, eps, delta, closure)
             assert spec.form.contains(w, closure) == want, (spec.id, alpha, beta, closure)
         assert spec.form.rate_at(w) == affine_eval(spec.dsym, eps, delta), spec.id
-        inside = all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
-        assert spec.form.interior(w) == inside, spec.id
         dens = [alpha.denominator, beta.denominator]
         dens += [affine_eval(b, eps, delta).denominator for b in spec.block_lens]
         assert spec.form.minimal_n(w) == math.lcm(*dens), spec.id
@@ -80,6 +80,24 @@ def assert_matches_reference(table, alpha, beta):
         else:
             with pytest.raises(OutsideRegionError):
                 minimal_n(spec, eps, delta)
+
+
+def offset_vertices(spec) -> tuple[tuple[F, F], ...]:
+    """The closure's vertices (eps, delta), in (alpha, beta) order, from the
+    weights of `IntegerForm.vertices`."""
+    a0, b0 = spec.anchor_alpha, spec.anchor_beta
+    return tuple((F(w[1], w[0]) - a0, F(w[2], w[0]) - b0) for w in spec.form.vertices)
+
+
+def offset_box(spec) -> tuple[F, F, F, F]:
+    """Bounding box of the closure in (eps, delta): eps range, then delta range."""
+    eps, delta = zip(*offset_vertices(spec))
+    return min(eps), max(eps), min(delta), max(delta)
+
+
+def strictly_inside(spec, eps, delta) -> bool:
+    """Strictly inside every printed half-plane, whatever its strictness."""
+    return all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
 
 
 @cache
@@ -91,13 +109,17 @@ def special_points() -> tuple[tuple[F, F], ...]:
     points |= {
         (spec.anchor_alpha + e, spec.anchor_beta + d)
         for spec in TABLE
-        for e, d in spec.vertices
+        for e, d in offset_vertices(spec)
     }
     for i in range(61):
         for j in range(61):
-            w = (60, 60 + i, j)  # (1 + i/60, j/60)
-            if any(s.form.contains(w, closure=True) and not s.form.interior(w) for s in TABLE):
-                points.add((1 + F(i, 60), F(j, 60)))
+            w, alpha, beta = (60, 60 + i, j), 1 + F(i, 60), F(j, 60)
+            if any(
+                s.form.contains(w, closure=True)
+                and not strictly_inside(s, alpha - s.anchor_alpha, beta - s.anchor_beta)
+                for s in TABLE
+            ):
+                points.add((alpha, beta))
     return tuple(sorted(points))
 
 

@@ -25,6 +25,7 @@ from detic.scheme import (
     PipeCountError,
     _interior_lattice,
     _ratio_points,
+    _validation_weights,
     build_assignment,
     check_points,
     check_validity,
@@ -36,8 +37,8 @@ from detic.scheme import (
     load_frozen_interiors,
     load_frozen_layouts,
     minimal_n,
-    validation_points,
 )
+from test_regions_reference import offset_box, strictly_inside
 
 
 def kinds(layout):
@@ -49,6 +50,12 @@ def ab_with_tail(ab):
     so the row still loads, but each is negative somewhere on Ab's closure."""
     tail = (Affine2(F(1, 10), F(1), F(0)), Affine2(F(-1, 10), F(-1), F(0)))
     return RegionSpec("Ab", ab.anchor_alpha, ab.anchor_beta, ab.polygon, ab.dsym, ab.block_lens + tail)
+
+
+def validation_offsets(spec):
+    """The (eps, delta) of the region's validation points, in their order."""
+    a, b = spec.anchor_alpha, spec.anchor_beta
+    return [(F(w[1], w[0]) - a, F(w[2], w[0]) - b) for w in _validation_weights(spec)]
 
 
 def rate_check(layout, spec):
@@ -232,6 +239,18 @@ class TestBuildAssignment:
                 again = seg.pipe_lo + (seg.count - 1 - (bit - seg.bit_lo))
                 assert again == seg.pipe_lo + i
 
+    def test_refuses_another_regions_layout(self, regions_by_id, frozen_layouts, frozen_interiors):
+        # Ba's layout at Bb's pinned interior once built an assignment labelled Ba.
+        spec = regions_by_id["Bb"]
+        eps, delta = frozen_interiors["Bb"]
+        alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
+        n = minimal_n(spec, eps, delta)
+        with pytest.raises(ValueError, match="^layout Ba: block lengths differ from region Bb$"):
+            build_assignment(frozen_layouts["Ba"], spec, alpha, beta, n)
+        with pytest.raises(ValueError, match="^layout Ba: block lengths differ from region Bb$"):
+            check_validity(frozen_layouts["Ba"], spec)
+        assert build_assignment(frozen_layouts["Bb"], spec, alpha, beta, n).region_id == "Bb"
+
 
 class TestEncode:
     @pytest.fixture
@@ -284,7 +303,7 @@ class TestCheckPoints:
         path = tmp_path / "negative_block.json"
         path.write_text(json.dumps([row]))
         (spec,) = load_region_table(path)
-        assert (F(1, 2), F(0)) in validation_points(spec)
+        assert (F(1, 2), F(0)) in validation_offsets(spec)
         with pytest.raises(OutsideRegionError, match=r"negative at \(2/1, 1/4\)"):
             check_points(spec)
 
@@ -292,7 +311,7 @@ class TestCheckPoints:
         for spec in table:
             layout = frozen_layouts[spec.id]
             points = check_points(spec)
-            assert len(points) == len(validation_points(spec)), spec.id
+            assert len(points) == len(_validation_weights(spec)), spec.id
             for point in points:
                 ch = point.ch
                 want = build_assignment(layout, spec, ch.alpha, ch.beta, ch.n)
@@ -337,7 +356,7 @@ class TestLayoutSerialization:
 class TestValidationPoints:
     def test_exclude_degenerate_edges(self, table):
         for spec in table:
-            for eps, delta in validation_points(spec):
+            for eps, delta in validation_offsets(spec):
                 alpha = spec.anchor_alpha + eps
                 beta = spec.anchor_beta + delta
                 assert alpha != 1 and beta != 1, spec.id
@@ -346,7 +365,7 @@ class TestValidationPoints:
         # Ed's old interior sample (-1/6, 0) was also the midpoint of two of
         # its vertices; a repeated point only repeats a rank test and a compile.
         for spec in table:
-            points = validation_points(spec)
+            points = validation_offsets(spec)
             assert len(set(points)) == len(points), spec.id
 
     @pytest.mark.parametrize("den", [7, 12])
@@ -360,7 +379,7 @@ class TestValidationPoints:
                 _weights_at(minimal_n(spec, eps, delta), a + eps, b + delta)
                 for eps in grid
                 for delta in grid
-                if spec.form.interior(point_weights(a + eps, b + delta))
+                if strictly_inside(spec, eps, delta)
             ]
             assert list(_interior_lattice(spec, den)) == want, spec.id
 
@@ -378,8 +397,7 @@ class TestValidationPoints:
         # sample itself unless its offsets need a larger denominator.
         for spec in table:
             eps, delta = interior_sample(spec)
-            w = point_weights(spec.anchor_alpha + eps, spec.anchor_beta + delta)
-            assert spec.form.interior(w), spec.id
+            assert strictly_inside(spec, eps, delta), spec.id
             got = _weights_at(minimal_n(spec, eps, delta), spec.anchor_alpha + eps, spec.anchor_beta + delta)
             best = min(p for den in range(1, 61) for p in _per_point_lattice(spec, den))
             assert got <= best, (spec.id, got, best)
@@ -387,16 +405,7 @@ class TestValidationPoints:
 
     def test_ratio_points_are_least_n_on_their_lines(self, table):
         for spec in table:
-            lines = set()
-            for len_i, len_j in itertools.permutations(spec.form.values[2:], 2):
-                for r in (1, 3):
-                    c = [x - r * y for x, y in zip(len_i, len_j)]
-                    g = math.gcd(*c)
-                    if g:  # one line per pair of opposite normals
-                        lines.add(max(tuple(x // g for x in c), tuple(-x // g for x in c)))
-            want = set()
-            want = {w for line in lines if (w := _least_point_on(spec, line)) is not None}
-            assert set(_ratio_points(spec)) == want, spec.id
+            assert set(_ratio_points(spec)) == _per_line_ratio_points(spec), spec.id
 
     def test_ratio_points_lie_on_block_ratio_lines(self, table):
         from detic.exactmath import affine_eval
@@ -404,7 +413,7 @@ class TestValidationPoints:
         for spec in table:
             a, b = spec.anchor_alpha, spec.anchor_beta
             points = [(n, F(x, n) - a, F(y, n) - b) for n, x, y in _ratio_points(spec)]
-            assert set(validation_points(spec)) >= {(e, d) for _, e, d in points}, spec.id
+            assert set(validation_offsets(spec)) >= {(e, d) for _, e, d in points}, spec.id
             for n, eps, delta in points:
                 assert all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
                 assert minimal_n(spec, eps, delta) == n <= 120, (spec.id, eps, delta)
@@ -432,23 +441,37 @@ def _weights_at(n, alpha, beta):
     return n, int(alpha * n), int(beta * n)
 
 
+def _printed_sides(spec):
+    """Each printed half-plane c0 + c_eps*eps + c_delta*delta times the common
+    denominator of its coefficients: integer triples, of the same sign."""
+    sides = []
+    for f in (h.expr for h in spec.polygon.halfplanes):
+        m = math.lcm(f.c0.denominator, f.c_eps.denominator, f.c_delta.denominator)
+        sides.append((int(f.c0 * m), int(f.c_eps * m), int(f.c_delta * m)))
+    return sides
+
+
+def _inside_at(sides, i, j, den):
+    """Strictly inside every side of `_printed_sides` at (eps, delta) = (i/den, j/den),
+    whatever its strictness."""
+    return all(c0 * den + c1 * i + c2 * j > 0 for c0, c1, c2 in sides)
+
+
 @functools.cache
 def _per_point_lattice(spec, den):
     """Weights (N, A, B) at the minimal N of every strictly interior point
     (i/den, j/den) of the bounding box, each point tested against every side."""
-    lo_e, hi_e, lo_d, hi_d = spec.box
+    lo_e, hi_e, lo_d, hi_d = offset_box(spec)
     a0, a1, a2 = point_weights(spec.anchor_alpha, spec.anchor_beta)
-    box = (
+    sides = _printed_sides(spec)
+    inside = (
         (i, j)
         for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1)
         for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1)
+        if _inside_at(sides, i, j, den)
     )
-    weights = ((a0 * den, a1 * den + a0 * i, a2 * den + a0 * j) for i, j in box)
-    return [
-        _weights_at(spec.form.minimal_n(w), F(w[1], w[0]), F(w[2], w[0]))
-        for w in weights
-        if spec.form.interior(w)
-    ]
+    weights = ((a0 * den, a1 * den + a0 * i, a2 * den + a0 * j) for i, j in inside)
+    return [_weights_at(spec.form.minimal_n(w), F(w[1], w[0]), F(w[2], w[0])) for w in weights]
 
 
 def _least_point_on(spec, line):
@@ -456,18 +479,34 @@ def _least_point_on(spec, line):
     c0*N + c1*A + c2*B = 0 with the least minimal N (at most 120), then the
     least A, each candidate tested against every side."""
     c0, c1, c2 = line
-    lo_e, hi_e, lo_d, hi_d = spec.box
-    a_lo, a_hi = spec.anchor_alpha + lo_e, spec.anchor_alpha + hi_e
-    b_lo, b_hi = spec.anchor_beta + lo_d, spec.anchor_beta + hi_d
+    a0, b0 = spec.anchor_alpha, spec.anchor_beta
+    lo_e, hi_e, lo_d, hi_d = offset_box(spec)
+    a_lo, a_hi, b_lo, b_hi = a0 + lo_e, a0 + hi_e, b0 + lo_d, b0 + hi_d
+    (p, qa), (r, qb), sides = a0.as_integer_ratio(), b0.as_integer_ratio(), _printed_sides(spec)
     for n in range(1, 121):
         b_range = range(math.ceil(b_lo * n), math.floor(b_hi * n) + 1)
         for a in range(math.ceil(a_lo * n), math.floor(a_hi * n) + 1):
             if c2:  # the line's one B in this column, if it is an integer
                 bs = [-(c0 * n + c1 * a) // c2] if (c0 * n + c1 * a) % c2 == 0 else []
+                bs = [b for b in bs if b in b_range]
             else:
                 bs = b_range if c0 * n + c1 * a == 0 else []
             for b in bs:
-                w = (n, a, b)
-                if spec.form.interior(w) and spec.form.minimal_n(w) == n:
-                    return w
+                # (A/N - p/qa, B/N - r/qb) = (i, j) / (N*qa*qb)
+                i, j = (a * qa - p * n) * qb, (b * qb - r * n) * qa
+                if _inside_at(sides, i, j, n * qa * qb) and spec.form.minimal_n((n, a, b)) == n:
+                    return n, a, b
     return None
+
+
+def _per_line_ratio_points(spec):
+    """`_least_point_on` every line where one block has 1 or 3 times another's
+    pipes, the lines taken from every ordered pair of blocks."""
+    lines = set()
+    for len_i, len_j in itertools.permutations(spec.form.blocks, 2):
+        for r in (1, 3):
+            c = [x - r * y for x, y in zip(len_i, len_j)]
+            g = math.gcd(*c)
+            if g:  # one line per pair of opposite normals
+                lines.add(max(tuple(x // g for x in c), tuple(-x // g for x in c)))
+    return {w for line in lines if (w := _least_point_on(spec, line)) is not None}
