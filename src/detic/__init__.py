@@ -27,7 +27,6 @@ from .decode import (
 from .exactmath import (
     Affine2,
     HalfPlane,
-    Polygon,
     Rat,
     affine_eval,
     format_rat,

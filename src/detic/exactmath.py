@@ -1,10 +1,10 @@
 """Exact rational parsing and formatting, and the `Fraction` references.
 
 Scalars are `fractions.Fraction`, affine forms are rational triples
-`c0 + c_eps*eps + c_delta*delta`, and polygons are finite intersections of
-half-planes in the (eps, delta) plane.  The package computes on the integer
-forms of `regions.IntegerForm`; `Affine2` only parses a catalog row and
-prints a form back.  `affine_eval`, `HalfPlane.satisfied` and
+`c0 + c_eps*eps + c_delta*delta`, and a polygon is the intersection of a
+sequence of half-planes in the (eps, delta) plane.  The package computes on
+the integer forms of `regions.IntegerForm`; `Affine2` only parses a catalog
+row and prints a form back.  `affine_eval`, `HalfPlane.satisfied` and
 `polygon_contains` are the plain references that tests hold those integer
 forms (membership, rates, vertices, layout validity) against.  No floating
 point.
@@ -86,18 +86,8 @@ class HalfPlane:
         return v >= 0
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """Intersection of half-planes; geometry always refers to the closure."""
-
-    halfplanes: tuple[HalfPlane, ...]
-
-    def __init__(self, halfplanes: Iterable[HalfPlane]):
-        object.__setattr__(self, "halfplanes", tuple(halfplanes))
-
-
-def polygon_contains(p: Polygon, eps: Rat, delta: Rat, closure: bool = False) -> bool:
-    """Membership test; with closure=True strict constraints are relaxed."""
-    eps = Fraction(eps)
-    delta = Fraction(delta)
-    return all(h.satisfied(eps, delta, closure) for h in p.halfplanes)
+def polygon_contains(
+    halfplanes: Iterable[HalfPlane], eps: Rat, delta: Rat, closure: bool = False
+) -> bool:
+    """Membership in the half-planes' intersection; closure=True relaxes strict ones."""
+    return all(h.satisfied(eps, delta, closure) for h in halfplanes)

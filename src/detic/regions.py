@@ -1,16 +1,19 @@
 """Region catalog over the (alpha, beta) parameter square.
 
-Each region is a polygon in offset coordinates (eps, delta) around a family
-anchor, carrying an exact symmetric-rate formula and an ordered list of
+Each catalog row prints a polygon in offset coordinates (eps, delta) around
+a family anchor, an exact symmetric-rate formula and an ordered list of
 transmit block lengths (fractions of N).  The catalog ships as a checked-in
-JSON file of rational strings so every entry can be reviewed line by line;
-loading revalidates all structural invariants and fails loudly.
+JSON file of rational strings so every entry can be reviewed line by line.
+Loading folds each row once into an `IntegerForm`, so a `RegionSpec` is its
+id, anchor and integer form, and revalidates all structural invariants,
+failing loudly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -19,7 +22,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
-from .exactmath import Affine2, HalfPlane, Polygon, Rat, format_rat, parse_rat
+from .exactmath import Affine2, HalfPlane, Rat, format_rat, parse_rat
 
 
 class TableInvalidError(ValueError):
@@ -113,30 +116,25 @@ class IntegerForm:
 
 @dataclass(frozen=True)
 class RegionSpec:
+    """A catalog row as its id, anchor and integer form, which together give back
+    every printed coefficient exactly (`offset`); equality and hash use all four."""
+
     id: str
     anchor_alpha: Rat
     anchor_beta: Rat
-    polygon: Polygon
-    dsym: Affine2
-    block_lens: tuple[Affine2, ...]
-    form: IntegerForm = field(init=False, repr=False, compare=False)
+    form: IntegerForm
 
-    def __post_init__(self):
-        a0, b0, halfplanes = self.anchor_alpha, self.anchor_beta, self.polygon.halfplanes
-        forms = [h.expr for h in halfplanes] + [self.dsym, *self.block_lens]
-        absolute = [(f.c0 - f.c_eps * a0 - f.c_delta * b0, f.c_eps, f.c_delta) for f in forms]
-        den = math.lcm(*(c.denominator for f in absolute for c in f))
-        ints = [tuple(int(c * den) for c in f) for f in absolute]
-        m = len(halfplanes)
-        sides = tuple((*f, h.strict) for f, h in zip(ints, halfplanes))
-        object.__setattr__(self, "form", IntegerForm(den, sides, ints[m], tuple(ints[m + 1 :])))
-
-    def offset_strings(self, f: tuple[int, int, int]) -> list[str]:
-        """The integer triple f of `form` printed as offset coefficients, as the
-        row prints them: (k + a*alpha0 + b*beta0)/den, a/den and b/den."""
+    def offset(self, f: tuple[int, int, int]) -> Affine2:
+        """The integer triple f of `form` as the row prints it, in offsets around
+        the anchor: (k + a*alpha0 + b*beta0)/den, a/den and b/den."""
         k, a, b = f
         c0 = k + a * self.anchor_alpha + b * self.anchor_beta
-        return [format_rat(Fraction(c, self.form.den)) for c in (c0, a, b)]
+        return Affine2(*(Fraction(c, self.form.den) for c in (c0, a, b)))
+
+    @cached_property
+    def block_lens(self) -> tuple[Affine2, ...]:
+        """The block lengths as printed."""
+        return tuple(map(self.offset, self.form.blocks))
 
 
 @dataclass(frozen=True)
@@ -202,35 +200,46 @@ def _parse_table(text: str) -> tuple[RegionSpec, ...]:
 
 
 def _parse_row(row: dict) -> RegionSpec:
-    anchor = row["anchor"]
+    """Parse a row and fold its printed forms, given in offsets (eps, delta)
+    around the anchor, into absolute integer triples over one denominator."""
+    rid, anchor = row["id"], row["anchor"]
+    if not isinstance(rid, str) or not re.fullmatch(r"[A-Za-z0-9_]+", rid):
+        raise ValueError(f"region id must be letters, digits and _, got {rid!r}")
     if not isinstance(anchor, list) or len(anchor) != 2:
         raise ValueError(f"anchor must be a list of two rationals, got {anchor!r}")
+    a0, b0 = parse_rat(anchor[0]), parse_rat(anchor[1])
     halfplanes = []
     for c in row["constraints"]:
         if not isinstance(c["strict"], bool):
             raise ValueError(f"strict must be a JSON boolean, got {c['strict']!r}")
         halfplanes.append(HalfPlane(Affine2.from_strings(c["expr"]), c["strict"]))
-    return RegionSpec(
-        id=str(row["id"]),
-        anchor_alpha=parse_rat(anchor[0]),
-        anchor_beta=parse_rat(anchor[1]),
-        polygon=Polygon(halfplanes),
-        dsym=Affine2.from_strings(row["dsym"]),
-        block_lens=tuple(Affine2.from_strings(b) for b in row["blocks"]),
-    )
+    forms = [h.expr for h in halfplanes]
+    forms += map(Affine2.from_strings, [row["dsym"], *row["blocks"]])
+    absolute = [(f.c0 - f.c_eps * a0 - f.c_delta * b0, f.c_eps, f.c_delta) for f in forms]
+    den = math.lcm(*(c.denominator for f in absolute for c in f))
+    ints = [tuple(int(c * den) for c in f) for f in absolute]
+    m = len(halfplanes)
+    sides = tuple((*f, h.strict) for f, h in zip(ints, halfplanes))
+    return RegionSpec(rid, a0, b0, IntegerForm(den, sides, ints[m], tuple(ints[m + 1 :])))
 
 
 def _validate_row(spec: RegionSpec) -> None:
-    if not spec.block_lens:
+    if not spec.form.blocks:
         raise TableInvalidError(f"row {spec.id}: empty block list")
     total = _total(spec.form.blocks)
     if total != (spec.form.den, 0, 0):
         raise TableInvalidError(
             f"row {spec.id}: block lengths sum to "
-            f"{spec.offset_strings(total)} instead of the constant 1"
+            f"{spec.offset(total).to_strings()} instead of the constant 1"
         )
     if not spec.form.vertices:
         raise TableInvalidError(f"row {spec.id}: polygon closure is not a 2-D polytope")
+    a_lo, a_hi, b_lo, b_hi = spec.form.box
+    if a_lo < 1 or a_hi > 2 or b_lo < 0 or b_hi > 1:
+        raise TableInvalidError(
+            f"row {spec.id}: closure spans alpha in [{format_rat(a_lo)}, {format_rat(a_hi)}], "
+            f"beta in [{format_rat(b_lo)}, {format_rat(b_hi)}], outside [1,2] x [0,1]"
+        )
 
 
 def check_square(alpha: Rat, beta: Rat) -> tuple[Rat, Rat]:

@@ -280,10 +280,10 @@ def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
     the layout's.  Raises ValueError when the layout's block lengths are not
     the region's."""
     _check_blocks(layout, region)
-    form, show = region.form, region.offset_strings
+    form, offset = region.form, region.offset
     lens = form.blocks
     # An affine length is least at a vertex of the closure, so the vertices suffice.
-    bad = [show(f) for f in lens if any(_dot(f, w) < 0 for w in form.vertices)]
+    bad = [offset(f).to_strings() for f in lens if any(_dot(f, w) < 0 for w in form.vertices)]
     total = _total(lens)
     data = (SINGLE, TWIN_FIRST)  # each twin pair counts once
     distinct = _total(f for f, (_, role) in zip(lens, layout.blocks) if role.kind in data)
@@ -293,11 +293,11 @@ def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
             not bad,
             "all block lengths >= 0 on the region closure" if not bad else f"negative: {bad}",
         ),
-        ("lengths sum to one", total == (form.den, 0, 0), f"sum = {show(total)}"),
+        ("lengths sum to one", total == (form.den, 0, 0), f"sum = {offset(total).to_strings()}"),
         (
             "distinct data equals rate",
             distinct == form.rate,
-            f"distinct sum = {show(distinct)}, rate = {show(form.rate)}",
+            f"distinct sum = {offset(distinct).to_strings()}, rate = {offset(form.rate).to_strings()}",
         ),
     ]
     return ValidityReport(layout.region_id, checks)

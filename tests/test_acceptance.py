@@ -17,7 +17,7 @@ from detic.exactmath import affine_eval
 from detic.oracle import exhaustive_search, rank_decodable
 from detic.regions import boundary_consistency, classify, converse_bound, dsym_at
 from detic.scheme import build_assignment, degenerate_channel_point, minimal_n
-from test_regions_reference import offset_vertices
+from test_regions_reference import PRINTED, offset_vertices
 
 
 def report(name, detail, t0):
@@ -82,7 +82,7 @@ def test_criterion_3_achievability_sweep(table, frozen_layouts, frozen_interiors
             alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
             n = minimal_n(spec, eps, delta)
             assign = build_assignment(layout, spec, alpha, beta, n)
-            assert assign.m == affine_eval(spec.dsym, eps, delta) * n, (spec.id, alpha, beta)
+            assert assign.m == affine_eval(PRINTED[spec.id].dsym, eps, delta) * n, (spec.id, alpha, beta)
             if degenerate_channel_point(alpha, beta):
                 ch = make_channel(3, n, alpha, beta)
                 assert assign.m >= 1

@@ -414,6 +414,39 @@ class TestTableOverride:
         assert code == 2
         assert json.loads(out) == {"error": "region Zz: no interior point with N <= 120"}
 
+    def test_row_outside_the_square_is_usage_error(self, capsys, tmp_path):
+        # Zz's closure reaches alpha = 5/2.  classify once answered Zz at
+        # (2, 1/4), and plan there exited 2 naming alpha = 5/2 but no row.
+        row = {
+            "id": "Zz",
+            "anchor": ["2", "0"],
+            "constraints": [
+                {"expr": ["0", "1", "0"], "strict": False},
+                {"expr": ["1/2", "-1", "0"], "strict": False},
+                {"expr": ["0", "0", "1"], "strict": False},
+                {"expr": ["1/2", "0", "-1"], "strict": False},
+            ],
+            "dsym": ["1/2", "0", "0"],
+            "blocks": [["1", "0", "0"]],
+        }
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps([row]))
+        want = "row Zz: closure spans alpha in [2/1, 5/2], beta in [0/1, 1/2], outside [1,2] x [0,1]"
+        for command in ("classify", "plan"):
+            code, out = run(capsys, "--table", str(path), command, "--alpha", "2", "--beta", "1/4")
+            assert code == 2
+            assert json.loads(out) == {"error": want}
+
+    def test_id_with_a_comma_is_usage_error(self, capsys, tmp_path):
+        # "A,a" once gave atlas CSV lines of 5 fields.
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        rows[1]["id"] = "A,a"
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps(rows))
+        code, out = run(capsys, "--table", str(path), "atlas", "--grid", "3")
+        assert code == 2
+        assert json.loads(out) == {"error": "row A,a: region id must be letters, digits and _, got 'A,a'"}
+
     def test_missing_table_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
         code, out = run(

@@ -233,7 +233,7 @@ class TestDenseInteriorSweep:
 
         from detic.oracle import rank_decodable
         from detic.scheme import minimal_n
-        from test_regions_reference import offset_box, strictly_inside
+        from test_regions_reference import PRINTED, offset_box, strictly_inside
 
         checked = 0
         for spec in table:
@@ -243,7 +243,7 @@ class TestDenseInteriorSweep:
                 for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1):
                     for j in range(math.ceil(lo_d * den), math.floor(hi_d * den) + 1):
                         e, d = F(i, den), F(j, den)
-                        if (e, d) in seen or not strictly_inside(spec, e, d):
+                        if (e, d) in seen or not strictly_inside(PRINTED[spec.id], e, d):
                             continue
                         seen.add((e, d))
                         n = minimal_n(spec, e, d)

@@ -34,7 +34,7 @@ from detic.oracle import assignment_from_labels, rank_decodable
 from detic.regions import load_region_table
 from detic.scheme import build_assignment, load_frozen_layouts, minimal_n
 from test_oracle_properties import cases
-from test_regions_reference import offset_box, strictly_inside
+from test_regions_reference import PRINTED, offset_box, strictly_inside
 
 MAX_N = 120
 DENOMINATORS = range(2, 17)
@@ -53,7 +53,7 @@ def interior_points() -> dict[str, tuple[tuple[F, F], ...]]:
             for i in range(math.ceil(eps_lo * den), math.floor(eps_hi * den) + 1):
                 for j in range(math.ceil(delta_lo * den), math.floor(delta_hi * den) + 1):
                     eps, delta = F(i, den), F(j, den)
-                    if (eps, delta) in seen or not strictly_inside(spec, eps, delta):
+                    if (eps, delta) in seen or not strictly_inside(PRINTED[spec.id], eps, delta):
                         continue
                     seen.add((eps, delta))
                     if minimal_n(spec, eps, delta) <= MAX_N:

@@ -9,18 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from detic.exactmath import (
-    Affine2,
-    HalfPlane,
-    Polygon,
-    affine_eval,
-    format_rat,
-    parse_rat,
-    polygon_contains,
-)
-from detic.regions import RegionSpec, TableInvalidError, load_region_table
+from detic.exactmath import Affine2, HalfPlane, affine_eval, format_rat, parse_rat, polygon_contains
+from detic.regions import TableInvalidError, _parse_row, load_region_table
 from detic.scheme import ZERO, BlockRole, Layout, check_validity
-from test_regions_reference import offset_vertices
+from test_regions_reference import PRINTED, offset_vertices
 
 
 def hp(c0, ce, cd, strict=False):
@@ -30,22 +22,27 @@ def hp(c0, ce, cd, strict=False):
 ONE = Affine2(F(1), F(0), F(0))
 
 
+def one_block_row(poly, block=ONE, anchor=("0", "0")):
+    """A one-block row whose constraints are the polygon's half-planes."""
+    return {
+        "id": "X",
+        "anchor": list(anchor),
+        "constraints": [{"expr": h.expr.to_strings(), "strict": h.strict} for h in poly],
+        "dsym": ["1", "0", "0"],
+        "blocks": [block.to_strings()],
+    }
+
+
 def region(poly, block=ONE):
     """A one-block region around the anchor (0, 0), so (eps, delta) = (alpha, beta)."""
-    return RegionSpec("X", F(0), F(0), poly, ONE, (block,))
+    return _parse_row(one_block_row(poly, block))
 
 
 def load_polygon(tmp_path, poly):
-    """Load a one-row table whose constraints are the polygon's half-planes."""
-    row = {
-        "id": "X",
-        "anchor": ["0", "0"],
-        "constraints": [{"expr": h.expr.to_strings(), "strict": h.strict} for h in poly.halfplanes],
-        "dsym": ["1", "0", "0"],
-        "blocks": [["1", "0", "0"]],
-    }
+    """Load a one-row table around Df's anchor (4/3, 2/3), where Df's offsets
+    lie inside the square."""
     path = tmp_path / "regions.json"
-    path.write_text(json.dumps([row]))
+    path.write_text(json.dumps([one_block_row(poly, anchor=("4/3", "2/3"))]))
     return load_region_table(path)
 
 
@@ -56,11 +53,11 @@ def nonneg_on(f, poly):
 
 
 # Region "Df" in offset coordinates: eps <= 2*delta, eps >= delta/2, delta <= 1/3.
-DF_POLY = Polygon([hp(0, -1, 2), hp(0, 1, F(-1, 2)), hp(F(1, 3), 0, -1)])
+DF_POLY = (hp(0, -1, 2), hp(0, 1, F(-1, 2)), hp(F(1, 3), 0, -1))
 # Region "Ab": eps < 0, delta <= 1/2, eps >= -delta.
-AB_POLY = Polygon([hp(0, -1, 0, strict=True), hp(F(1, 2), 0, -1), hp(0, 1, 1)])
+AB_POLY = (hp(0, -1, 0, strict=True), hp(F(1, 2), 0, -1), hp(0, 1, 1))
 # Region "Aa": delta >= 0, delta <= 1 + eps, eps <= -delta.
-AA_POLY = Polygon([hp(0, 0, 1), hp(1, 1, -1), hp(0, -1, -1)])
+AA_POLY = (hp(0, 0, 1), hp(1, 1, -1), hp(0, -1, -1))
 
 
 class TestRat:
@@ -123,33 +120,33 @@ class TestPolygonVertices:
         assert offset_vertices(region(AB_POLY)) == ((F(-1, 2), F(1, 2)), (F(0), F(0)), (F(0), F(1, 2)))
 
     def test_single_point_polygon(self, tmp_path):
-        p = Polygon([hp(0, 1, 0), hp(0, -1, 0), hp(0, 0, 1), hp(0, 0, -1)])
+        p = (hp(0, 1, 0), hp(0, -1, 0), hp(0, 0, 1), hp(0, 0, -1))
         assert region(p).form.vertices == ()
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
             load_polygon(tmp_path, p)
 
     def test_segment_polygon(self, tmp_path):
         # Flat closures have at most two vertices: here (0, 0) and (1, 0).
-        p = Polygon([hp(0, 1, 0), hp(1, -1, 0), hp(0, 0, 1), hp(0, 0, -1), hp(0, 1, 1)])
+        p = (hp(0, 1, 0), hp(1, -1, 0), hp(0, 0, 1), hp(0, 0, -1), hp(0, 1, 1))
         assert region(p).form.vertices == ()
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
             load_polygon(tmp_path, p)
 
     def test_unbounded(self, tmp_path):
-        p = Polygon([hp(0, 1, 0), hp(0, 0, 1)])
+        p = (hp(0, 1, 0), hp(0, 0, 1))
         assert region(p).form.vertices == ()
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
             load_polygon(tmp_path, p)
 
     def test_unbounded_with_three_vertices(self, tmp_path):
         # Vertices (0, 2), (2/3, 2/3) and (2, 0), yet open towards (1, 1).
-        p = Polygon([hp(0, 1, 0), hp(0, 0, 1), hp(-2, 1, 2), hp(-2, 2, 1)])
+        p = (hp(0, 1, 0), hp(0, 0, 1), hp(-2, 1, 2), hp(-2, 2, 1))
         assert region(p).form.vertices == ()
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
             load_polygon(tmp_path, p)
 
     def test_empty(self, tmp_path):
-        p = Polygon([hp(-1, 1, 0), hp(-1, -1, 0), hp(0, 0, 1), hp(1, 0, -1)])
+        p = (hp(-1, 1, 0), hp(-1, -1, 0), hp(0, 0, 1), hp(1, 0, -1))
         assert region(p).form.vertices == ()
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
             load_polygon(tmp_path, p)
@@ -158,14 +155,14 @@ class TestPolygonVertices:
         for spec in table:
             assert len(offset_vertices(spec)) >= 3, spec.id
             for e, d in offset_vertices(spec):
-                assert polygon_contains(spec.polygon, e, d, closure=True)
+                assert polygon_contains(PRINTED[spec.id].halfplanes, e, d, closure=True)
 
     def test_constant_sides(self, tmp_path):
         # A side with no gradient is a constant: 1 >= 0 holds everywhere, -1 >= 0 nowhere.
-        ok = Polygon([*DF_POLY.halfplanes, hp(1, 0, 0)])
+        ok = (*DF_POLY, hp(1, 0, 0))
         assert offset_vertices(region(ok)) == offset_vertices(region(DF_POLY))
         assert offset_vertices(load_polygon(tmp_path, ok)[0]) == offset_vertices(region(DF_POLY))
-        bad = Polygon([*DF_POLY.halfplanes, hp(-1, 0, 0)])
+        bad = (*DF_POLY, hp(-1, 0, 0))
         assert region(bad).form.vertices == ()
         with pytest.raises(TableInvalidError, match="not a 2-D polytope"):
             load_polygon(tmp_path, bad)

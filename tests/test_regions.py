@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detic import regions
-from detic.exactmath import Affine2, HalfPlane, Polygon
+from detic.exactmath import Affine2, format_rat
 from detic.regions import (
     OutOfSquareError,
-    RegionSpec,
     TableInvalidError,
+    _parse_row,
     atlas_rows,
     boundary_consistency,
     classify,
@@ -19,7 +19,7 @@ from detic.regions import (
     dsym_at,
     load_region_table,
 )
-from test_regions_reference import offset_vertices
+from test_regions_reference import PRINTED, builtin_rows, offset_vertices
 
 ROW_IDS = [
     "Aa", "Ab", "Ba", "Bb", "Bc", "Bd", "Be", "Bf", "Bg",
@@ -46,7 +46,7 @@ class TestLoad:
 
     def test_block_sums_are_one(self, table):
         for spec in table:
-            coeffs = [(b.c0, b.c_eps, b.c_delta) for b in spec.block_lens]
+            coeffs = [(b.c0, b.c_eps, b.c_delta) for b in PRINTED[spec.id].blocks]
             assert [sum(c) for c in zip(*coeffs)] == [1, 0, 0], spec.id
 
     def test_family_anchors(self, table):
@@ -74,7 +74,7 @@ class TestLoad:
             assert spec.form.box == (min(alpha), max(alpha), min(beta), max(beta)), spec.id
 
     def test_loader_rejects_bad_block_sum(self, tmp_path):
-        rows = json.loads(json.dumps(_raw_table()))
+        rows = builtin_rows()
         rows[0]["blocks"][0] = ["1/2", "1/3", "1"]
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
@@ -85,7 +85,7 @@ class TestLoad:
 
     @pytest.mark.parametrize("bad_row,kind", [(2, "int"), ("Df", "str"), ([], "list"), (None, "NoneType")])
     def test_loader_rejects_rows_that_are_not_objects(self, tmp_path, bad_row, kind):
-        rows = _raw_table()[:1] + [bad_row]
+        rows = builtin_rows()[:1] + [bad_row]
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
         with pytest.raises(TableInvalidError, match=f"^row 1: expected a JSON object, got {kind}$"):
@@ -95,7 +95,7 @@ class TestLoad:
         "anchor", [["2", 0.1], ["2", "0.1"], ["2", True], [2, "0"], ["2"], ["2", "0", "0"], "20"]
     )
     def test_loader_rejects_inexact_anchors(self, tmp_path, anchor):
-        rows = _raw_table()
+        rows = builtin_rows()
         rows[0]["anchor"] = anchor
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
@@ -105,7 +105,7 @@ class TestLoad:
     @pytest.mark.parametrize("field,value", [("dsym", "100"), ("dsym", ["1", "0"]), ("blocks", ["1"])])
     def test_loader_rejects_forms_that_are_not_triples(self, tmp_path, field, value):
         # A three-character string once loaded as the triple of its characters.
-        rows = _raw_table()
+        rows = builtin_rows()
         rows[0][field] = value
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
@@ -114,20 +114,90 @@ class TestLoad:
 
     @pytest.mark.parametrize("strict", ["false", "true", 0, 1, None])
     def test_loader_rejects_non_boolean_strict(self, tmp_path, strict):
-        rows = _raw_table()
+        rows = builtin_rows()
         rows[0]["constraints"][0]["strict"] = strict
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
         with pytest.raises(TableInvalidError, match="^row Aa: strict must be a JSON boolean"):
             load_region_table(bad)
 
+    def test_loader_rejects_closure_outside_square(self, tmp_path):
+        # The closure reaches alpha = 5/2: classify once answered Zz at (2, 1/4),
+        # and plan there stopped on a message that named no row.
+        row = {
+            "id": "Zz",
+            "anchor": ["2", "0"],
+            "constraints": [
+                {"expr": ["0", "1", "0"], "strict": False},
+                {"expr": ["1/2", "-1", "0"], "strict": False},
+                {"expr": ["0", "0", "1"], "strict": False},
+                {"expr": ["1/2", "0", "-1"], "strict": False},
+            ],
+            "dsym": ["1/2", "0", "0"],
+            "blocks": [["1", "0", "0"]],
+        }
+        bad = tmp_path / "regions.json"
+        bad.write_text(json.dumps([row]))
+        want = "row Zz: closure spans alpha in [2/1, 5/2], beta in [0/1, 1/2], outside [1,2] x [0,1]"
+        with pytest.raises(TableInvalidError, match=re.escape(want)):
+            load_region_table(bad)
+
+    @pytest.mark.parametrize("rid", ["A,a", "-", "", "A a", "Aa\n", "Åa", 5, None])
+    def test_loader_rejects_ids_other_than_letters_digits_underscore(self, tmp_path, rid):
+        # "A,a" gave atlas CSV lines of 5 fields; "-" is the atlas's uncovered marker.
+        rows = builtin_rows()
+        rows[1]["id"] = rid
+        bad = tmp_path / "regions.json"
+        bad.write_text(json.dumps(rows))
+        want = f"row {rid}: region id must be letters, digits and _, got {rid!r}"
+        with pytest.raises(TableInvalidError, match=f"^{re.escape(want)}$"):
+            load_region_table(bad)
+
+    def test_loader_accepts_letters_digits_underscore(self, tmp_path):
+        rows = builtin_rows()
+        rows[1]["id"] = "ab_9Z"
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(rows))
+        assert load_region_table(path)[1].id == "ab_9Z"
+
     def test_loader_rejects_unbounded_region(self, tmp_path):
-        rows = json.loads(json.dumps(_raw_table()))
+        rows = builtin_rows()
         rows[0]["constraints"] = rows[0]["constraints"][:1]
         bad = tmp_path / "regions.json"
         bad.write_text(json.dumps(rows))
         with pytest.raises(TableInvalidError):
             load_region_table(bad)
+
+
+class TestIdentity:
+    """A spec is its id, anchor and integer form: equal exactly when the rows
+    print the same region, whatever the spelling of its rationals."""
+
+    def test_two_parses_are_equal_with_equal_hashes(self):
+        text = regions._builtin_table_text()
+        first, second = regions._parse_table(text), regions._parse_table(text)
+        for a, b in zip(first, second, strict=True):
+            assert a is not b and a == b and hash(a) == hash(b), a.id
+        assert len(set(first) | set(second)) == len(first)
+
+    def test_respelt_rationals_give_an_equal_spec(self):
+        row = next(row for row in builtin_rows() if row["id"] == "Df")  # anchor (4/3, 2/3)
+        spec = _parse_row(row)
+        row["anchor"] = ["8/6", "4/6"]
+        row["blocks"] = [[f"{F(c).numerator * 3}/{F(c).denominator * 3}" for c in b] for b in row["blocks"]]
+        assert _parse_row(row) == spec and hash(_parse_row(row)) == hash(spec)
+
+    @pytest.mark.parametrize("edit", ["strictness", "anchor", "block length"])
+    def test_one_edit_gives_an_unequal_spec(self, edit):
+        for row in builtin_rows():
+            spec = _parse_row(row)
+            if edit == "strictness":
+                row["constraints"][-1]["strict"] = not row["constraints"][-1]["strict"]
+            elif edit == "anchor":
+                row["anchor"][1] = format_rat(F(row["anchor"][1]) + F(1, 7))
+            else:
+                row["blocks"][-1][2] = format_rat(F(row["blocks"][-1][2]) + 1)
+            assert _parse_row(row) != spec, (row["id"], edit)
 
 
 RATIONALS = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
@@ -160,17 +230,14 @@ def test_triangle_sides_recover_its_vertices(points, anchor, strict, grad, slack
     if grad != (0, 0):
         c = slack - min(grad[0] * e + grad[1] * d for e, d in offsets)
         sides.append(Affine2(c, F(grad[0]), F(grad[1])))
-    spec = RegionSpec(
-        "T", a0, b0, Polygon(HalfPlane(f, s) for f, s in zip(sides, strict)),
-        Affine2(F(1), F(0), F(0)), (Affine2(F(1), F(0), F(0)),),
-    )
-    assert offset_vertices(spec) == tuple(sorted(offsets))
-
-
-def _raw_table():
-    from importlib import resources
-
-    return json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+    row = {
+        "id": "T",
+        "anchor": [format_rat(a0), format_rat(b0)],
+        "constraints": [{"expr": f.to_strings(), "strict": s} for f, s in zip(sides, strict)],
+        "dsym": ["1", "0", "0"],
+        "blocks": [["1", "0", "0"]],
+    }
+    assert offset_vertices(_parse_row(row)) == tuple(sorted(offsets))
 
 
 class TestClassify:

@@ -28,13 +28,14 @@ SHUFFLES = 3
 def _block_orders():
     rng = random.Random(0)
     for spec in load_region_table():
-        orders = [spec.block_lens, spec.block_lens[::-1]]
+        blocks = spec.form.blocks
+        orders = [blocks, blocks[::-1]]
         for _ in range(SHUFFLES):
-            lens = list(spec.block_lens)
-            rng.shuffle(lens)
-            orders.append(tuple(lens))
-        for lens in orders:
-            yield dataclasses.replace(spec, block_lens=lens)
+            shuffled = list(blocks)
+            rng.shuffle(shuffled)
+            orders.append(tuple(shuffled))
+        for order in orders:
+            yield dataclasses.replace(spec, form=dataclasses.replace(spec.form, blocks=order))
 
 
 def digest() -> dict:

@@ -12,7 +12,7 @@ import pytest
 from detic import scheme
 from detic.exactmath import Affine2
 from detic.gf2 import DimensionMismatchError, NotBinaryError
-from detic.regions import RegionSpec, load_region_table, point_weights
+from detic.regions import _parse_row, load_region_table, point_weights
 from detic.scheme import (
     SINGLE,
     TWIN_FIRST,
@@ -38,18 +38,19 @@ from detic.scheme import (
     load_frozen_layouts,
     minimal_n,
 )
-from test_regions_reference import offset_box, strictly_inside
+from test_regions_reference import PRINTED, Printed, builtin_rows, offset_box, strictly_inside
 
 
 def kinds(layout):
     return [role.kind for _, role in layout.blocks]
 
 
-def ab_with_tail(ab):
-    """Ab with two blocks appended, 1/10 + eps and -1/10 - eps: they sum to 0,
-    so the row still loads, but each is negative somewhere on Ab's closure."""
-    tail = (Affine2(F(1, 10), F(1), F(0)), Affine2(F(-1, 10), F(-1), F(0)))
-    return RegionSpec("Ab", ab.anchor_alpha, ab.anchor_beta, ab.polygon, ab.dsym, ab.block_lens + tail)
+def ab_with_tail():
+    """Ab's row with two blocks appended, 1/10 + eps and -1/10 - eps: they sum
+    to 0, so the row still loads, but each is negative somewhere on Ab's closure."""
+    row = next(row for row in builtin_rows() if row["id"] == "Ab")
+    row["blocks"] += [["1/10", "1", "0"], ["-1/10", "-1", "0"]]
+    return row
 
 
 def validation_offsets(spec):
@@ -104,7 +105,7 @@ class TestValidity:
 
     def test_all_zero_layout_fails_rate_check(self, regions_by_id):
         spec = regions_by_id["Ab"]
-        layout = Layout("Ab", tuple((length, BlockRole(ZERO)) for length in spec.block_lens))
+        layout = Layout("Ab", tuple((length, BlockRole(ZERO)) for length in PRINTED["Ab"].blocks))
         report = check_validity(layout, spec)
         assert report.checks == [
             ("non-negative lengths", True, "all block lengths >= 0 on the region closure"),
@@ -118,9 +119,9 @@ class TestValidity:
 
     def test_negative_witness_prints_offset_coefficients(self, regions_by_id):
         # 1/10 + eps is negative at eps = -1/2 and -1/10 - eps at eps = 0.
-        ab = regions_by_id["Ab"]
-        spec = ab_with_tail(ab)
-        layout = Layout("Ab", tuple((length, BlockRole(ZERO)) for length in spec.block_lens))
+        ab, row = regions_by_id["Ab"], ab_with_tail()
+        spec = _parse_row(row)
+        layout = Layout("Ab", tuple((length, BlockRole(ZERO)) for length in Printed.parse(row).blocks))
         assert check_validity(layout, spec).checks[:2] == [
             ("non-negative lengths", False, "negative: [['1/10', '1/1', '0/1'], ['-1/10', '-1/1', '0/1']]"),
             ("lengths sum to one", True, "sum = ['1/1', '0/1', '0/1']"),
@@ -327,7 +328,7 @@ class TestLayoutSerialization:
 
     def test_entry_with_another_block_count_is_refused(self, regions_by_id, frozen_layouts):
         # A region with blocks appended must not reuse its shorter frozen entry.
-        longer = ab_with_tail(regions_by_id["Ab"])
+        longer = _parse_row(ab_with_tail())
         with pytest.raises(ValueError, match="layout Ab: 2 blocks, region has 4"):
             layout_from_json_dict(frozen_layouts["Ab"].to_json_dict(), longer)
         assert scheme._builtin_layout(longer) is None  # so layout_for re-derives it
@@ -374,12 +375,12 @@ class TestValidationPoints:
         # bounding box the integer scan walks.
         grid = [F(i, den) for i in range(-den, den + 1)]
         for spec in table:
-            a, b = spec.anchor_alpha, spec.anchor_beta
+            a, b, row = spec.anchor_alpha, spec.anchor_beta, PRINTED[spec.id]
             want = [
                 _weights_at(minimal_n(spec, eps, delta), a + eps, b + delta)
                 for eps in grid
                 for delta in grid
-                if strictly_inside(spec, eps, delta)
+                if strictly_inside(row, eps, delta)
             ]
             assert list(_interior_lattice(spec, den)) == want, spec.id
 
@@ -388,7 +389,7 @@ class TestValidationPoints:
         # side; the scan solves each column for its interior rows instead.
         for spec in table:
             for den in range(1, 61):
-                want = _per_point_lattice(spec, den)
+                want = _per_point_lattice(spec, PRINTED[spec.id], den)
                 assert list(_interior_lattice(spec, den)) == want, (spec.id, den)
 
     def test_interior_sample_is_least_n(self, table):
@@ -397,30 +398,31 @@ class TestValidationPoints:
         # sample itself unless its offsets need a larger denominator.
         for spec in table:
             eps, delta = interior_sample(spec)
-            assert strictly_inside(spec, eps, delta), spec.id
+            row = PRINTED[spec.id]
+            assert strictly_inside(row, eps, delta), spec.id
             got = _weights_at(minimal_n(spec, eps, delta), spec.anchor_alpha + eps, spec.anchor_beta + delta)
-            best = min(p for den in range(1, 61) for p in _per_point_lattice(spec, den))
+            best = min(p for den in range(1, 61) for p in _per_point_lattice(spec, row, den))
             assert got <= best, (spec.id, got, best)
             assert got == best or max(eps.denominator, delta.denominator) > 60, spec.id
 
     def test_ratio_points_are_least_n_on_their_lines(self, table):
         for spec in table:
-            assert set(_ratio_points(spec)) == _per_line_ratio_points(spec), spec.id
+            assert set(_ratio_points(spec)) == _per_line_ratio_points(spec, PRINTED[spec.id]), spec.id
 
     def test_ratio_points_lie_on_block_ratio_lines(self, table):
         from detic.exactmath import affine_eval
 
         for spec in table:
-            a, b = spec.anchor_alpha, spec.anchor_beta
+            a, b, row = spec.anchor_alpha, spec.anchor_beta, PRINTED[spec.id]
             points = [(n, F(x, n) - a, F(y, n) - b) for n, x, y in _ratio_points(spec)]
             assert set(validation_offsets(spec)) >= {(e, d) for _, e, d in points}, spec.id
             for n, eps, delta in points:
-                assert all(affine_eval(h.expr, eps, delta) > 0 for h in spec.polygon.halfplanes)
+                assert strictly_inside(row, eps, delta), (spec.id, eps, delta)
                 assert minimal_n(spec, eps, delta) == n <= 120, (spec.id, eps, delta)
-                lens = [affine_eval(b, eps, delta) for b in spec.block_lens]
+                lens = [affine_eval(b, eps, delta) for b in row.blocks]
                 assert any(
                     a == r * b and la != lb
-                    for (a, la), (b, lb) in itertools.permutations(zip(lens, spec.block_lens), 2)
+                    for (a, la), (b, lb) in itertools.permutations(zip(lens, row.blocks), 2)
                     for r in (1, 3)
                 ), (spec.id, eps, delta)
         ee = next(spec for spec in table if spec.id == "Ee")
@@ -428,12 +430,9 @@ class TestValidationPoints:
         assert (11, 21, 9) in list(_ratio_points(ee))
 
     def test_interior_sample_is_strictly_inside(self, table, frozen_interiors):
-        from detic.exactmath import affine_eval
-
         for spec in table:
             eps, delta = frozen_interiors[spec.id]
-            for h in spec.polygon.halfplanes:
-                assert affine_eval(h.expr, eps, delta) > 0, spec.id
+            assert strictly_inside(PRINTED[spec.id], eps, delta), spec.id
 
 
 def _weights_at(n, alpha, beta):
@@ -441,11 +440,11 @@ def _weights_at(n, alpha, beta):
     return n, int(alpha * n), int(beta * n)
 
 
-def _printed_sides(spec):
+def _printed_sides(row):
     """Each printed half-plane c0 + c_eps*eps + c_delta*delta times the common
     denominator of its coefficients: integer triples, of the same sign."""
     sides = []
-    for f in (h.expr for h in spec.polygon.halfplanes):
+    for f in (h.expr for h in row.halfplanes):
         m = math.lcm(f.c0.denominator, f.c_eps.denominator, f.c_delta.denominator)
         sides.append((int(f.c0 * m), int(f.c_eps * m), int(f.c_delta * m)))
     return sides
@@ -458,12 +457,13 @@ def _inside_at(sides, i, j, den):
 
 
 @functools.cache
-def _per_point_lattice(spec, den):
+def _per_point_lattice(spec, row, den):
     """Weights (N, A, B) at the minimal N of every strictly interior point
-    (i/den, j/den) of the bounding box, each point tested against every side."""
+    (i/den, j/den) of the bounding box, each point tested against every side
+    of `row`, the spec's row as printed."""
     lo_e, hi_e, lo_d, hi_d = offset_box(spec)
     a0, a1, a2 = point_weights(spec.anchor_alpha, spec.anchor_beta)
-    sides = _printed_sides(spec)
+    sides = _printed_sides(row)
     inside = (
         (i, j)
         for i in range(math.ceil(lo_e * den), math.floor(hi_e * den) + 1)
@@ -474,7 +474,7 @@ def _per_point_lattice(spec, den):
     return [_weights_at(spec.form.minimal_n(w), F(w[1], w[0]), F(w[2], w[0])) for w in weights]
 
 
-def _least_point_on(spec, line):
+def _least_point_on(spec, row, line):
     """Weights (N, A, B) of the strictly interior point (A/N, B/N) on the line
     c0*N + c1*A + c2*B = 0 with the least minimal N (at most 120), then the
     least A, each candidate tested against every side."""
@@ -482,7 +482,7 @@ def _least_point_on(spec, line):
     a0, b0 = spec.anchor_alpha, spec.anchor_beta
     lo_e, hi_e, lo_d, hi_d = offset_box(spec)
     a_lo, a_hi, b_lo, b_hi = a0 + lo_e, a0 + hi_e, b0 + lo_d, b0 + hi_d
-    (p, qa), (r, qb), sides = a0.as_integer_ratio(), b0.as_integer_ratio(), _printed_sides(spec)
+    (p, qa), (r, qb), sides = a0.as_integer_ratio(), b0.as_integer_ratio(), _printed_sides(row)
     for n in range(1, 121):
         b_range = range(math.ceil(b_lo * n), math.floor(b_hi * n) + 1)
         for a in range(math.ceil(a_lo * n), math.floor(a_hi * n) + 1):
@@ -499,7 +499,7 @@ def _least_point_on(spec, line):
     return None
 
 
-def _per_line_ratio_points(spec):
+def _per_line_ratio_points(spec, row):
     """`_least_point_on` every line where one block has 1 or 3 times another's
     pipes, the lines taken from every ordered pair of blocks."""
     lines = set()
@@ -509,4 +509,4 @@ def _per_line_ratio_points(spec):
             g = math.gcd(*c)
             if g:  # one line per pair of opposite normals
                 lines.add(max(tuple(x // g for x in c), tuple(-x // g for x in c)))
-    return {w for line in lines if (w := _least_point_on(spec, line)) is not None}
+    return {w for line in lines if (w := _least_point_on(spec, row, line)) is not None}

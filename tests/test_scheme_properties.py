@@ -20,8 +20,8 @@ from fractions import Fraction as F
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from detic.exactmath import Affine2, HalfPlane, Polygon, affine_eval, format_rat
-from detic.regions import RegionSpec, load_region_table
+from detic.exactmath import Affine2, affine_eval, format_rat
+from detic.regions import _parse_row, load_region_table
 from detic.scheme import (
     SINGLE,
     TWIN_FIRST,
@@ -35,7 +35,7 @@ from detic.scheme import (
     check_validity,
     load_frozen_layouts,
 )
-from test_regions_reference import offset_vertices
+from test_regions_reference import PRINTED, Printed, offset_vertices
 from test_scheme import _least_point_on, _per_line_ratio_points, _per_point_lattice
 
 TABLE = load_region_table()
@@ -45,7 +45,7 @@ DF = next(spec for spec in TABLE if spec.id == "Df")
 @st.composite
 def layouts(draw):
     spec = draw(st.sampled_from(TABLE))
-    lens = spec.block_lens
+    lens = PRINTED[spec.id].blocks
     roles: list[BlockRole | None] = [None] * len(lens)
     symbol = 1
     for i, length in enumerate(lens):
@@ -83,7 +83,8 @@ def reference_checks(layout, spec):
     ]
     total = coeff_sum(length for length, _ in layout.blocks)
     distinct = coeff_sum(length for length, role in layout.blocks if role.kind in (SINGLE, TWIN_FIRST))
-    rate = [spec.dsym.c0, spec.dsym.c_eps, spec.dsym.c_delta]
+    dsym = PRINTED[spec.id].dsym
+    rate = [dsym.c0, dsym.c_eps, dsym.c_delta]
     return [
         (
             "non-negative lengths",
@@ -122,7 +123,8 @@ COEFFS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
 def custom_regions(draw):
     """A triangle or convex quadrilateral with corners on the 1/q lattice of
     the square (q <= 6), its sides printed around an anchor on the 1/q'
-    lattice (q' <= 9), and two or three blocks that sum to 1."""
+    lattice (q' <= 9), and two or three blocks that sum to 1: the loaded
+    spec and its row as printed."""
     q = draw(st.integers(1, 6))
     corner = st.tuples(st.integers(q, 2 * q), st.integers(0, q))
     points = [(F(i, q), F(j, q)) for i, j in draw(st.lists(corner, min_size=3, max_size=4, unique=True))]
@@ -137,17 +139,25 @@ def custom_regions(draw):
     for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
         # (qx - px)(beta - py) - (qy - py)(alpha - px) >= 0 at (alpha, beta) = (a0 + eps, b0 + delta)
         expr = Affine2((qx - px) * (b0 - py) - (qy - py) * (a0 - px), py - qy, qx - px)
-        sides.append(HalfPlane(expr, draw(st.booleans())))
+        sides.append({"expr": expr.to_strings(), "strict": draw(st.booleans())})
     blocks = [Affine2(*draw(st.tuples(COEFFS, COEFFS, COEFFS))) for _ in range(draw(st.integers(1, 2)))]
     rest = [-sum(c) for c in zip(*((f.c0, f.c_eps, f.c_delta) for f in blocks))]
     blocks.append(Affine2(1 + rest[0], rest[1], rest[2]))
-    return RegionSpec("T", a0, b0, Polygon(sides), blocks[0], tuple(blocks))
+    row = {
+        "id": "T",
+        "anchor": [format_rat(a0), format_rat(b0)],
+        "constraints": sides,
+        "dsym": blocks[0].to_strings(),
+        "blocks": [f.to_strings() for f in blocks],
+    }
+    return _parse_row(row), Printed.parse(row)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(spec=custom_regions(), den=st.integers(1, 24))
-def test_scanners_match_per_point_references_on_custom_regions(spec, den):
-    assert len(spec.form.vertices) == len(spec.polygon.halfplanes)
-    assert list(_interior_lattice(spec, den)) == _per_point_lattice(spec, den)
-    assert _least_interior(spec) == _least_point_on(spec, (0, 0, 0))  # no line: every point
-    assert set(_ratio_points(spec)) == _per_line_ratio_points(spec)
+@given(region=custom_regions(), den=st.integers(1, 24))
+def test_scanners_match_per_point_references_on_custom_regions(region, den):
+    spec, row = region
+    assert len(spec.form.vertices) == len(row.halfplanes)
+    assert list(_interior_lattice(spec, den)) == _per_point_lattice(spec, row, den)
+    assert _least_interior(spec) == _least_point_on(spec, row, (0, 0, 0))  # no line: every point
+    assert set(_ratio_points(spec)) == _per_line_ratio_points(spec, row)
