@@ -307,7 +307,7 @@ def _verify_search(table) -> tuple[bool, dict]:
                 "channel": ch.to_json_dict(),
                 "bestM": best_m,
                 "expected": None if expected is None else int(expected),
-                "witnessPipes": [b if b is None else int(b) for b in witness.pipe_to_bit],
+                "witnessPipes": list(witness.pipe_to_bit),
                 "witnessBlocks": witness_blocks(witness),
                 "passed": case_ok,
             }

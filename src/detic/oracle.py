@@ -26,7 +26,7 @@ from __future__ import annotations
 from .channel import ChannelParams, paths
 from .gf2 import DimensionMismatchError, pivot_bits
 from .regions import converse_bound
-from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix
+from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix, BlockRole
 
 _SEARCH_N_LIMIT = 8
 
@@ -132,46 +132,30 @@ def witness_blocks(assign: AssignmentMatrix) -> list[dict]:
     (twin-second).  Lengths are pipe counts, not affine forms, since a
     witness exists only at one channel point.
     """
-    first_use: dict[int, int] = {}
-    runs: list[dict] = []
-    for p, bit in enumerate(assign.pipe_to_bit):
+    twice = {bit for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
+    seen: set[int] = set()
+    symbol_at: dict[int, int] = {}  # a fresh run's first bit -> its symbol
+    symbols = 0
+    blocks: list[dict] = []
+    role = follow = None  # the open block's role and the bit that would extend it
+    for bit in assign.pipe_to_bit:
         if bit is None:
-            kind = ZERO
-        elif bit not in first_use:
-            first_use[bit] = p
-            kind = "fresh"
+            new, after = BlockRole(ZERO), None
+            extends = new == role
+        elif bit not in seen:
+            seen.add(bit)
+            extends = role is not None and role.kind in (SINGLE, TWIN_FIRST) and bit == follow
+            if not extends:
+                symbols += 1
+                symbol_at[bit] = symbols
+            kind = TWIN_FIRST if bit in twice or (extends and role.kind == TWIN_FIRST) else SINGLE
+            new, after = BlockRole(kind, symbols), bit + 1
         else:
-            kind = "reuse"
-        if runs and runs[-1]["kind"] == kind and _extends_run(runs[-1], bit):
-            runs[-1]["count"] += 1
-            runs[-1]["last_bit"] = bit
+            extends = role is not None and role.kind == TWIN_SECOND and bit == follow
+            new, after = BlockRole(TWIN_SECOND, symbol_at.get(bit, 0)), bit - 1
+        if extends:
+            blocks[-1] = {"count": blocks[-1]["count"] + 1, "role": new.to_string()}
         else:
-            runs.append({"kind": kind, "count": 1, "first_bit": bit, "last_bit": bit})
-
-    twins = {bit for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
-    blocks = []
-    symbol = 0
-    symbol_of_first_bit: dict[int, int] = {}
-    for run in runs:
-        if run["kind"] == ZERO:
-            blocks.append({"count": run["count"], "role": ZERO})
-            continue
-        if run["kind"] == "fresh":
-            symbol += 1
-            symbol_of_first_bit[run["first_bit"]] = symbol
-            twinned = any(b in twins for b in range(run["first_bit"], run["last_bit"] + 1))
-            role = TWIN_FIRST if twinned else SINGLE
-            blocks.append({"count": run["count"], "role": f"{role}:{symbol}"})
-        else:
-            sym = symbol_of_first_bit.get(run["last_bit"], 0)
-            blocks.append({"count": run["count"], "role": f"{TWIN_SECOND}:{sym}"})
+            blocks.append({"count": 1, "role": new.to_string()})
+        role, follow = new, after
     return blocks
-
-
-def _extends_run(run: dict, bit: int | None) -> bool:
-    if run["kind"] == ZERO:
-        return bit is None
-    if bit is None or run["last_bit"] is None:
-        return False
-    step = 1 if run["kind"] == "fresh" else -1
-    return bit == run["last_bit"] + step
