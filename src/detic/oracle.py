@@ -19,6 +19,8 @@ bit used once), grounding the catalog's rate values from both sides at desk
 scale.  It is a depth-first search over the canonical labelings that keeps
 the packed rows along its path, prunes every subtree that cannot beat the
 best count so far, and stops once a labeling reaches the converse bound.
+A witness block is a maximal run of a witness's pipes that share one layout
+role (`witness_blocks`).
 """
 
 from __future__ import annotations
@@ -127,34 +129,30 @@ def exhaustive_search(
 def witness_blocks(assign: AssignmentMatrix) -> list[dict]:
     """Layout-style block decomposition of a search witness, top-down.
 
-    Pipes group into maximal runs: zero runs, fresh ascending-bit runs
-    (single or twin-first), and runs reusing earlier bits in reverse order
-    (twin-second).  Lengths are pipe counts, not affine forms, since a
-    witness exists only at one channel point.
+    A block is a maximal run of pipes that share one role: zero pipes; first
+    uses of bits ascending by one, all used twice (twin-first) or all once
+    (single), each run under the next symbol; or second uses of one symbol's
+    bits descending by one (twin-second of that symbol).  Counts are pipes,
+    not affine forms, since a witness exists only at one channel point.
     """
     twice = {bit for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
-    seen: set[int] = set()
-    symbol_at: dict[int, int] = {}  # a fresh run's first bit -> its symbol
+    symbol_of: dict[int, int] = {}
     symbols = 0
     blocks: list[dict] = []
     role = follow = None  # the open block's role and the bit that would extend it
     for bit in assign.pipe_to_bit:
         if bit is None:
             new, after = BlockRole(ZERO), None
-            extends = new == role
-        elif bit not in seen:
-            seen.add(bit)
-            extends = role is not None and role.kind in (SINGLE, TWIN_FIRST) and bit == follow
-            if not extends:
-                symbols += 1
-                symbol_at[bit] = symbols
-            kind = TWIN_FIRST if bit in twice or (extends and role.kind == TWIN_FIRST) else SINGLE
-            new, after = BlockRole(kind, symbols), bit + 1
+        elif bit in symbol_of:
+            new, after = BlockRole(TWIN_SECOND, symbol_of[bit]), bit - 1
         else:
-            extends = role is not None and role.kind == TWIN_SECOND and bit == follow
-            new, after = BlockRole(TWIN_SECOND, symbol_at.get(bit, 0)), bit - 1
-        if extends:
-            blocks[-1] = {"count": blocks[-1]["count"] + 1, "role": new.to_string()}
+            kind = TWIN_FIRST if bit in twice else SINGLE
+            if (BlockRole(kind, symbols), bit) != (role, follow):
+                symbols += 1
+            new, after = BlockRole(kind, symbols), bit + 1
+            symbol_of[bit] = symbols
+        if (new, bit) == (role, follow):
+            blocks[-1]["count"] += 1
         else:
             blocks.append({"count": 1, "role": new.to_string()})
         role, follow = new, after

@@ -222,3 +222,50 @@ class TestWitnessBlocks:
             {"count": 1, "role": "zero"},
             {"count": 2, "role": "twin-second:1"},
         ]
+
+    def test_partly_twinned_run_splits(self):
+        # (3/2, 0) at N = 4: only bit 0 is used twice.
+        assign = assignment_from_labels((0, 1, 2, 0))
+        assert witness_blocks(assign) == [
+            {"count": 1, "role": "twin-first:1"},
+            {"count": 2, "role": "single:2"},
+            {"count": 1, "role": "twin-second:1"},
+        ]
+
+    def test_second_use_names_its_own_symbol(self):
+        # (9/7, 3/7) at N = 7: bit 1 is used once, bit 2 twice; no symbol 0.
+        assign = assignment_from_labels((0, None, None, 1, 2, 2, 3))
+        assert witness_blocks(assign) == [
+            {"count": 1, "role": "single:1"},
+            {"count": 2, "role": "zero"},
+            {"count": 1, "role": "single:2"},
+            {"count": 1, "role": "twin-first:3"},
+            {"count": 1, "role": "twin-second:3"},
+            {"count": 1, "role": "single:4"},
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_roles_match_the_bit_uses_on_every_labeling(self, n):
+        # 2,555 labelings over N = 1..7.  Zero blocks hold exactly the unused
+        # pipes, a single or twin-first block's bits are used once or twice,
+        # and a twin-second block reuses bits of an earlier twin-first block.
+        for labels in labelings(n):
+            assign = assignment_from_labels(labels)
+            uses = [len(pipes) for pipes in assign.bit_pipes()]
+            blocks = witness_blocks(assign)
+            assert sum(block["count"] for block in blocks) == n, labels
+            bits_of: dict[str, set] = {}  # twin-first symbol -> its bits
+            p = 0
+            for block in blocks:
+                run = labels[p : p + block["count"]]
+                p += block["count"]
+                kind, _, symbol = block["role"].partition(":")
+                if kind == "zero":
+                    assert set(run) == {None}, labels
+                elif kind == "twin-second":
+                    assert symbol in bits_of and set(run) <= bits_of[symbol], labels
+                else:
+                    want = 2 if kind == "twin-first" else 1
+                    assert None not in run and {uses[b] for b in run} == {want}, labels
+                    if kind == "twin-first":
+                        bits_of[symbol] = set(run)
