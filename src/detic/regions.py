@@ -199,22 +199,35 @@ def _parse_table(text: str) -> tuple[RegionSpec, ...]:
     return tuple(regions)
 
 
+_JSON_TYPES = {"list": list, "object": dict, "boolean": bool}
+
+
+def _field(obj: dict, key: str, json_type: str | None = None):
+    """obj[key], refusing a missing key or a value not of the named JSON type."""
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    if json_type and not isinstance(obj[key], _JSON_TYPES[json_type]):
+        raise ValueError(f"{key} must be a JSON {json_type}, got {obj[key]!r}")
+    return obj[key]
+
+
 def _parse_row(row: dict) -> RegionSpec:
     """Parse a row and fold its printed forms, given in offsets (eps, delta)
     around the anchor, into absolute integer triples over one denominator."""
-    rid, anchor = row["id"], row["anchor"]
+    rid, anchor = _field(row, "id"), _field(row, "anchor")
     if not isinstance(rid, str) or not re.fullmatch(r"[A-Za-z0-9_]+", rid):
         raise ValueError(f"region id must be letters, digits and _, got {rid!r}")
     if not isinstance(anchor, list) or len(anchor) != 2:
         raise ValueError(f"anchor must be a list of two rationals, got {anchor!r}")
     a0, b0 = parse_rat(anchor[0]), parse_rat(anchor[1])
     halfplanes = []
-    for c in row["constraints"]:
-        if not isinstance(c["strict"], bool):
-            raise ValueError(f"strict must be a JSON boolean, got {c['strict']!r}")
-        halfplanes.append(HalfPlane(Affine2.from_strings(c["expr"]), c["strict"]))
+    for c in _field(row, "constraints", "list"):
+        if not isinstance(c, dict):
+            raise ValueError(f"a constraint must be a JSON object, got {c!r}")
+        strict = _field(c, "strict", "boolean")
+        halfplanes.append(HalfPlane(Affine2.from_strings(_field(c, "expr")), strict))
     forms = [h.expr for h in halfplanes]
-    forms += map(Affine2.from_strings, [row["dsym"], *row["blocks"]])
+    forms += map(Affine2.from_strings, [_field(row, "dsym"), *_field(row, "blocks", "list")])
     absolute = [(f.c0 - f.c_eps * a0 - f.c_delta * b0, f.c_eps, f.c_delta) for f in forms]
     den = math.lcm(*(c.denominator for f in absolute for c in f))
     ints = [tuple(int(c * den) for c in f) for f in absolute]

@@ -464,6 +464,17 @@ class TestTableOverride:
         assert code == 2
         assert json.loads(out) == {"error": "row 0: expected a JSON object, got int"}
 
+    def test_row_without_blocks_is_usage_error(self, capsys, tmp_path):
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        del rows[0]["blocks"]
+        path = tmp_path / "no_blocks.json"
+        path.write_text(json.dumps(rows))
+        code, out = run(
+            capsys, "--table", str(path), "classify", "--alpha", "8/5", "--beta", "9/10"
+        )
+        assert code == 2
+        assert json.loads(out) == {"error": "row Aa: missing field 'blocks'"}
+
     def test_inexact_anchor_is_usage_error(self, capsys, tmp_path):
         # A float anchor once loaded as its binary value, and classify printed
         # delta = 5404319552844595/36028797018963968 at (3/2, 1/4).

@@ -121,6 +121,32 @@ class TestLoad:
         with pytest.raises(TableInvalidError, match="^row Aa: strict must be a JSON boolean"):
             load_region_table(bad)
 
+    @pytest.mark.parametrize(
+        "edit,want",
+        [
+            (lambda row: row.pop("blocks"), "missing field 'blocks'"),
+            (lambda row: row["constraints"][0].pop("strict"), "missing field 'strict'"),
+            (lambda row: row.update(constraints=5), "constraints must be a JSON list, got 5"),
+            (
+                lambda row: row.update(constraints=["x"]),
+                "a constraint must be a JSON object, got 'x'",
+            ),
+            (lambda row: row.update(blocks=3), "blocks must be a JSON list, got 3"),
+        ],
+        ids=[
+            "no blocks", "no strict", "constraints not a list",
+            "constraint not an object", "blocks not a list",
+        ],
+    )
+    def test_loader_names_a_malformed_field(self, tmp_path, edit, want):
+        # Each once surfaced as a bare KeyError or TypeError text, e.g. "row Aa: 'blocks'".
+        rows = builtin_rows()
+        edit(rows[0])
+        bad = tmp_path / "regions.json"
+        bad.write_text(json.dumps(rows))
+        with pytest.raises(TableInvalidError, match=f"^{re.escape('row Aa: ' + want)}$"):
+            load_region_table(bad)
+
     def test_loader_rejects_closure_outside_square(self, tmp_path):
         # The closure reaches alpha = 5/2: classify once answered Zz at (2, 1/4),
         # and plan there stopped on a message that named no row.
