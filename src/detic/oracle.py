@@ -147,11 +147,11 @@ def witness_blocks(assign: AssignmentMatrix) -> list[dict]:
             new, after = BlockRole(TWIN_SECOND, symbol_of[bit]), bit - 1
         else:
             kind = TWIN_FIRST if bit in twice else SINGLE
-            if (BlockRole(kind, symbols), bit) != (role, follow):
+            if role != BlockRole(kind, symbols) or bit != follow:
                 symbols += 1
             new, after = BlockRole(kind, symbols), bit + 1
             symbol_of[bit] = symbols
-        if (new, bit) == (role, follow):
+        if new == role and bit == follow:
             blocks[-1]["count"] += 1
         else:
             blocks.append({"count": 1, "role": new.to_string()})

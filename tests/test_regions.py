@@ -139,7 +139,6 @@ class TestLoad:
         ],
     )
     def test_loader_names_a_malformed_field(self, tmp_path, edit, want):
-        # Each once surfaced as a bare KeyError or TypeError text, e.g. "row Aa: 'blocks'".
         rows = builtin_rows()
         edit(rows[0])
         bad = tmp_path / "regions.json"
