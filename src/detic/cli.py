@@ -24,7 +24,7 @@ from . import regions as reg
 from .channel import make_channel, transmit
 from .decode import peel_bits, peel_structure, receiver_view
 from .exactmath import format_rat, parse_rat
-from .oracle import exhaustive_search, witness_blocks
+from .oracle import exhaustive_search
 from .render import atlas_csv, atlas_svg, render_scheme
 from .scheme import (
     NonIntegralBlocksError,
@@ -308,7 +308,9 @@ def _verify_search(table) -> tuple[bool, dict]:
                 "bestM": best_m,
                 "expected": None if expected is None else int(expected),
                 "witnessPipes": list(witness.pipe_to_bit),
-                "witnessBlocks": witness_blocks(witness),
+                "witnessBlocks": [
+                    {"count": seg.count, "role": seg.role.to_string()} for seg in witness.segments
+                ],
                 "passed": case_ok,
             }
         )

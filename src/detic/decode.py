@@ -46,6 +46,10 @@ on first use too.
 Role inference asks only whether a schedule succeeds: `peel_succeeds` runs
 the same fixpoint and reads whether every own bit is known, emitting no
 trace, matrix or origins.
+
+Every assignment has segments (a search witness's are its blocks).  A trace
+step groups a pass's resolved bits by sender and by their segment's symbol;
+a symbol with a twin-first segment is a twin.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import numpy as np
 
 from .channel import ChannelParams, paths
 from .gf2 import BitVec, DimensionMismatchError, to_bits
-from .scheme import AssignmentMatrix, TWIN_SECOND
+from .scheme import TWIN_FIRST, TWIN_SECOND, AssignmentMatrix
 
 RULE_DIRECT = "direct-readout"
 RULE_TWIN = "twin-peel"
@@ -154,16 +158,17 @@ def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) ->
     return ReceiverView(receiver, ch, assign)
 
 
-def _symbols(assign: AssignmentMatrix) -> tuple[list[int], set[int], Counter]:
-    """Each bit's symbol, the twin symbols (whose bits ride two pipes), and
-    each symbol's bit count; without segment metadata (e.g. search
-    witnesses) a bit is its own symbol."""
-    bit_symbol = list(range(1, assign.m + 1))
+def _symbols(assign: AssignmentMatrix) -> tuple[list[int | None], set[int], Counter]:
+    """Each bit's symbol, the twin symbols (those with a twin-first segment),
+    and each symbol's bit count, all read from the segment roles."""
+    bit_symbol: list[int | None] = [None] * assign.m
+    twins = set()
     for seg in assign.segments:
         if seg.role.is_data:
             for bit in assign.pipe_to_bit[seg.pipe_lo : seg.pipe_hi]:
                 bit_symbol[bit] = seg.role.symbol_id
-    twins = {bit_symbol[bit] for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
+        if seg.role.kind == TWIN_FIRST:
+            twins.add(seg.role.symbol_id)
     return bit_symbol, twins, Counter(bit_symbol)
 
 

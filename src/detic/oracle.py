@@ -19,8 +19,9 @@ bit used once), grounding the catalog's rate values from both sides at desk
 scale.  It is a depth-first search over the canonical labelings that keeps
 the packed rows along its path, prunes every subtree that cannot beat the
 best count so far, and stops once a labeling reaches the converse bound.
-A witness block is a maximal run of a witness's pipes that share one layout
-role (`witness_blocks`).
+Every assignment has segments, and a witness's segments are its blocks:
+maximal runs of its pipes that share one layout role
+(`assignment_from_labels`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from .channel import ChannelParams, paths
 from .gf2 import DimensionMismatchError, pivot_bits
 from .regions import converse_bound
-from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix, BlockRole
+from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix, BlockRole, Segment
 
 _SEARCH_N_LIMIT = 8
 
@@ -66,8 +67,34 @@ def rank_decodable(ch: ChannelParams, assign: AssignmentMatrix) -> bool:
 
 
 def assignment_from_labels(labels: tuple[int | None, ...]) -> AssignmentMatrix:
-    m = max((b for b in labels if b is not None), default=-1) + 1
-    return AssignmentMatrix(n=len(labels), m=m, pipe_to_bit=labels)
+    """A search-class pipe map as an assignment whose segments are its
+    blocks, top-down.  A block is a maximal run of pipes that share one role:
+    zero pipes; first uses of bits ascending by one, all used twice
+    (twin-first) or all once (single), each run under the next symbol; or
+    second uses of one symbol's bits descending by one (twin-second of that
+    symbol).  Counts are pipes, since a witness exists at one channel point.
+    """
+    symbol_of: dict[int, int] = {}
+    symbols = 0
+    starts: list[tuple[int, BlockRole]] = []  # each block's first pipe and role
+    role = follow = None  # the open block's role and the bit that would extend it
+    for p, bit in enumerate(labels):
+        if bit is None:
+            new, after = BlockRole(ZERO), None
+        elif bit in symbol_of:
+            new, after = BlockRole(TWIN_SECOND, symbol_of[bit]), bit - 1
+        else:
+            kind = TWIN_FIRST if labels.count(bit) == 2 else SINGLE
+            if role != BlockRole(kind, symbols) or bit != follow:
+                symbols += 1
+            new, after = BlockRole(kind, symbols), bit + 1
+            symbol_of[bit] = symbols
+        if new != role or bit != follow:
+            starts.append((p, new))
+        role, follow = new, after
+    ends = [p for p, _ in starts[1:]] + [len(labels)]
+    segments = tuple(Segment(lo, hi - lo, r) for (lo, r), hi in zip(starts, ends))
+    return AssignmentMatrix(len(labels), max(symbol_of, default=-1) + 1, labels, segments)
 
 
 def exhaustive_search(
@@ -125,35 +152,3 @@ def exhaustive_search(
     # The all-zero labeling always decodes (m = 0), so best is set.
     return best_m, assignment_from_labels(best)
 
-
-def witness_blocks(assign: AssignmentMatrix) -> list[dict]:
-    """Layout-style block decomposition of a search witness, top-down.
-
-    A block is a maximal run of pipes that share one role: zero pipes; first
-    uses of bits ascending by one, all used twice (twin-first) or all once
-    (single), each run under the next symbol; or second uses of one symbol's
-    bits descending by one (twin-second of that symbol).  Counts are pipes,
-    not affine forms, since a witness exists only at one channel point.
-    """
-    twice = {bit for bit, pipes in enumerate(assign.bit_pipes()) if len(pipes) == 2}
-    symbol_of: dict[int, int] = {}
-    symbols = 0
-    blocks: list[dict] = []
-    role = follow = None  # the open block's role and the bit that would extend it
-    for bit in assign.pipe_to_bit:
-        if bit is None:
-            new, after = BlockRole(ZERO), None
-        elif bit in symbol_of:
-            new, after = BlockRole(TWIN_SECOND, symbol_of[bit]), bit - 1
-        else:
-            kind = TWIN_FIRST if bit in twice else SINGLE
-            if role != BlockRole(kind, symbols) or bit != follow:
-                symbols += 1
-            new, after = BlockRole(kind, symbols), bit + 1
-            symbol_of[bit] = symbols
-        if new == role and bit == follow:
-            blocks[-1]["count"] += 1
-        else:
-            blocks.append({"count": 1, "role": new.to_string()})
-        role, follow = new, after
-    return blocks

@@ -96,7 +96,6 @@ class Segment:
     pipe_lo: int
     count: int
     role: BlockRole
-    bit_lo: int | None  # first message-bit index carried, None for zero blocks
 
     @property
     def pipe_hi(self) -> int:
@@ -110,16 +109,11 @@ class AssignmentMatrix:
     n: int
     m: int
     pipe_to_bit: tuple[int | None, ...]
-    segments: tuple[Segment, ...] = ()
+    segments: tuple[Segment, ...]
+    """The blocks that tile pipes 0..N-1.  A layout's follow its printed
+    block order, bottom-up (`build_assignment`); a search witness's follow
+    pipe order, top-down (`oracle.assignment_from_labels`)."""
     region_id: str | None = None
-
-    def bit_pipes(self) -> list[list[int]]:
-        """Pipes carrying each bit (one or two entries per bit)."""
-        out: list[list[int]] = [[] for _ in range(self.m)]
-        for p, j in enumerate(self.pipe_to_bit):
-            if j is not None:
-                out[j].append(p)
-        return out
 
     @cached_property
     def _gather(self) -> np.ndarray:
@@ -214,22 +208,20 @@ def _check_blocks(layout: Layout, region: RegionSpec) -> None:
 def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatrix:
     pipe_to_bit: list[int | None] = [None] * n
     segments: list[Segment] = []
-    first_bit_lo: dict[int, int] = {}  # symbol -> bit_lo of the twin-first copy
+    first_bit_lo: dict[int, int] = {}  # symbol -> first bit of the twin-first copy
     next_bit = 0
     pipe_hi = n
     for (_, role), count in zip(layout.blocks, counts, strict=True):
         pipe_lo = pipe_hi - count
-        bit_lo: int | None = None
         if role.kind in (SINGLE, TWIN_FIRST):
-            bit_lo = next_bit
+            if role.kind == TWIN_FIRST:
+                first_bit_lo[role.symbol_id] = next_bit
             pipe_to_bit[pipe_lo:pipe_hi] = range(next_bit, next_bit + count)
             next_bit += count
-            if role.kind == TWIN_FIRST:
-                first_bit_lo[role.symbol_id] = bit_lo
         elif role.kind == TWIN_SECOND:
             bit_lo = first_bit_lo[role.symbol_id]
             pipe_to_bit[pipe_lo:pipe_hi] = range(bit_lo + count - 1, bit_lo - 1, -1)
-        segments.append(Segment(pipe_lo, count, role, bit_lo))
+        segments.append(Segment(pipe_lo, count, role))
         pipe_hi = pipe_lo
     assert pipe_hi == 0
     return AssignmentMatrix(

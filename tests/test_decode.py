@@ -12,12 +12,8 @@ from detic.decode import (
     receiver_view,
 )
 from detic.gf2 import DimensionMismatchError, NotBinaryError
-from detic.oracle import rank_decodable
-from detic.scheme import (
-    AssignmentMatrix,
-    build_assignment,
-    minimal_n,
-)
+from detic.oracle import assignment_from_labels, rank_decodable
+from detic.scheme import build_assignment, minimal_n
 
 WORKED = (F(8, 5), F(9, 10), 60)  # region Df sample with m = 33
 
@@ -97,7 +93,7 @@ class TestReceiverView:
         assert "program" not in vars(view)
 
     def test_all_zero_assignment_places_nothing(self, df_channel):
-        assign = AssignmentMatrix(n=60, m=0, pipe_to_bit=(None,) * 60)
+        assign = assignment_from_labels((None,) * 60)
         view = receiver_view(assign, df_channel, 1)
         assert view.blocks == ()
 
@@ -128,13 +124,13 @@ class TestPeelStructure:
         # A single data pipe covered exactly by a single interference pipe
         # can never be separated; the rank oracle agrees.
         ch = make_channel(3, 1, F(1), F(0))
-        assign = AssignmentMatrix(n=1, m=1, pipe_to_bit=(0,))
+        assign = assignment_from_labels((0,))
         ok, trace = peel_structure(receiver_view(assign, ch, 1))
         assert not ok
         assert not rank_decodable(ch, assign)
 
     def test_empty_assignment_vacuously_succeeds(self, df_channel):
-        assign = AssignmentMatrix(n=60, m=0, pipe_to_bit=(None,) * 60)
+        assign = assignment_from_labels((None,) * 60)
         ok, trace = peel_structure(receiver_view(assign, df_channel, 1))
         assert ok
         assert trace.steps == ()
@@ -149,6 +145,20 @@ class TestPeelStructure:
             ok, _ = peel_structure(receiver_view(assign, ch, 1))
             assert ok, spec.id
             assert rank_decodable(ch, assign), spec.id
+
+    @pytest.mark.parametrize("multiple", [1, 4])
+    def test_twin_symbols_are_those_of_the_bits_used_twice(
+        self, table, frozen_layouts, frozen_interiors, multiple
+    ):
+        for spec in table:
+            eps, delta = frozen_interiors[spec.id]
+            alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
+            n = minimal_n(spec, eps, delta) * multiple
+            assign = build_assignment(frozen_layouts[spec.id], spec, alpha, beta, n)
+            bit_symbol, twins, _ = decode._symbols(assign)
+            labels = assign.pipe_to_bit
+            used_twice = {b for b in labels if b is not None and labels.count(b) == 2}
+            assert twins == {bit_symbol[b] for b in used_twice}, spec.id
 
 
 class TestPeelBits:
@@ -204,7 +214,7 @@ class TestPeelBits:
 
     def test_failure_returns_none(self):
         ch = make_channel(3, 1, F(1), F(0))
-        assign = AssignmentMatrix(n=1, m=1, pipe_to_bit=(0,))
+        assign = assignment_from_labels((0,))
         y = np.zeros(2, dtype=np.uint8)
         got, _ = peel_bits(receiver_view(assign, ch, 1), y)
         assert got is None

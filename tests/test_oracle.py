@@ -5,14 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detic.channel import make_channel
-from detic.decode import peel_structure, receiver_view
+from detic.decode import _symbols, peel_structure, receiver_view
 from detic.gf2 import DimensionMismatchError
 from detic.oracle import (
     SearchBudgetError,
     assignment_from_labels,
     exhaustive_search,
     rank_decodable,
-    witness_blocks,
 )
 from detic.regions import classify, dsym_at, point_weights
 from detic.scheme import build_assignment, minimal_n
@@ -206,10 +205,15 @@ class TestPeelImpliesRank:
         assert peelable > 0
 
 
+def printed_blocks(assign) -> list[dict]:
+    """A witness's segments as `verify --suite search` prints them."""
+    return [{"count": seg.count, "role": seg.role.to_string()} for seg in assign.segments]
+
+
 class TestWitnessBlocks:
     def test_singles_and_zeros(self):
         assign = assignment_from_labels((0, None, 1))
-        assert witness_blocks(assign) == [
+        assert printed_blocks(assign) == [
             {"count": 1, "role": "single:1"},
             {"count": 1, "role": "zero"},
             {"count": 1, "role": "single:2"},
@@ -217,7 +221,7 @@ class TestWitnessBlocks:
 
     def test_reversed_twin_run(self):
         assign = assignment_from_labels((0, 1, None, 1, 0))
-        assert witness_blocks(assign) == [
+        assert printed_blocks(assign) == [
             {"count": 2, "role": "twin-first:1"},
             {"count": 1, "role": "zero"},
             {"count": 2, "role": "twin-second:1"},
@@ -226,7 +230,7 @@ class TestWitnessBlocks:
     def test_partly_twinned_run_splits(self):
         # (3/2, 0) at N = 4: only bit 0 is used twice.
         assign = assignment_from_labels((0, 1, 2, 0))
-        assert witness_blocks(assign) == [
+        assert printed_blocks(assign) == [
             {"count": 1, "role": "twin-first:1"},
             {"count": 2, "role": "single:2"},
             {"count": 1, "role": "twin-second:1"},
@@ -235,7 +239,7 @@ class TestWitnessBlocks:
     def test_second_use_names_its_own_symbol(self):
         # (9/7, 3/7) at N = 7: bit 1 is used once, bit 2 twice; no symbol 0.
         assign = assignment_from_labels((0, None, None, 1, 2, 2, 3))
-        assert witness_blocks(assign) == [
+        assert printed_blocks(assign) == [
             {"count": 1, "role": "single:1"},
             {"count": 2, "role": "zero"},
             {"count": 1, "role": "single:2"},
@@ -251,21 +255,30 @@ class TestWitnessBlocks:
         # and a twin-second block reuses bits of an earlier twin-first block.
         for labels in labelings(n):
             assign = assignment_from_labels(labels)
-            uses = [len(pipes) for pipes in assign.bit_pipes()]
-            blocks = witness_blocks(assign)
-            assert sum(block["count"] for block in blocks) == n, labels
-            bits_of: dict[str, set] = {}  # twin-first symbol -> its bits
-            p = 0
-            for block in blocks:
-                run = labels[p : p + block["count"]]
-                p += block["count"]
-                kind, _, symbol = block["role"].partition(":")
+            bits_of: dict[int, set] = {}  # twin-first symbol -> its bits
+            for seg in assign.segments:
+                run = labels[seg.pipe_lo : seg.pipe_hi]
+                kind, symbol = seg.role.kind, seg.role.symbol_id
                 if kind == "zero":
                     assert set(run) == {None}, labels
                 elif kind == "twin-second":
                     assert symbol in bits_of and set(run) <= bits_of[symbol], labels
                 else:
                     want = 2 if kind == "twin-first" else 1
-                    assert None not in run and {uses[b] for b in run} == {want}, labels
+                    assert None not in run and {labels.count(b) for b in run} == {want}, labels
                     if kind == "twin-first":
                         bits_of[symbol] = set(run)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_segments_tile_the_pipes_in_order(self, n):
+        for labels in labelings(n):
+            segments = assignment_from_labels(labels).segments
+            assert [seg.pipe_lo for seg in segments] == [0] + [s.pipe_hi for s in segments[:-1]]
+            assert segments[-1].pipe_hi == n and all(seg.count > 0 for seg in segments), labels
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_twin_symbols_are_those_of_the_bits_used_twice(self, n):
+        for labels in labelings(n):
+            bit_symbol, twins, _ = _symbols(assignment_from_labels(labels))
+            used_twice = {b for b in labels if b is not None and labels.count(b) == 2}
+            assert twins == {bit_symbol[b] for b in used_twice}, labels

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import functools
@@ -218,8 +219,9 @@ class TestBuildAssignment:
             alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
             n = minimal_n(spec, eps, delta)
             assign = build_assignment(frozen_layouts[spec.id], spec, alpha, beta, n)
-            for pipes in assign.bit_pipes():
-                assert 1 <= len(pipes) <= 2
+            uses = Counter(assign.pipe_to_bit)
+            assert all(1 <= uses[bit] <= 2 for bit in range(assign.m)), spec.id
+            assert set(uses) <= {*range(assign.m), None}, spec.id
 
     def test_twin_reversal_is_involutive(self, regions_by_id, frozen_layouts):
         spec = regions_by_id["Df"]
@@ -232,12 +234,15 @@ class TestBuildAssignment:
                 for s in assign.segments
                 if s.role.kind == TWIN_FIRST and s.role.symbol_id == seg.role.symbol_id
             )
+            first_bits = assign.pipe_to_bit[first.pipe_lo : first.pipe_hi]
+            bit_lo = first_bits[0]
+            assert first_bits == tuple(range(bit_lo, bit_lo + first.count))
             for i in range(seg.count):
                 bit = assign.pipe_to_bit[seg.pipe_lo + i]
                 # Mirror through the twin map twice: back to the start pipe.
-                mirror = first.pipe_lo + (bit - first.bit_lo)
+                mirror = first.pipe_lo + (bit - bit_lo)
                 assert assign.pipe_to_bit[mirror] == bit
-                again = seg.pipe_lo + (seg.count - 1 - (bit - seg.bit_lo))
+                again = seg.pipe_lo + (seg.count - 1 - (bit - bit_lo))
                 assert again == seg.pipe_lo + i
 
     def test_refuses_another_regions_layout(self, regions_by_id, frozen_layouts, frozen_interiors):
