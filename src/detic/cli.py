@@ -113,11 +113,12 @@ def _parse_point(args) -> tuple[Fraction, Fraction]:
 
 
 def _load_table(args):
-    path = args.table or os.environ.get("DETIC_TABLE") or None
+    # An empty DETIC_TABLE means unset; an empty --table is a path like any other.
+    path = args.table if args.table is not None else os.environ.get("DETIC_TABLE") or None
     try:
         return reg.load_region_table(path)
     except OSError as exc:
-        raise UsageError(f"cannot read region table {path}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot read region table {path!r}: {exc.strerror or exc}") from None
 
 
 def _point_args(sub) -> None:
@@ -186,8 +187,8 @@ def cmd_plan(args, table) -> int:
 
 
 def _check_simulate_size(n: int, k: int, trials: int) -> None:
-    if trials < 0:
-        raise UsageError(f"--trials must be >= 0, got {trials}")
+    if trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {trials}")
     for name, value, limit in (
         ("N*K", n * k, SIMULATE_MAX_COMPILE),
         ("trials*(N*K+4000)", trials * (n * k + 4000), SIMULATE_MAX_DECODE),
@@ -216,10 +217,8 @@ def cmd_simulate(args, table) -> int:
         failures += int(wrong.sum())
     # The trace does not depend on the bits, and relabelling for another
     # receiver keeps each step's rule: every receiver and trial repeats one's.
-    rules: dict[str, int] = {}
-    if args.trials:
-        for rule, cnt in peel_structure(view)[1].rule_counts().items():
-            rules[rule] = cnt * ch.k * args.trials
+    counts = peel_structure(view)[1].rule_counts()
+    rules = {rule: cnt * ch.k * args.trials for rule, cnt in counts.items()}
     payload = {
         **_classify_payload(res),
         "channel": ch.to_json_dict(),
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _point_args(p)
     p.add_argument("--n", type=int, help=n_help)
     p.add_argument("--k", type=int, default=3, help="number of pairs (default 3)")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=10, help="at least 1 (default 10)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 

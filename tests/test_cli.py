@@ -243,6 +243,15 @@ class TestSimulate:
         assert code == 2
         assert json.loads(out) == {"error": "--seed must be >= 0, got -1"}
 
+    def test_zero_trials_is_refused_by_name(self, capsys):
+        # A degenerate point, where no scheme decodes: with no trial run,
+        # the payload once claimed success and the rate m/N.
+        code, out = run(
+            capsys, "simulate", "--alpha", "1", "--beta", "1/2", "--n", "4", "--trials", "0"
+        )
+        assert code == 2
+        assert json.loads(out) == {"error": "--trials must be >= 1, got 0"}
+
     def test_too_few_pairs_is_usage_error(self, capsys):
         code, out = run(capsys, "simulate", "--alpha", "4/3", "--beta", "2/3", "--k", "2")
         assert code == 2
@@ -261,10 +270,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "n,k,trials,budget",
         [
-            ("6000", "40", "0", "N*K <="),
+            ("6000", "40", "1", "N*K <="),
             ("6000", "3", "15000", "trials*(N*K+4000) <="),
             ("20", "3", "80000", "trials*(N*K+4000) <="),
-            ("60", "3", "-1", ">= 0"),
+            ("60", "3", "-1", "--trials must be >= 1, got -1"),
         ],
         ids=["compile", "decode", "per-trial", "negative-trials"],
     )
@@ -511,6 +520,17 @@ class TestTableOverride:
             "error": "region Aa: no role assignment is valid and decodable "
             "(catalog transcription error?)"
         }
+
+    def test_empty_table_flag_is_refused(self, capsys, monkeypatch):
+        # An empty path once fell through to the built-in catalog; an empty
+        # DETIC_TABLE still means unset.
+        monkeypatch.setenv("DETIC_TABLE", "")
+        code, out = run(capsys, "--table", "", "classify", "--alpha", "8/5", "--beta", "9/10")
+        assert code == 2
+        assert json.loads(out)["error"].startswith("cannot read region table '': ")
+        code, out = run(capsys, "classify", "--alpha", "8/5", "--beta", "9/10")
+        assert code == 0
+        assert json.loads(out)["region"] == "Df"
 
     def test_env_fallback(self, capsys, tmp_path, monkeypatch):
         rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
