@@ -23,13 +23,13 @@ The schedule is therefore compiled into a `PeelProgram`: the fixpoint runs
 without bit values and tracks each bit and aggregate as the XOR of the
 received levels it came from, so the own bits and every consistency check are
 rows of a sparse GF(2) matrix over the received word, replayed as a gather
-and XOR of levels on one word or on a stack of words at once.  The compile
-places each level's (sender, bit) contributors once, in a level table, and a
-pass scans only the open levels: one whose contributors are all known has a
-fixed value, so it yields its check once and leaves the scan.  A level hears
-at most one pipe per path (direct, up, down) and the three senders are
-distinct (K >= 3), so it has at most three unknowns: cancelling a known
-aggregate there is a lookup of at most three pairs.
+and XOR of levels on one word or on a stack of words at once.  Bit j of
+sender s is the int id (s - 1)*m + j, an aggregate an int key of its two ids.
+The compile places each level's contributors once, in a level table, and a
+pass scans only the open levels: one whose contributors are all known, or
+will be after the pass, yields its check once and leaves the scan.  A level
+hears one pipe per path (direct, up, down) from three distinct senders
+(K >= 3), so cancelling a known aggregate there is a lookup of at most three pairs.
 
 The channel is cyclically symmetric (`channel.paths` gives every receiver the
 same geometry), so a channel has one schedule, compiled for receiver 1 on the
@@ -57,7 +57,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -172,8 +171,6 @@ def _symbols(assign: AssignmentMatrix) -> tuple[list[int | None], set[int], Coun
     return bit_symbol, twins, Counter(bit_symbol)
 
 
-Bit = tuple[int, int]  # (sender, bit index); an aggregate is keyed by its two bits, sorted
-
 # Failed-check messages by origin kind; an origin is (kind, a, b).
 _LEVEL_DISAGREES, _BIT_CONFLICT, _AGGREGATE_CONFLICT, _QUIET_LEVEL = range(4)
 _MESSAGES = (
@@ -183,6 +180,7 @@ _MESSAGES = (
     "level {0}: nonzero outside all blocks",
 )
 _RULE_ORDER = {RULE_DIRECT: 0, RULE_TWIN: 1, RULE_MIXED: 2}
+_PAIRS = (None, None, ((0, 1),), ((0, 1), (0, 2), (1, 2)))  # of 2 or 3 sorted unknowns, in order
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,7 @@ def _compile(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> Peel
     levels, known, checks, passes = _fixpoint(assign, ch, receiver)
     symbols = _symbols(assign)
     steps = [st for i, resolved in enumerate(passes, 1) for st in _pass_steps(resolved, i, symbols)]
-    own = [known.get((receiver, bit)) for bit in range(assign.m)]
+    own = known[(receiver - 1) * assign.m : receiver * assign.m]
     if None in own:
         own = []
     # Every level that data reaches was checked once its contributors were
@@ -282,7 +280,7 @@ def peel_succeeds(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) ->
     if assign.n != ch.n:
         raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
     known = _fixpoint(assign, ch, receiver)[1]
-    return all((receiver, bit) in known for bit in range(assign.m))
+    return None not in known[(receiver - 1) * assign.m : receiver * assign.m]
 
 
 def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tuple:
@@ -292,58 +290,58 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
     (mask -> origin, in execution order) and each pass's resolved bits
     (bit -> (via a pair, mask)).
 
-    `levels[l]` lists the (sender, bit) pairs that land on level l, placed
-    once through `channel.paths`.  A pass walks only the open levels, those
-    with an unknown contributor at the start of the previous pass: once all
-    of a level's contributors are known its mask is fixed, so after that
-    pass's check it leaves the scan.  A level left without unknowns only by
-    cancelling a pair stays open, as a later pass can give it a new check.
+    Bit j of sender s is the id (s - 1)*m + j, `known[id]` its mask or None, and ids
+    u < v key their aggregate as u*K*m + v; both sort as (sender, bit) tuples do.
+    `levels[l]` lists the ids on level l, placed once through `channel.paths`.  A pass
+    walks only the open levels: a level leaves when it has no unknown (its mask is fixed
+    and checked) or one (which this pass resolves, so it would next read 0 or repeat a
+    check).  A level whose unknowns a known pair cancelled stays open, as a later pass
+    can give it a new check.
 
     A level has at most three contributors, one per path, from three distinct
     senders, hence at most three unknowns and three pairs among them.  The
     first known pair in sorted order cancels (smallest pair first), and it
     shares a bit with every other pair, so one lookup sweep is the whole
     cancellation."""
-    levels: list[list[Bit]] = [[] for _ in range(2 * ch.n)]
+    m, width = assign.m, ch.k * assign.m
+    levels: list[list[int]] = [[] for _ in range(2 * ch.n)]
     for _, s, base, limit in paths(ch, receiver):
-        # One path per sender per receiver, so a (sender, bit) appears at
-        # most once per level.
-        for p, bit in enumerate(assign.pipe_to_bit[:limit]):
+        # One path per sender per receiver, so an id appears at most once per level.
+        for level0, bit in enumerate(assign.pipe_to_bit[:limit], base):
             if bit is not None:
-                levels[base + p].append((s, bit))
+                levels[level0].append((s - 1) * m + bit)
     open_levels = [level0 for level0, contributors in enumerate(levels) if contributors]
 
-    known: dict[Bit, int] = {}
-    pairs: dict[tuple[Bit, Bit], int] = {}
+    known: list[int | None] = [None] * width
+    pairs: dict[int, int] = {}
     checks: dict[int, tuple[int, int, int]] = {}
-    passes: list[dict[Bit, tuple[bool, int]]] = []
+    passes: list[dict[int, tuple[bool, int]]] = []
 
     def check(mask: int, kind: int, a: int, b: int = 0) -> None:
         if mask and mask not in checks:
             checks[mask] = (kind, a, b)
 
     while True:
-        resolved: dict[Bit, tuple[bool, int]] = {}
-        new_pairs: dict[tuple[Bit, Bit], int] = {}
+        resolved: dict[int, tuple[bool, int]] = {}
+        new_pairs: dict[int, int] = {}
         still_open = []
         for level0 in open_levels:
             acc = 1 << level0
-            unknowns: list[Bit] = []
+            unknowns: list[int] = []
             for b in levels[level0]:
-                mask = known.get(b)
+                mask = known[b]
                 if mask is None:
                     unknowns.append(b)
                 else:
                     acc ^= mask
-            if unknowns:
-                still_open.append(level0)
             if len(unknowns) > 1:
+                still_open.append(level0)
                 unknowns.sort()
-                for key in combinations(unknowns, 2):
-                    mask = pairs.get(key)
+                for i, j in _PAIRS[len(unknowns)]:
+                    mask = pairs.get(unknowns[i] * width + unknowns[j])
                     if mask is not None:
                         acc ^= mask
-                        unknowns = [b for b in unknowns if b not in key]
+                        del unknowns[j], unknowns[i]
                         break
             if not unknowns:
                 check(acc, _LEVEL_DISAGREES, level0 + 1)
@@ -351,11 +349,11 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
                 b = unknowns[0]
                 prior = resolved.get(b)
                 if prior is not None:
-                    check(prior[1] ^ acc, _BIT_CONFLICT, b[0], b[1])
+                    check(prior[1] ^ acc, _BIT_CONFLICT, b // m + 1, b % m)
                 else:
                     resolved[b] = (False, acc)
             elif len(unknowns) == 2:
-                key = tuple(unknowns)
+                key = unknowns[0] * width + unknowns[1]
                 if key in new_pairs:
                     check(new_pairs[key] ^ acc, _AGGREGATE_CONFLICT, level0 + 1)
                 else:  # a known pair would have been cancelled
@@ -363,8 +361,9 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
         open_levels = still_open
         # A known aggregate with one known endpoint reveals the other; the
         # first such pair in sorted order wins a target.
-        for (u, v), mask in sorted(pairs.items()):
-            ku, kv = known.get(u), known.get(v)
+        for key, mask in sorted(pairs.items()):
+            u, v = divmod(key, width)
+            ku, kv = known[u], known[v]
             if (ku is None) != (kv is None):
                 target, source = (v, ku) if kv is None else (u, kv)
                 if target not in resolved:
@@ -382,8 +381,9 @@ def _pass_steps(resolved: dict, pass_index: int, symbols: tuple) -> list[PeelSte
     bit_symbol, twin_syms, sym_size = symbols
     groups: Counter = Counter()  # (sender, symbol) -> bits resolved
     via_pair: set[tuple[int, int]] = set()
-    for (s, bit), (pair, _) in resolved.items():
-        key = (s, bit_symbol[bit])
+    for b, (pair, _) in resolved.items():
+        s0, bit = divmod(b, len(bit_symbol))  # bit_symbol has m entries
+        key = (s0 + 1, bit_symbol[bit])
         groups[key] += 1
         if pair:
             via_pair.add(key)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from importlib import resources
@@ -235,14 +235,19 @@ def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatr
 
 @dataclass(frozen=True)
 class CheckPoint:
-    """A validation point made ready for checking any layout of its region:
-    the channel (K = 3) at the point's minimal N and every block's pipe count."""
+    """A validation point ready for checking any layout of its region: the channel (K = 3)
+    at its minimal N, each block's pipe count, and the rank verdicts by `rank_key`."""
 
     ch: ChannelParams
     counts: tuple[int, ...]
+    ranks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def assignment(self, layout: Layout) -> AssignmentMatrix:
         return _fill_pipes(layout, self.counts, self.ch.n)
+
+    def rank_key(self, layout: Layout) -> tuple[tuple[str, int | None], ...]:
+        """Roles of the blocks with pipes here; they fix the pipe map (twin copies match)."""
+        return tuple((r.kind, r.symbol_id) for (_, r), c in zip(layout.blocks, self.counts) if c)
 
 
 def check_points(region: RegionSpec) -> list[CheckPoint]:
@@ -314,6 +319,7 @@ def _layouts(region: RegionSpec) -> Iterator[Layout]:
     layout and is skipped, so the candidates and their order stay the same.
     """
     lens, values = region.block_lens, region.form.blocks
+    role = cache(BlockRole)  # made once per call, shared by the candidates
     roles: list[BlockRole | None] = [None] * len(lens)
     reach = [{(0, 0, 0)}]  # reach[i]: every subset sum of values[i:]
     for k, a, b in reversed(values):
@@ -330,14 +336,14 @@ def _layouts(region: RegionSpec) -> Iterator[Layout]:
             return
         k, a, b = values[i]
         data = (missing[0] - k, missing[1] - a, missing[2] - b)
-        roles[i] = BlockRole(SINGLE, symbol)
+        roles[i] = role(SINGLE, symbol)
         yield from rec(i + 1, symbol + 1, data)
         for j in range(i + 1, len(lens)):
             if roles[j] is None and values[j] == values[i]:
-                roles[i], roles[j] = BlockRole(TWIN_FIRST, symbol), BlockRole(TWIN_SECOND, symbol)
+                roles[i], roles[j] = role(TWIN_FIRST, symbol), role(TWIN_SECOND, symbol)
                 yield from rec(i + 1, symbol + 1, data)
                 roles[j] = None
-        roles[i] = BlockRole(ZERO)
+        roles[i] = role(ZERO)
         yield from rec(i + 1, symbol, missing)
         roles[i] = None
 
@@ -475,17 +481,21 @@ def _interior_lattice(region: RegionSpec, den: int) -> Iterator[Weights]:
 
 
 def rank_assignments(layout: Layout, points: list[CheckPoint]) -> list[AssignmentMatrix] | None:
-    """The layout's assignment at every point when each passes the rank
-    criterion, else None (at the first point that fails)."""
+    """The layout's assignment at every point when each passes the rank criterion, else None
+    at the first point that fails (at once, with no pipes filled, if its key failed there)."""
     # Imported here: oracle consumes the types defined above.
     from .oracle import rank_decodable
 
     assigns = []
     for point in points:
-        assign = point.assignment(layout)
-        if not rank_decodable(point.ch, assign):
+        key = point.rank_key(layout)
+        if point.ranks.get(key) is False:
             return None
-        assigns.append(assign)
+        assigns.append(point.assignment(layout))
+        if key not in point.ranks:
+            point.ranks[key] = rank_decodable(point.ch, assigns[-1])
+        if not point.ranks[key]:
+            return None
     return assigns
 
 

@@ -14,10 +14,11 @@ row or trace shows up here.  The families are:
   second use of a bit used once) at N <= 4 on every integral (alpha, beta),
   K in {3, 4} and every receiver.
 
-`peel_succeeds` runs the same fixpoint without emitting a program; two
+`peel_succeeds` runs the same fixpoint without emitting a program; three
 tests check that its answer is the compiled program's `success` on every
 validation point under each candidate role layout that passes rank there,
-and on the search class.
+at the frozen interiors with K = 5 at receivers 2 and K, and on the search
+class.
 
 Run this file as a script to print the digests of the current tree; with
 `--write` it records them.
@@ -27,6 +28,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +151,27 @@ def test_fixpoint_success_matches_compile_on_role_candidates(table, frozen_layou
             if layout == frozen_layouts[spec.id]:
                 break
     assert compared >= 524  # at least the accepted layouts at every point
+
+
+def test_fixpoint_success_matches_compile_at_k5(table, frozen_layouts, frozen_interiors):
+    # The search class stops at K = 4.  At K = 5, receivers 2 and K read
+    # their own bits at ids (receiver - 1)*m onward, beyond receiver 1's and
+    # the other two senders' ranges.  The first candidates of each region
+    # (most fail at the interior) and the accepted one, at 1 and 4 times N.
+    outcomes = []
+    for spec in table:
+        eps, delta = frozen_interiors[spec.id]
+        alpha, beta = spec.anchor_alpha + eps, spec.anchor_beta + delta
+        for multiple in (1, 4):
+            n = minimal_n(spec, eps, delta) * multiple
+            ch = make_channel(5, n, alpha, beta)
+            for layout in [*islice(_layouts(spec), 8), frozen_layouts[spec.id]]:
+                assign = build_assignment(layout, spec, alpha, beta, n)
+                for receiver in (2, 5):
+                    want = _compile(assign, ch, receiver).success
+                    assert peel_succeeds(assign, ch, receiver) == want, (spec.id, n, receiver)
+                    outcomes.append(want)
+    assert set(outcomes) == {True, False}
 
 
 def test_fixpoint_success_matches_compile_on_search_class():

@@ -323,6 +323,44 @@ class TestCheckPoints:
                 want = build_assignment(layout, spec, ch.alpha, ch.beta, ch.n)
                 assert point.assignment(layout) == want, (spec.id, ch.alpha, ch.beta)
 
+    def test_equal_rank_keys_have_equal_pipe_maps(self, table):
+        # The rank verdict is shared by key, so the key must fix what the
+        # rank reads: checked for every candidate at every validation point.
+        shared = 0
+        for spec in table:
+            layouts = list(scheme._layouts(spec))
+            for point in check_points(spec):
+                seen = {}
+                for layout in layouts:
+                    assign = point.assignment(layout)
+                    got = assign.pipe_to_bit, assign.m
+                    assert seen.setdefault(point.rank_key(layout), got) == got, (spec.id, layout)
+                shared += len(layouts) - len(seen)
+        assert shared > 0  # some key is met by more than one candidate
+
+    def test_rank_runs_once_per_key_and_inference(self, regions_by_id, frozen_layouts, monkeypatch):
+        from detic import oracle
+
+        bd = regions_by_id["Bd"]
+        calls, lists = [], []
+        rank = oracle.rank_decodable
+        monkeypatch.setattr(oracle, "rank_decodable", lambda ch, a: calls.append(ch) or rank(ch, a))
+
+        def recorded(spec):
+            lists.append(check_points(spec))
+            return lists[-1]
+
+        monkeypatch.setattr(scheme, "check_points", recorded)
+        for _ in range(2):
+            assert infer_roles(bd) == frozen_layouts["Bd"]
+        # One rank per key and point, held by one inference's list of points:
+        # the second inference ranks again.
+        entries = [sum(len(point.ranks) for point in points) for points in lists]
+        assert len(calls) == sum(entries) and entries[0] == entries[1] > 0
+        layouts = list(scheme._layouts(bd))
+        keys = {(i, p.rank_key(layout)) for i, p in enumerate(lists[0]) for layout in layouts}
+        assert entries[0] <= len(keys)
+
 
 class TestLayoutSerialization:
     def test_roundtrip(self, table, frozen_layouts):
