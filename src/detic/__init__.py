@@ -27,6 +27,7 @@ from .decode import (
 from .exactmath import (
     Affine2,
     HalfPlane,
+    NotACountError,
     Rat,
     affine_eval,
     format_rat,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactmath import Rat, format_rat
+from .exactmath import Rat, as_count, format_rat
 from .gf2 import BitVec, DimensionMismatchError, to_bits
 
 DIRECT = "direct"
@@ -66,7 +66,9 @@ class ChannelParams:
 
 
 def make_channel(k: int, n: int, alpha, beta) -> ChannelParams:
-    """Validate and build channel parameters; raises BadShapeError with the violated clause."""
+    """Validate and build channel parameters; raises NotACountError unless K
+    and N are integers, and BadShapeError with any other violated clause."""
+    k, n = as_count(k, "K"), as_count(n, "N")
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     if k < 3:
@@ -133,7 +135,9 @@ def transmit(ch: ChannelParams, inputs: list[BitVec]) -> np.ndarray:
 
 
 def interleave_expand(ch: ChannelParams, l_uses: int) -> ChannelParams:
-    """Parameters of the channel seen by stride-interleaved supersymbols over L uses."""
+    """Parameters of the channel seen by stride-interleaved supersymbols over
+    L uses; raises NotACountError unless L is an integer."""
+    l_uses = as_count(l_uses, "L")
     if l_uses < 1:
         raise BadShapeError(f"L >= 1 required, got {l_uses}")
     return ChannelParams(ch.k, ch.n * l_uses, ch.alpha, ch.beta)
@@ -157,8 +161,8 @@ def interleave(vectors: list[BitVec]) -> BitVec:
 
 
 def deinterleave(v: BitVec, l_uses: int) -> list[BitVec]:
-    """Inverse of interleave."""
-    v = np.asarray(v)
+    """Inverse of interleave; raises NotACountError unless L is an integer."""
+    l_uses, v = as_count(l_uses, "L"), np.asarray(v)
     if v.ndim != 1 or l_uses < 1 or v.shape[0] % l_uses != 0:
         raise DimensionMismatchError(f"shape {v.shape} not divisible into {l_uses} uses")
     return list(to_bits(v, "interleaved vector").reshape(-1, l_uses).T.copy())

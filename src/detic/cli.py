@@ -41,10 +41,10 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 
 # Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling a
-# channel's peeling schedule takes up to about 25 us per pipe (0.03-0.15 s
-# over the 18 frozen layouts and about 15 MB of working memory at N = 6000,
-# growing faster than N), once per run: `simulate` decodes every receiver's
-# word with receiver 1's view.
+# channel's peeling schedule takes 2-5 us per pipe at N = 600 and 3-9 us at
+# N = 6000 (0.02-0.06 s over the 18 frozen layouts, with up to 14 MB of
+# working memory), once per run: `simulate` decodes every receiver's word
+# with receiver 1's view.
 # A trial then draws, encodes, transmits and decodes one stack of K words, so
 # N * K bounds the arrays of a trial.  It costs about 85 us plus 18-28 ns per
 # entry of the K x N stack, so trials * (N*K + 4000) is its cost in units of
@@ -113,7 +113,8 @@ def _parse_point(args) -> tuple[Fraction, Fraction]:
 
 
 def _load_table(args):
-    # An empty DETIC_TABLE means unset; an empty --table is a path like any other.
+    # An empty DETIC_TABLE means unset; an empty --table reaches the loader,
+    # which refuses it.
     path = args.table if args.table is not None else os.environ.get("DETIC_TABLE") or None
     try:
         return reg.load_region_table(path)

@@ -7,17 +7,36 @@ the integer forms of `regions.IntegerForm`; `Affine2` only parses a catalog
 row and prints a form back.  `affine_eval`, `HalfPlane.satisfied` and
 `polygon_contains` are the plain references that tests hold those integer
 forms (membership, rates, vertices, layout validity) against.  No floating
-point.
+point.  `as_count` is the one check of a count argument (K, N, L).
 """
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 Rat = Fraction
+
+
+class NotACountError(ValueError):
+    """A count (K, N, L) that is a bool or not an integer."""
+
+
+def as_count(value, name: str) -> int:
+    """`value` as an int: an integer, or a float or Fraction of integral
+    value.  Raises NotACountError naming `name` on a bool, on anything that is
+    not a number, and on a non-integral value."""
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+        try:
+            if Fraction(value).denominator == 1:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):  # complex, nan, inf
+            pass
+    raise NotACountError(f"{name} must be an integer, got {value!r}")
+
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 

@@ -159,10 +159,13 @@ def load_region_table(path: str | Path | None = None) -> tuple[RegionSpec, ...]:
     """Load and validate the catalog, preserving printed row order.
 
     The built-in catalog is parsed once per process (the table is immutable);
-    an explicit path is read on every call.
+    an explicit path is read on every call.  Raises TableInvalidError on the
+    empty path, which `Path` would read as the current directory.
     """
     if path is None:
         return _builtin_table()
+    if path == "":
+        raise TableInvalidError("cannot read region table '': the path is empty")
     return _parse_table(Path(path).read_text())
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,7 @@ from detic.channel import (
     make_channel,
     transmit,
 )
+from detic.exactmath import NotACountError
 from detic.gf2 import DimensionMismatchError, NotBinaryError
 
 # Family anchor points of the region catalog.
@@ -51,6 +53,18 @@ class TestMakeChannel:
     def test_out_of_range(self, alpha, beta):
         with pytest.raises(BadShapeError):
             make_channel(3, 2, alpha, beta)
+
+    @pytest.mark.parametrize(
+        "k,n,name", [(3, 1.5, "N"), (3, F(21, 2), "N"), (3, True, "N"), (3, "10", "N"), (3.5, 10, "K")]
+    )
+    def test_counts_must_be_integers(self, k, n, name):
+        got = k if name == "K" else n
+        with pytest.raises(NotACountError, match=f"^{name} must be an integer, got {re.escape(repr(got))}$"):
+            make_channel(k, n, F(8, 5), F(9, 10))
+
+    def test_integral_counts_become_ints(self):
+        ch = make_channel(np.int64(3), 10.0, F(8, 5), F(9, 10))
+        assert (ch.k, ch.n) == (3, 10) and type(ch.k) is int and type(ch.n) is int
 
 
 class TestSignals:
@@ -165,6 +179,17 @@ class TestInterleaving:
         ch = make_channel(3, 1, F(2), F(0))
         assert interleave_expand(ch, 1) == ch
         assert interleave_expand(ch, 4).n == 4
+
+    @pytest.mark.parametrize("l_uses", [1.5, True, "2"])
+    def test_expand_refuses_a_non_integer_l(self, l_uses):
+        ch = make_channel(3, 1, F(2), F(0))
+        with pytest.raises(NotACountError, match="^L must be an integer"):
+            interleave_expand(ch, l_uses)
+
+    @pytest.mark.parametrize("l_uses", [1.5, True])
+    def test_deinterleave_refuses_a_non_integer_l(self, l_uses):
+        with pytest.raises(NotACountError, match="^L must be an integer"):
+            deinterleave(np.zeros(6, dtype=np.uint8), l_uses)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(13)

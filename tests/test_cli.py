@@ -527,7 +527,7 @@ class TestTableOverride:
         monkeypatch.setenv("DETIC_TABLE", "")
         code, out = run(capsys, "--table", "", "classify", "--alpha", "8/5", "--beta", "9/10")
         assert code == 2
-        assert json.loads(out)["error"].startswith("cannot read region table '': ")
+        assert json.loads(out)["error"] == "cannot read region table '': the path is empty"
         code, out = run(capsys, "classify", "--alpha", "8/5", "--beta", "9/10")
         assert code == 0
         assert json.loads(out)["region"] == "Df"

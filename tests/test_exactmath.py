@@ -1,15 +1,25 @@
-"""Rational parsing and the Fraction references, and the integer-form closure
-geometry held against them on small hand-made polygons: IntegerForm.vertices,
-the loader's polytope check, and check_validity's sign test of a block's
-integer length at the integer vertices."""
+"""Rational parsing, the count check and the Fraction references, and the
+integer-form closure geometry held against them on small hand-made polygons:
+IntegerForm.vertices, the loader's polytope check, and check_validity's sign
+test of a block's integer length at the integer vertices."""
 
 import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from detic.exactmath import Affine2, HalfPlane, affine_eval, format_rat, parse_rat, polygon_contains
+from detic.exactmath import (
+    Affine2,
+    HalfPlane,
+    NotACountError,
+    affine_eval,
+    as_count,
+    format_rat,
+    parse_rat,
+    polygon_contains,
+)
 from detic.regions import TableInvalidError, _parse_row, load_region_table
 from detic.scheme import ZERO, BlockRole, Layout, check_validity
 from test_regions_reference import PRINTED, offset_vertices
@@ -73,6 +83,18 @@ class TestRat:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
+
+    @pytest.mark.parametrize("value,want", [(7, 7), (np.int64(7), 7), (7.0, 7), (F(14, 2), 7)])
+    def test_count_takes_integral_numbers(self, value, want):
+        got = as_count(value, "N")
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, 1.5, F(1, 2), float("nan"), float("inf"), 1 + 0j, "7", None]
+    )
+    def test_count_refuses_bools_and_non_integers(self, value):
+        with pytest.raises(NotACountError, match="^N must be an integer, got "):
+            as_count(value, "N")
 
     def test_arithmetic_is_exact(self):
         rng = random.Random(0)

@@ -178,6 +178,11 @@ class TestLoad:
         with pytest.raises(TableInvalidError, match=f"^{re.escape(want)}$"):
             load_region_table(bad)
 
+    def test_loader_refuses_the_empty_path(self):
+        # Path("") is the current directory, so the loader must refuse it before reading.
+        with pytest.raises(TableInvalidError, match="^cannot read region table '': the path is empty$"):
+            load_region_table("")
+
     def test_loader_accepts_letters_digits_underscore(self, tmp_path):
         rows = builtin_rows()
         rows[1]["id"] = "ab_9Z"
