@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from detic import scheme
+from detic import oracle, scheme
 from detic.exactmath import Affine2
 from detic.gf2 import DimensionMismatchError, NotBinaryError
 from detic.regions import _parse_row, load_region_table, point_weights
@@ -339,8 +339,6 @@ class TestCheckPoints:
         assert shared > 0  # some key is met by more than one candidate
 
     def test_rank_runs_once_per_key_and_inference(self, regions_by_id, frozen_layouts, monkeypatch):
-        from detic import oracle
-
         bd = regions_by_id["Bd"]
         calls, lists = [], []
         rank = oracle.rank_decodable
