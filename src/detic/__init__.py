@@ -26,8 +26,10 @@ from .decode import (
 )
 from .exactmath import (
     Affine2,
+    DeticError,
     HalfPlane,
     NotACountError,
+    NotARationalError,
     Rat,
     affine_eval,
     format_rat,
@@ -54,7 +56,6 @@ from .scheme import (
     NonIntegralBlocksError,
     NoValidLayoutError,
     OutsideRegionError,
-    PipeCountError,
     build_assignment,
     check_validity,
     infer_roles,

@@ -15,12 +15,11 @@ schedules of `decode`, and the rank oracle all place pipes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .exactmath import Rat, as_count, format_rat
+from .exactmath import DeticError, Rat, as_count, as_rat, format_rat
 from .gf2 import BitVec, DimensionMismatchError, to_bits
 
 DIRECT = "direct"
@@ -28,7 +27,7 @@ V_PATH = "v"
 W_PATH = "w"
 
 
-class BadShapeError(ValueError):
+class BadShapeError(DeticError):
     """Channel parameters violate a validity constraint."""
 
 
@@ -66,23 +65,16 @@ class ChannelParams:
 
 
 def make_channel(k: int, n: int, alpha, beta) -> ChannelParams:
-    """Validate and build channel parameters; raises NotACountError unless K
-    and N are integers, and BadShapeError with any other violated clause."""
-    k, n = as_count(k, "K"), as_count(n, "N")
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if k < 3:
-        raise BadShapeError(f"K >= 3 required, got K = {k}")
-    if n < 1:
-        raise BadShapeError(f"N >= 1 required, got N = {n}")
-    if not 1 <= alpha <= 2:
-        raise BadShapeError(f"alpha in [1, 2] required, got {format_rat(alpha)}")
-    if not 0 <= beta <= 1:
-        raise BadShapeError(f"beta in [0, 1] required, got {format_rat(beta)}")
-    if (alpha * n).denominator != 1:
-        raise BadShapeError(f"alpha*N must be an integer, got {format_rat(alpha * n)}")
-    if (beta * n).denominator != 1:
-        raise BadShapeError(f"beta*N must be an integer, got {format_rat(beta * n)}")
+    """Validate and build channel parameters; raises NotACountError unless
+    K >= 3 and N >= 1 are integers, NotARationalError unless alpha and beta
+    are rationals, and BadShapeError with any other violated clause."""
+    k, n = as_count(k, "K", 3), as_count(n, "N", 1)
+    alpha, beta = as_rat(alpha, "alpha"), as_rat(beta, "beta")
+    for name, x, lo in (("alpha", alpha, 1), ("beta", beta, 0)):
+        if not lo <= x <= lo + 1:
+            raise BadShapeError(f"{name} in [{lo}, {lo + 1}] required, got {format_rat(x)}")
+        if (x * n).denominator != 1:
+            raise BadShapeError(f"{name}*N must be an integer, got {format_rat(x * n)}")
     return ChannelParams(k, n, alpha, beta)
 
 
@@ -136,10 +128,8 @@ def transmit(ch: ChannelParams, inputs: list[BitVec]) -> np.ndarray:
 
 def interleave_expand(ch: ChannelParams, l_uses: int) -> ChannelParams:
     """Parameters of the channel seen by stride-interleaved supersymbols over
-    L uses; raises NotACountError unless L is an integer."""
-    l_uses = as_count(l_uses, "L")
-    if l_uses < 1:
-        raise BadShapeError(f"L >= 1 required, got {l_uses}")
+    L uses; raises NotACountError unless L >= 1 is an integer."""
+    l_uses = as_count(l_uses, "L", 1)
     return ChannelParams(ch.k, ch.n * l_uses, ch.alpha, ch.beta)
 
 
@@ -161,8 +151,8 @@ def interleave(vectors: list[BitVec]) -> BitVec:
 
 
 def deinterleave(v: BitVec, l_uses: int) -> list[BitVec]:
-    """Inverse of interleave; raises NotACountError unless L is an integer."""
-    l_uses, v = as_count(l_uses, "L"), np.asarray(v)
-    if v.ndim != 1 or l_uses < 1 or v.shape[0] % l_uses != 0:
+    """Inverse of interleave; raises NotACountError unless L >= 1 is an integer."""
+    l_uses, v = as_count(l_uses, "L", 1), np.asarray(v)
+    if v.ndim != 1 or v.shape[0] % l_uses != 0:
         raise DimensionMismatchError(f"shape {v.shape} not divisible into {l_uses} uses")
     return list(to_bits(v, "interleaved vector").reshape(-1, l_uses).T.copy())

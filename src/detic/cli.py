@@ -1,8 +1,10 @@
 """Command-line front door: classify, plan, simulate, verify, atlas, render.
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error; `main` alone
-turns a raised refusal into one JSON error and its exit code.  Parameters are
-exact rationals ("8/5"); *-decimal variants accept terminating decimals.
+turns a raised `DeticError` into one JSON error and its exit code, and lets
+any other error through as a bug.  Parameters are exact rationals ("8/5"),
+read by `exactmath.parse_rat`; *-decimal variants accept terminating
+decimals, read by `exactmath.as_rat` within its size bounds.
 Payloads go to standard output as JSON, CSV, or SVG.  `plan`, `simulate` and
 `render` refuse N > MAX_N, `simulate` also runs beyond its size budget
 (SIMULATE_MAX_*), and `atlas` grids above ATLAS_MAX_GRID, all before doing
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import regions as reg
 from .channel import make_channel, transmit
 from .decode import peel_bits, peel_structure, receiver_view
-from .exactmath import format_rat, parse_rat
+from .exactmath import DeticError, as_rat, format_rat, parse_rat
 from .oracle import exhaustive_search
 from .render import atlas_csv, atlas_svg, render_scheme
 from .scheme import (
@@ -57,16 +58,9 @@ MAX_N = 6000
 SIMULATE_MAX_COMPILE = 200_000  # N * K
 SIMULATE_MAX_DECODE = 320_000_000  # trials * (N * K + 4000)
 ATLAS_MAX_GRID = 201
-# `Fraction` expands a decimal's exponent into an int digit by digit, so the
-# 10 characters "1e99999999" would run for minutes.  Points of the square need
-# neither bound, and within both every int stays far below Python's
-# 4300-digit limit for printing.
-DECIMAL_MAX_CHARS = 1000
-DECIMAL_MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-class UsageError(ValueError):
+class UsageError(DeticError):
     """A refusal: `main` prints {"error": message, **fields} and exits with `code`."""
 
     code = EXIT_USAGE
@@ -86,30 +80,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _parse_decimal(text: str) -> Fraction:
-    if len(text) > DECIMAL_MAX_CHARS:
-        raise UsageError(f"decimal literal longer than {DECIMAL_MAX_CHARS} characters")
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent.group(1))) > DECIMAL_MAX_EXPONENT:
-        raise UsageError(
-            f"decimal exponent {exponent.group(1)} outside +-{DECIMAL_MAX_EXPONENT}: {text!r}"
-        )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise UsageError(f"zero denominator: {text!r}") from None
-
-
 def _parse_point(args) -> tuple[Fraction, Fraction]:
-    point = []
-    for name in ("alpha", "beta"):
-        if (text := getattr(args, name)) is not None:
-            point.append(parse_rat(text))
-        elif (text := getattr(args, f"{name}_decimal", None)) is not None:
-            point.append(_parse_decimal(text))
-        else:
-            raise UsageError(f"missing --{name}")
-    return tuple(point)
+    """Each coordinate from its rational flag, else from its decimal one."""
+    return tuple(
+        parse_rat(text) if (text := getattr(args, name)) is not None
+        else as_rat(getattr(args, f"{name}_decimal"), name)
+        for name in ("alpha", "beta")
+    )
 
 
 def _load_table(args):
@@ -123,8 +100,8 @@ def _load_table(args):
 
 
 def _point_args(sub) -> None:
-    """Each coordinate as an exact rational or a terminating decimal, not both."""
-    alpha, beta = sub.add_mutually_exclusive_group(), sub.add_mutually_exclusive_group()
+    """Each coordinate as an exact rational or a terminating decimal: one, not both."""
+    alpha, beta = (sub.add_mutually_exclusive_group(required=True) for _ in range(2))
     alpha.add_argument("--alpha", help='exact rational, e.g. "8/5"')
     beta.add_argument("--beta", help='exact rational, e.g. "9/10"')
     alpha.add_argument("--alpha-decimal", help='terminating decimal, e.g. "1.6"')
@@ -132,7 +109,7 @@ def _point_args(sub) -> None:
 
 
 def _classify_payload(res: reg.ClassifyResult) -> dict:
-    payload = {
+    return {
         "alpha": format_rat(res.alpha),
         "beta": format_rat(res.beta),
         "region": res.region.id if res.covered else "-",
@@ -141,7 +118,6 @@ def _classify_payload(res: reg.ClassifyResult) -> dict:
         "dsym": format_rat(res.dsym_value) if res.covered else None,
         "converseBound": format_rat(reg.converse_bound(res.alpha, res.beta)),
     }
-    return payload
 
 
 def cmd_classify(args, table) -> int:
@@ -423,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, _load_table(args))
     except UsageError as exc:
         code, payload = exc.code, {"error": str(exc), **exc.fields}
-    except ValueError as exc:  # a typed refusal of the library: bad input
+    except DeticError as exc:  # a typed refusal of the library: bad input
         code, payload = EXIT_USAGE, {"error": str(exc)}
     _emit(payload)
     return code

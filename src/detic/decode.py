@@ -61,6 +61,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channel import ChannelParams, paths
+from .exactmath import DeticError, as_count
 from .gf2 import BitVec, DimensionMismatchError, to_bits
 from .scheme import TWIN_FIRST, TWIN_SECOND, AssignmentMatrix
 
@@ -69,7 +70,7 @@ RULE_TWIN = "twin-peel"
 RULE_MIXED = "mixed"
 
 
-class InconsistentSignalError(ValueError):
+class InconsistentSignalError(DeticError):
     """Received word is not in the code's image."""
 
 
@@ -149,8 +150,10 @@ class DecodeTrace:
 
 def receiver_view(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> ReceiverView:
     """One receiver's view of an assignment on a channel; its blocks and its
-    program are built on first use.  Raises DimensionMismatchError at once
-    when N differs or the receiver is outside 1..K."""
+    program are built on first use.  Raises at once NotACountError unless the
+    receiver is an integer >= 1, and DimensionMismatchError when N differs or
+    the receiver is above K."""
+    receiver = as_count(receiver, "receiver", 1)
     if assign.n != ch.n:
         raise DimensionMismatchError(f"assignment N = {assign.n} != channel N = {ch.n}")
     paths(ch, receiver)

@@ -7,7 +7,9 @@ the integer forms of `regions.IntegerForm`; `Affine2` only parses a catalog
 row and prints a form back.  `affine_eval`, `HalfPlane.satisfied` and
 `polygon_contains` are the plain references that tests hold those integer
 forms (membership, rates, vertices, layout validity) against.  No floating
-point.  `as_count` is the one check of a count argument (K, N, L).
+point.  All parsing of arguments is here: `as_rat` reads every rational one
+and `as_count` every count; `parse_rat` is the strict grammar of the catalog
+and `--alpha`.  Every refusal of the package is a `DeticError`.
 """
 
 from __future__ import annotations
@@ -21,42 +23,84 @@ from typing import Iterable
 Rat = Fraction
 
 
-class NotACountError(ValueError):
-    """A count (K, N, L) that is a bool or not an integer."""
+class DeticError(ValueError):
+    """Base class of every refusal of bad input; any other error is a bug."""
 
 
-def as_count(value, name: str) -> int:
-    """`value` as an int: an integer, or a float or Fraction of integral
-    value.  Raises NotACountError naming `name` on a bool, on anything that is
-    not a number, and on a non-integral value."""
-    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+class NotACountError(DeticError):
+    """A count that is a bool, not an integer, or below its least value."""
+
+
+class NotARationalError(DeticError):
+    """A rational argument that is not a finite rational number or literal."""
+
+
+class TableInvalidError(DeticError):
+    """A catalog row or frozen layout violates a structural invariant."""
+
+
+def as_count(value, name: str, least: int = 0) -> int:
+    """`value` as an int of at least `least`: an integer, or a float or Fraction
+    of integral value.  Raises NotACountError naming `name` on a bool, a
+    string or any other non-number, a non-integral value and below `least`."""
+    try:
+        count = as_rat(value, name) if isinstance(value, numbers.Number) else None
+    except NotARationalError:  # a bool, complex, nan, inf
+        count = None
+    if count is None or count.denominator != 1:
+        raise NotACountError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise NotACountError(f"{name} >= {least} required, got {name} = {count}")
+    return int(count)
+
+
+# `Fraction` expands a decimal's exponent into an int digit by digit, so the
+# 10 characters "1e99999999" would run for minutes.  Points of the square need
+# neither bound, and within both every int stays far below Python's
+# 4300-digit limit for printing.
+DECIMAL_MAX_CHARS = 1000
+DECIMAL_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def as_rat(value, name: str) -> Rat:
+    """`value` as a Fraction: a rational number (not a bool), a finite float read
+    exactly, or a string such as "8/5", "1.6" or "16e-1" within the DECIMAL_MAX_*
+    bounds.  Raises NotARationalError naming `name` on anything else."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str) and len(value) > DECIMAL_MAX_CHARS:
+        raise NotARationalError(f"{name}: decimal literal longer than {DECIMAL_MAX_CHARS} characters")
+    if isinstance(value, str) and (e := _EXPONENT.search(value)) and abs(int(e[1])) > DECIMAL_MAX_EXPONENT:
+        raise NotARationalError(f"{name}: decimal exponent {e[1]} outside +-{DECIMAL_MAX_EXPONENT}: {value!r}")
+    if isinstance(value, (str, float, numbers.Rational)) and not isinstance(value, bool):
         try:
-            if Fraction(value).denominator == 1:
-                return int(value)
-        except (TypeError, ValueError, OverflowError):  # complex, nan, inf
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise NotARationalError(f"{name}: zero denominator: {value!r}") from None
+        except (ValueError, OverflowError):  # not a literal, nan, inf
             pass
-    raise NotACountError(f"{name} must be an integer, got {value!r}")
+    raise NotARationalError(f"{name} must be a rational number, got {value!r}")
 
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d{1,4000}(/\d{1,4000})?$")
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse an exact rational literal, "p/q" or a bare integer."""
-    if not isinstance(text, str):
-        raise ValueError(f"not a rational literal: {text!r}")
-    s = text.strip().replace("−", "-")  # tolerate unicode minus
+    """Parse an exact rational literal, "p/q" or a bare integer, of at most 4000
+    digits a side (int() reads 4300); raises NotARationalError on anything else."""
+    s = text.strip().replace("−", "-") if isinstance(text, str) else ""  # tolerate unicode minus
     if not _RAT_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise NotARationalError(f"not a rational literal: {text!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+        raise NotARationalError(f"zero denominator: {text!r}") from None
 
 
 def format_rat(x: Rat) -> str:
     """Canonical "p/q" form, always with an explicit denominator ("0/1")."""
-    f = Fraction(x)
+    f = as_rat(x, "x")
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -71,20 +115,16 @@ class Affine2:
     @staticmethod
     def from_strings(triple: list[str]) -> "Affine2":
         if not isinstance(triple, list) or len(triple) != 3:
-            raise ValueError(f"affine form needs a list of 3 coefficients, got {triple!r}")
+            raise TableInvalidError(f"affine form needs a list of 3 coefficients, got {triple!r}")
         return Affine2(*(parse_rat(t) for t in triple))
 
     def to_strings(self) -> list[str]:
         return [format_rat(self.c0), format_rat(self.c_eps), format_rat(self.c_delta)]
 
-    @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c_eps == 0 and self.c_delta == 0
-
 
 def affine_eval(f: Affine2, eps: Rat, delta: Rat) -> Rat:
     """Evaluate f at the point (eps, delta), exactly."""
-    return f.c0 + f.c_eps * Fraction(eps) + f.c_delta * Fraction(delta)
+    return f.c0 + f.c_eps * as_rat(eps, "eps") + f.c_delta * as_rat(delta, "delta")
 
 
 @dataclass(frozen=True)
@@ -95,8 +135,8 @@ class HalfPlane:
     strict: bool = False
 
     def __post_init__(self):
-        if self.expr.is_zero:
-            raise ValueError("half-plane expression is identically zero")
+        if not (self.expr.c0 or self.expr.c_eps or self.expr.c_delta):
+            raise TableInvalidError("half-plane expression is identically zero")
 
     def satisfied(self, eps: Rat, delta: Rat, closure: bool = False) -> bool:
         v = affine_eval(self.expr, eps, delta)

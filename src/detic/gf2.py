@@ -11,14 +11,16 @@ from typing import Iterable
 
 import numpy as np
 
+from .exactmath import DeticError
+
 BitVec = np.ndarray  # 1-D uint8 array of {0,1}
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(DeticError):
     """Operand shapes are incompatible."""
 
 
-class NotBinaryError(ValueError):
+class NotBinaryError(DeticError):
     """A bit vector holds an entry other than 0 or 1."""
 
 

@@ -27,6 +27,7 @@ maximal runs of its pipes that share one layout role
 from __future__ import annotations
 
 from .channel import ChannelParams, paths
+from .exactmath import DeticError, as_count
 from .gf2 import DimensionMismatchError, pivot_bits
 from .regions import converse_bound
 from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix, BlockRole, Segment
@@ -34,7 +35,7 @@ from .scheme import SINGLE, TWIN_FIRST, TWIN_SECOND, ZERO, AssignmentMatrix, Blo
 _SEARCH_N_LIMIT = 8
 
 
-class SearchBudgetError(ValueError):
+class SearchBudgetError(DeticError):
     """Enumeration would exceed the configured budget."""
 
 
@@ -108,9 +109,9 @@ def exhaustive_search(
     subtree is skipped when its fresh bits plus its remaining pipes cannot
     beat the best m, and the search stops at the first labeling that reaches
     floor(converse * N), which no labeling can exceed.  Raises
-    SearchBudgetError when N exceeds the enumeration budget.
+    SearchBudgetError when N exceeds the budget `max_n` (NotACountError on a bad one).
     """
-    if ch.n > max_n:
+    if ch.n > (max_n := as_count(max_n, "max_n", 1)):
         raise SearchBudgetError(f"N = {ch.n} exceeds search budget {max_n}")
     n = ch.n
     ceiling = int(converse_bound(ch.alpha, ch.beta) * n)

@@ -22,14 +22,11 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
-from .exactmath import Affine2, HalfPlane, Rat, format_rat, parse_rat
+from .exactmath import (Affine2, DeticError, HalfPlane, Rat, TableInvalidError, as_count, as_rat,
+                        format_rat, parse_rat)
 
 
-class TableInvalidError(ValueError):
-    """A catalog row violates a structural invariant."""
-
-
-class OutOfSquareError(ValueError):
+class OutOfSquareError(DeticError):
     """(alpha, beta) outside [1,2] x [0,1]."""
 
 
@@ -160,13 +157,14 @@ def load_region_table(path: str | Path | None = None) -> tuple[RegionSpec, ...]:
 
     The built-in catalog is parsed once per process (the table is immutable);
     an explicit path is read on every call.  Raises TableInvalidError on the
-    empty path, which `Path` would read as the current directory.
+    empty path, which `Path` would read as the current directory, and on a
+    file that is not JSON text.
     """
     if path is None:
         return _builtin_table()
     if path == "":
         raise TableInvalidError("cannot read region table '': the path is empty")
-    return _parse_table(Path(path).read_text())
+    return _parse_table(Path(path).read_bytes())
 
 
 @cache
@@ -174,10 +172,10 @@ def _builtin_table() -> tuple[RegionSpec, ...]:
     return _parse_table(_builtin_table_text())
 
 
-def _parse_table(text: str) -> tuple[RegionSpec, ...]:
+def _parse_table(text: str | bytes) -> tuple[RegionSpec, ...]:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or bytes in no UTF encoding
         raise TableInvalidError(f"catalog is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise TableInvalidError("catalog must be a non-empty JSON list of rows")
@@ -190,8 +188,6 @@ def _parse_table(text: str) -> tuple[RegionSpec, ...]:
         rid = row.get("id", "<missing id>")
         try:
             spec = _parse_row(row)
-        except TableInvalidError:
-            raise
         except Exception as exc:
             raise TableInvalidError(f"row {rid}: {exc}") from exc
         if spec.id in seen:
@@ -208,9 +204,9 @@ _JSON_TYPES = {"list": list, "object": dict, "boolean": bool}
 def _field(obj: dict, key: str, json_type: str | None = None):
     """obj[key], refusing a missing key or a value not of the named JSON type."""
     if key not in obj:
-        raise ValueError(f"missing field {key!r}")
+        raise TableInvalidError(f"missing field {key!r}")
     if json_type and not isinstance(obj[key], _JSON_TYPES[json_type]):
-        raise ValueError(f"{key} must be a JSON {json_type}, got {obj[key]!r}")
+        raise TableInvalidError(f"{key} must be a JSON {json_type}, got {obj[key]!r}")
     return obj[key]
 
 
@@ -219,14 +215,14 @@ def _parse_row(row: dict) -> RegionSpec:
     around the anchor, into absolute integer triples over one denominator."""
     rid, anchor = _field(row, "id"), _field(row, "anchor")
     if not isinstance(rid, str) or not re.fullmatch(r"[A-Za-z0-9_]+", rid):
-        raise ValueError(f"region id must be letters, digits and _, got {rid!r}")
+        raise TableInvalidError(f"region id must be letters, digits and _, got {rid!r}")
     if not isinstance(anchor, list) or len(anchor) != 2:
-        raise ValueError(f"anchor must be a list of two rationals, got {anchor!r}")
+        raise TableInvalidError(f"anchor must be a list of two rationals, got {anchor!r}")
     a0, b0 = parse_rat(anchor[0]), parse_rat(anchor[1])
     halfplanes = []
     for c in _field(row, "constraints", "list"):
         if not isinstance(c, dict):
-            raise ValueError(f"a constraint must be a JSON object, got {c!r}")
+            raise TableInvalidError(f"a constraint must be a JSON object, got {c!r}")
         strict = _field(c, "strict", "boolean")
         halfplanes.append(HalfPlane(Affine2.from_strings(_field(c, "expr")), strict))
     forms = [h.expr for h in halfplanes]
@@ -259,8 +255,7 @@ def _validate_row(spec: RegionSpec) -> None:
 
 
 def check_square(alpha: Rat, beta: Rat) -> tuple[Rat, Rat]:
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
+    alpha, beta = as_rat(alpha, "alpha"), as_rat(beta, "beta")
     if not 1 <= alpha <= 2 or not 0 <= beta <= 1:
         raise OutOfSquareError(
             f"(alpha, beta) = ({format_rat(alpha)}, {format_rat(beta)}) "
@@ -331,17 +326,18 @@ def boundary_consistency(
 
     Checks `samples` random rational points and, when `grid_denominator` is
     given, every point of the 1/denominator-spaced grid over the square.
-    Violations are reported, never patched.
+    Violations are reported, never patched.  Raises NotACountError on a bad count.
     """
     import random
 
+    d = None if grid_denominator is None else as_count(grid_denominator, "grid_denominator", 1)
     table = load_region_table() if table is None else tuple(table)
     rng = random.Random(seed)
     points = []  # weights of (1 + i/d, j/d): (d, d + i, j)
-    for _ in range(samples):
+    for _ in range(as_count(samples, "samples")):
         den = rng.randint(1, 60)
         points.append((den, den + rng.randint(0, den), rng.randint(0, den)))
-    if d := grid_denominator:
+    if d:
         points += [(d, d + i, j) for i in range(d + 1) for j in range(d + 1)]
     report = ConsistencyReport(points_checked=len(points))
     for w in points:
@@ -366,8 +362,7 @@ def atlas_rows(grid: int, table: Iterable[RegionSpec] | None = None) -> list[dic
     solve per region gives the j it holds, and each j goes to the first
     region in printed order that holds it.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    grid = as_count(grid, "grid", 2)
     table = load_region_table() if table is None else tuple(table)
     g = grid - 1
     betas = [_ratio(j, g) for j in range(grid)]

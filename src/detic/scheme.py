@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .channel import ChannelParams, make_channel
-from .exactmath import Affine2, Rat, format_rat
+from .exactmath import Affine2, DeticError, Rat, TableInvalidError, as_count, as_rat, format_rat, parse_rat
 from .gf2 import DimensionMismatchError, to_bits
 from .regions import RegionSpec, _dot, _interior_rows, _total, point_weights
 
@@ -35,11 +35,11 @@ TWIN_FIRST = "twin-first"
 TWIN_SECOND = "twin-second"
 
 
-class NoValidLayoutError(ValueError):
-    """No role assignment satisfies the rate identity and decodes."""
+class NoValidLayoutError(DeticError):
+    """No role assignment is valid and decodes, or a layout is not the region's."""
 
 
-class NonIntegralBlocksError(ValueError):
+class NonIntegralBlocksError(DeticError):
     """Some block length times N is not an integer; carries the minimal valid N."""
 
     def __init__(self, message: str, minimal_n: int):
@@ -47,12 +47,8 @@ class NonIntegralBlocksError(ValueError):
         self.minimal_n = minimal_n
 
 
-class OutsideRegionError(ValueError):
+class OutsideRegionError(DeticError):
     """Point not in the layout's region closure."""
-
-
-class PipeCountError(ValueError):
-    """Pipe count N below 1."""
 
 
 @dataclass(frozen=True)
@@ -61,10 +57,8 @@ class BlockRole:
     symbol_id: int | None = None  # None only for zero blocks; twin copies share one
 
     def __post_init__(self):
-        if self.kind == ZERO and self.symbol_id is not None:
-            raise ValueError("zero blocks carry no symbol")
-        if self.kind != ZERO and self.symbol_id is None:
-            raise ValueError(f"{self.kind} block needs a symbol id")
+        if (self.kind == ZERO) != (self.symbol_id is None):
+            raise TableInvalidError(f"bad role {self.kind}:{self.symbol_id}: only zero lacks a symbol")
 
     @property
     def is_data(self) -> bool:
@@ -147,17 +141,16 @@ def _closure_weights(region: RegionSpec, alpha: Fraction, beta: Fraction) -> Wei
 def minimal_n(region: RegionSpec, eps: Rat, delta: Rat) -> int:
     """Smallest N with integral shifts and integral pipe counts at the offset
     point (eps, delta); raises OutsideRegionError outside the region closure."""
-    alpha = region.anchor_alpha + Fraction(eps)
-    beta = region.anchor_beta + Fraction(delta)
+    alpha = region.anchor_alpha + as_rat(eps, "eps")
+    beta = region.anchor_beta + as_rat(delta, "delta")
     return region.form.minimal_n(_closure_weights(region, alpha, beta))
 
 
 def instantiate(region: RegionSpec, alpha: Rat, beta: Rat, n: int) -> list[int]:
     """Per-block pipe counts at N, from the region's block lengths (every layout of the
     region has those); requires N >= 1 and the point in the region closure."""
-    if n < 1:
-        raise PipeCountError(f"N >= 1 required, got N = {n}")
-    w = _closure_weights(region, Fraction(alpha), Fraction(beta))
+    n = as_count(n, "N", 1)
+    w = _closure_weights(region, as_rat(alpha, "alpha"), as_rat(beta, "beta"))
     need = region.form.minimal_n(w)
     if n % need != 0:
         raise NonIntegralBlocksError(
@@ -192,17 +185,18 @@ def build_assignment(
     rank oracle at the region sample points singles out this reading.  Singles
     and twin firsts take fresh consecutive bit indices (ascending with pipe
     index), twin seconds take their partner's indices in reverse, zeros take
-    nothing.  Raises ValueError when the layout's block lengths are not the
-    region's.
+    nothing.  Raises NoValidLayoutError when the layout's block lengths are
+    not the region's.
     """
     _check_blocks(layout, region)
+    n = as_count(n, "N", 1)
     return _fill_pipes(layout, instantiate(region, alpha, beta, n), n)
 
 
 def _check_blocks(layout: Layout, region: RegionSpec) -> None:
-    """Raises ValueError unless the layout's block lengths are the region's."""
+    """Raises NoValidLayoutError unless the layout's block lengths are the region's."""
     if tuple(length for length, _ in layout.blocks) != region.block_lens:
-        raise ValueError(f"layout {layout.region_id}: block lengths differ from region {region.id}")
+        raise NoValidLayoutError(f"layout {layout.region_id}: block lengths differ from region {region.id}")
 
 
 def _fill_pipes(layout: Layout, counts: Iterable[int], n: int) -> AssignmentMatrix:
@@ -274,8 +268,8 @@ class ValidityReport:
 def check_validity(layout: Layout, region: RegionSpec) -> ValidityReport:
     """The three symbolic validity conditions of a transmit layout, on the
     region's integer form: block i's length is `form.blocks[i]` and its role
-    the layout's.  Raises ValueError when the layout's block lengths are not
-    the region's."""
+    the layout's.  Raises NoValidLayoutError when the layout's block lengths
+    are not the region's."""
     _check_blocks(layout, region)
     form, offset = region.form, region.offset
     lens = form.blocks
@@ -359,7 +353,7 @@ def degenerate_channel_point(alpha: Rat, beta: Rat) -> bool:
     m >= 1 can be decoded there; these edges are excluded from decodability
     checks (the rate formulas on them are boundary limits).
     """
-    return Fraction(alpha) == 1 or Fraction(beta) == 1
+    return as_rat(alpha, "alpha") == 1 or as_rat(beta, "beta") == 1
 
 
 _GRID_DENOMINATORS = (12, 20)
@@ -530,29 +524,27 @@ def infer_roles(region: RegionSpec) -> Layout:
 # ---------------------------------------------------------------------------
 
 
-def _parse_role(text: str) -> tuple[str, int | None]:
-    if text == ZERO:
-        return ZERO, None
+def _parse_role(text: str) -> BlockRole:
     kind, _, sym = text.partition(":")
-    if kind not in (SINGLE, TWIN_FIRST, TWIN_SECOND) or not sym.isdigit():
-        raise ValueError(f"bad role string: {text!r}")
-    return kind, int(sym)
+    if text != ZERO and (kind not in (SINGLE, TWIN_FIRST, TWIN_SECOND) or not sym.isdigit()):
+        raise TableInvalidError(f"bad role string: {text!r}")
+    return BlockRole(kind, int(sym) if sym else None)
 
 
 def layout_from_json_dict(data: dict, region: RegionSpec) -> Layout:
     entries, rid = data["blocks"], data["region"]
     if len(entries) != len(region.block_lens):
-        raise ValueError(f"layout {rid}: {len(entries)} blocks, region has {len(region.block_lens)}")
+        raise TableInvalidError(f"layout {rid}: {len(entries)} blocks, region has {len(region.block_lens)}")
     for i, entry in enumerate(entries):
         if Affine2.from_strings(entry["len"]) != region.block_lens[i]:
-            raise ValueError(f"layout {rid}: block {i} length mismatch")
-    roles = (BlockRole(*_parse_role(entry["role"])) for entry in entries)
+            raise TableInvalidError(f"layout {rid}: block {i} length mismatch")
+    roles = (_parse_role(entry["role"]) for entry in entries)
     return Layout(str(rid), tuple(zip(region.block_lens, roles)))
 
 
 def load_frozen_layouts(table: Iterable[RegionSpec]) -> dict[str, Layout]:
     """Frozen layout per region id, validated against the given catalog;
-    raises ValueError when a region's blocks differ from its frozen entry."""
+    raises TableInvalidError when a region's blocks differ from its frozen entry."""
     by_id = {spec.id: spec for spec in table}
     layouts = {}
     for entry in _read_frozen():
@@ -568,7 +560,7 @@ def load_frozen_interiors() -> dict[str, tuple[Rat, Rat]]:
     layouts.json, which tools/freeze_layouts.py carries over (a new region gets
     its `interior_sample`), so the cases built on them stay put."""
     return {
-        entry["region"]: (Fraction(entry["interior"][0]), Fraction(entry["interior"][1]))
+        entry["region"]: (parse_rat(entry["interior"][0]), parse_rat(entry["interior"][1]))
         for entry in _read_frozen()
         if "interior" in entry
     }

@@ -12,7 +12,7 @@ from detic.channel import (
     make_channel,
     transmit,
 )
-from detic.exactmath import NotACountError
+from detic.exactmath import NotACountError, NotARationalError
 from detic.gf2 import DimensionMismatchError, NotBinaryError
 
 # Family anchor points of the region catalog.
@@ -46,7 +46,7 @@ class TestMakeChannel:
             make_channel(3, 10, F(8, 5), F(1, 3))
 
     def test_too_few_pairs(self):
-        with pytest.raises(BadShapeError, match="K"):
+        with pytest.raises(NotACountError, match="^K >= 3 required, got K = 2$"):
             make_channel(2, 10, F(8, 5), F(9, 10))
 
     @pytest.mark.parametrize("alpha,beta", [(F(5, 2), F(0)), (F(1, 2), F(0)), (F(3, 2), F(3, 2))])
@@ -61,6 +61,19 @@ class TestMakeChannel:
         got = k if name == "K" else n
         with pytest.raises(NotACountError, match=f"^{name} must be an integer, got {re.escape(repr(got))}$"):
             make_channel(k, n, F(8, 5), F(9, 10))
+
+    @pytest.mark.parametrize(
+        "alpha,beta,message",
+        [
+            (2, True, "^beta must be a rational number, got True$"),
+            ("x", F(1, 2), "^alpha must be a rational number, got 'x'$"),
+            (float("nan"), F(1, 2), "^alpha must be a rational number, got nan$"),
+        ],
+    )
+    def test_point_must_be_rational(self, alpha, beta, message):
+        # make_channel(3, 10, 2, True) built a channel at beta = 1.
+        with pytest.raises(NotARationalError, match=message):
+            make_channel(3, 10, alpha, beta)
 
     def test_integral_counts_become_ints(self):
         ch = make_channel(np.int64(3), 10.0, F(8, 5), F(9, 10))
@@ -224,9 +237,11 @@ class TestInterleaving:
             interleave(vectors)
 
     def test_deinterleave_needs_a_1d_vector_of_whole_uses(self):
-        for v, l_uses in [(np.zeros((2, 2)), 2), (np.zeros(5), 2), (np.zeros(4), 0)]:
+        for v, l_uses in [(np.zeros((2, 2)), 2), (np.zeros(5), 2)]:
             with pytest.raises(DimensionMismatchError):
                 deinterleave(v, l_uses)
+        with pytest.raises(NotACountError, match="^L >= 1 required, got L = 0$"):
+            deinterleave(np.zeros(4), 0)
 
     def test_equivalence_bit_exact(self):
         # L uses of (N, a, b), interleaved, equal one use of (LN, a, b).

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import detic
-from detic import decode
+from detic import cli, decode
 from detic.channel import make_channel
 from detic.cli import main
 from detic.decode import receiver_view
@@ -89,10 +89,36 @@ class TestClassify:
         assert code == 2
         assert "not allowed with argument" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("coordinate", ["alpha", "beta"])
+    def test_missing_coordinate_is_usage_error(self, capsys, coordinate):
+        given = {"alpha": "--beta", "beta": "--alpha"}[coordinate]
+        code, out = run(capsys, "classify", given, "1")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": f"one of the arguments --{coordinate} --{coordinate}-decimal is required"
+        }
+
     def test_bad_option_value_is_json_usage_error(self, capsys):
         code, out = run(capsys, "plan", "--alpha", "8/5", "--beta", "9/10", "--n", "six")
         assert code == 2
         assert "invalid int value" in json.loads(out)["error"]
+
+
+class TestMain:
+    def test_a_plain_value_error_is_a_bug_not_bad_input(self, capsys, monkeypatch):
+        # main turns only a DeticError into exit 2; any other ValueError propagates.
+        def broken(args, table):
+            raise ValueError("not a refusal")
+
+        monkeypatch.setattr(cli, "cmd_classify", broken)
+        with pytest.raises(ValueError, match="^not a refusal$"):
+            main(["classify", "--alpha", "8/5", "--beta", "9/10"])
+        assert capsys.readouterr().out == ""
+
+    def test_a_library_refusal_exits_two(self, capsys):
+        code, out = run(capsys, "render", "--alpha", "8/5", "--beta", "9/10", "--n", "60", "--receiver", "0")
+        assert code == 2
+        assert json.loads(out) == {"error": "receiver >= 1 required, got receiver = 0"}
 
 
 class TestPlan:
@@ -520,6 +546,14 @@ class TestTableOverride:
             "error": "region Aa: no role assignment is valid and decodable "
             "(catalog transcription error?)"
         }
+
+    def test_table_that_is_not_utf8_text_is_refused(self, capsys, tmp_path):
+        # The decode error is a ValueError that no DeticError wrapped.
+        path = tmp_path / "latin1.json"
+        path.write_bytes('[{"id": "\u00e9"}]'.encode("latin-1"))
+        code, out = run(capsys, "--table", str(path), "classify", "--alpha", "8/5", "--beta", "9/10")
+        assert code == 2
+        assert json.loads(out)["error"].startswith("catalog is not valid JSON: 'utf-8' codec")
 
     def test_empty_table_flag_is_refused(self, capsys, monkeypatch):
         # An empty path once fell through to the built-in catalog; an empty

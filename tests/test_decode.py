@@ -11,6 +11,7 @@ from detic.decode import (
     peel_structure,
     receiver_view,
 )
+from detic.exactmath import NotACountError
 from detic.gf2 import DimensionMismatchError, NotBinaryError
 from detic.oracle import assignment_from_labels, rank_decodable
 from detic.scheme import build_assignment, minimal_n
@@ -72,12 +73,26 @@ class TestReceiverView:
         assert all(b.level_top >= 3 for b in direct)
         assert all(b.level_top + b.length - 1 <= 2 for b in up)
 
-    @pytest.mark.parametrize("receiver", [0, 4])
+    @pytest.mark.parametrize(
+        "receiver,error,message",
+        [
+            (0, NotACountError, "^receiver >= 1 required, got receiver = 0$"),
+            (4, DimensionMismatchError, "receiver 4 outside 1..3"),
+        ],
+        ids=["0", "4"],
+    )
     def test_receiver_outside_one_to_k_is_refused_at_once(
-        self, df_assign, df_channel, receiver, monkeypatch
+        self, df_assign, df_channel, receiver, error, message, monkeypatch
     ):
         monkeypatch.setattr(decode, "_compile", lambda *a: pytest.fail("compiled"))
-        with pytest.raises(DimensionMismatchError, match=f"receiver {receiver} outside 1..3"):
+        with pytest.raises(error, match=message):
+            receiver_view(df_assign, df_channel, receiver)
+
+    @pytest.mark.parametrize("receiver", [1.5, True, "2"])
+    def test_receiver_must_be_an_integer(self, df_assign, df_channel, receiver):
+        # Receiver 1.5 gave a view whose blocks named senders 1.5, 2.5 and 3.5,
+        # and True was read as receiver 1.
+        with pytest.raises(NotACountError, match=f"^receiver must be an integer, got {receiver!r}$"):
             receiver_view(df_assign, df_channel, receiver)
 
     def test_n_mismatch_is_refused_at_once(self, df_assign, monkeypatch):

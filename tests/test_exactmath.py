@@ -14,8 +14,10 @@ from detic.exactmath import (
     Affine2,
     HalfPlane,
     NotACountError,
+    NotARationalError,
     affine_eval,
     as_count,
+    as_rat,
     format_rat,
     parse_rat,
     polygon_contains,
@@ -95,6 +97,54 @@ class TestRat:
     def test_count_refuses_bools_and_non_integers(self, value):
         with pytest.raises(NotACountError, match="^N must be an integer, got "):
             as_count(value, "N")
+
+    @pytest.mark.parametrize("value,least", [(0, 1), (-20, 1), (2, 3), (-1, 0)])
+    def test_count_refuses_values_below_its_least(self, value, least):
+        with pytest.raises(NotACountError, match=f"^N >= {least} required, got N = {value}$"):
+            as_count(value, "N", least)
+
+    @pytest.mark.parametrize(
+        "value,want",
+        [
+            (F(8, 5), F(8, 5)),
+            (3, F(3)),
+            (np.int64(3), F(3)),
+            (-0.25, F(-1, 4)),
+            (0.1, F(3602879701896397, 36028797018963968)),  # the float, read exactly
+            ("8/5", F(8, 5)),
+            (" +1.60 ", F(8, 5)),
+            ("16e-1", F(8, 5)),
+            ("1_6e-1", F(8, 5)),
+        ],
+    )
+    def test_rat_reads_numbers_and_decimal_strings(self, value, want):
+        got = as_rat(value, "alpha")
+        assert got == want and type(got) is F
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (None, "alpha must be a rational number, got None"),
+            (True, "alpha must be a rational number, got True"),
+            (float("nan"), "alpha must be a rational number, got nan"),
+            (float("-inf"), "alpha must be a rational number, got -inf"),
+            (1 + 0j, "alpha must be a rational number, got (1+0j)"),
+            ([1], "alpha must be a rational number, got [1]"),
+            ("abc", "alpha must be a rational number, got 'abc'"),
+            ("1/0", "alpha: zero denominator: '1/0'"),
+            ("1e99999999", "alpha: decimal exponent 99999999 outside +-1000: '1e99999999'"),
+            ("1" * 1001, "alpha: decimal literal longer than 1000 characters"),
+        ],
+    )
+    def test_rat_refuses_by_name(self, value, message):
+        with pytest.raises(NotARationalError) as err:
+            as_rat(value, "alpha")
+        assert str(err.value) == message
+
+    def test_parse_rat_refuses_a_literal_past_the_digit_limit(self):
+        # int() refuses more than 4300 digits with a bare ValueError.
+        with pytest.raises(NotARationalError, match="^not a rational literal: '99"):
+            parse_rat("9" * 5000)
 
     def test_arithmetic_is_exact(self):
         rng = random.Random(0)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detic import regions
-from detic.exactmath import Affine2, format_rat
+from detic.exactmath import Affine2, NotARationalError, format_rat
 from detic.regions import (
     OutOfSquareError,
     TableInvalidError,
@@ -313,6 +313,20 @@ class TestClassify:
             classify(F(3), F(0), table)
         with pytest.raises(OutOfSquareError):
             dsym_at(F(3, 2), F(-1, 10), table)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,message",
+        [
+            (True, False, "^alpha must be a rational number, got True$"),
+            (F(8, 5), None, "^beta must be a rational number, got None$"),
+            ("1e9999999", 0, "^alpha: decimal exponent 9999999 outside"),
+        ],
+    )
+    def test_point_must_be_rational(self, table, alpha, beta, message):
+        # classify(True, False) classified the point (1, 0).
+        for query in (classify, dsym_at, lambda a, b, _: converse_bound(a, b)):
+            with pytest.raises(NotARationalError, match=message):
+                query(alpha, beta, table)
 
     def test_deterministic(self, table):
         a = classify(F(8, 5), F(9, 10), table)

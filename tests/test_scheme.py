@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from detic import oracle, scheme
-from detic.exactmath import Affine2
+from detic.exactmath import Affine2, NotACountError
 from detic.gf2 import DimensionMismatchError, NotBinaryError
 from detic.regions import _parse_row, load_region_table, point_weights
 from detic.scheme import (
@@ -23,7 +23,6 @@ from detic.scheme import (
     Layout,
     NonIntegralBlocksError,
     OutsideRegionError,
-    PipeCountError,
     _interior_lattice,
     _ratio_points,
     _validation_weights,
@@ -164,6 +163,14 @@ class TestInstantiate:
         counts = instantiate(spec, F(4, 3), F(3, 5), 30)
         assert counts == [9, 12, 9]
 
+    def test_refuses_a_non_integer_n(self, regions_by_id, frozen_layouts):
+        # N = 1.5 was refused as NonIntegralBlocksError "minimal valid N is 1".
+        spec = regions_by_id["Df"]
+        with pytest.raises(NotACountError, match="^N must be an integer, got 1.5$"):
+            instantiate(spec, F(8, 5), F(9, 10), 1.5)
+        with pytest.raises(NotACountError, match="^N must be an integer, got 1.5$"):
+            build_assignment(frozen_layouts["Df"], spec, F(8, 5), F(9, 10), 1.5)
+
     def test_minimal_n_refuses_points_outside_the_closure(self, regions_by_id):
         # Offsets are read exactly as Fractions; (1, 0) is the point (3, 0), off the square.
         spec = regions_by_id["Aa"]
@@ -177,9 +184,9 @@ class TestInstantiate:
         # -20 is a multiple of the minimal N (20) at this point, so without
         # the check it got as far as negative block counts.
         spec = regions_by_id["Df"]
-        with pytest.raises(PipeCountError, match=f"N = {n}$"):
+        with pytest.raises(NotACountError, match=f"^N >= 1 required, got N = {n}$"):
             instantiate(spec, F(8, 5), F(9, 10), n)
-        with pytest.raises(PipeCountError, match=f"N = {n}$"):
+        with pytest.raises(NotACountError, match=f"^N >= 1 required, got N = {n}$"):
             build_assignment(frozen_layouts["Df"], spec, F(8, 5), F(9, 10), n)
 
 
