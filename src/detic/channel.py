@@ -103,8 +103,12 @@ def transmit(ch: ChannelParams, inputs: list[BitVec]) -> np.ndarray:
     (NotBinaryError otherwise); the output is one (K, 2N) uint8 array whatever
     the input dtype, row i - 1 holding receiver i's word.
     """
-    if len(inputs) != ch.k:
-        raise DimensionMismatchError(f"need {ch.k} inputs, got {len(inputs)}")
+    try:
+        got = len(inputs)
+    except TypeError:  # None, a number, a 0-d array
+        got = type(inputs).__name__
+    if got != ch.k:
+        raise DimensionMismatchError(f"inputs: need {ch.k} bit vectors, got {got}")
     try:
         x = np.asarray(inputs)
     except ValueError:  # ragged: the inputs differ in shape

@@ -93,10 +93,7 @@ def _load_table(args):
     # An empty DETIC_TABLE means unset; an empty --table reaches the loader,
     # which refuses it.
     path = args.table if args.table is not None else os.environ.get("DETIC_TABLE") or None
-    try:
-        return reg.load_region_table(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read region table {path!r}: {exc.strerror or exc}") from None
+    return reg.load_region_table(path)
 
 
 def _point_args(sub) -> None:

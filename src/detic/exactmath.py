@@ -14,6 +14,7 @@ and `--alpha`.  Every refusal of the package is a `DeticError`.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -39,16 +40,26 @@ class TableInvalidError(DeticError):
     """A catalog row or frozen layout violates a structural invariant."""
 
 
+def _show(value) -> str:
+    """repr(value), unless it holds an int of more than 4300 digits, which Python
+    refuses to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{type(value).__name__} too long to print"
+
+
 def as_count(value, name: str, least: int = 0) -> int:
     """`value` as an int of at least `least`: an integer, or a float or Fraction
     of integral value.  Raises NotACountError naming `name` on a bool, a
     string or any other non-number, a non-integral value and below `least`."""
-    try:
-        count = as_rat(value, name) if isinstance(value, numbers.Number) else None
-    except NotARationalError:  # a bool, complex, nan, inf
-        count = None
+    # A bool, a complex, nan and inf are no counts; a rational of too many
+    # digits is refused by `as_rat`, which names it without printing it.
+    finite = isinstance(value, float) and math.isfinite(value)
+    rational = isinstance(value, numbers.Rational) and not isinstance(value, bool)
+    count = as_rat(value, name) if finite or rational else None
     if count is None or count.denominator != 1:
-        raise NotACountError(f"{name} must be an integer, got {value!r}")
+        raise NotACountError(f"{name} must be an integer, got {_show(value)}")
     if count < least:
         raise NotACountError(f"{name} >= {least} required, got {name} = {count}")
     return int(count)
@@ -61,37 +72,48 @@ def as_count(value, name: str, least: int = 0) -> int:
 DECIMAL_MAX_CHARS = 1000
 DECIMAL_MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# Python prints an int of at most 4300 digits.  An int below 10**RAT_MAX_DIGITS
+# has at most RAT_MAX_BITS bits, and one of at most RAT_MAX_BITS bits has at
+# most RAT_MAX_DIGITS + 1 digits, so the bit bound passes every literal that
+# `parse_rat` reads and nothing that cannot be printed.
+RAT_MAX_DIGITS = 4000
+RAT_MAX_BITS = (10**RAT_MAX_DIGITS).bit_length()
 
 
 def as_rat(value, name: str) -> Rat:
     """`value` as a Fraction: a rational number (not a bool), a finite float read
     exactly, or a string such as "8/5", "1.6" or "16e-1" within the DECIMAL_MAX_*
-    bounds.  Raises NotARationalError naming `name` on anything else."""
+    bounds, of at most RAT_MAX_BITS bits a side.  Raises NotARationalError naming
+    `name` on anything else."""
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str) and len(value) > DECIMAL_MAX_CHARS:
-        raise NotARationalError(f"{name}: decimal literal longer than {DECIMAL_MAX_CHARS} characters")
-    if isinstance(value, str) and (e := _EXPONENT.search(value)) and abs(int(e[1])) > DECIMAL_MAX_EXPONENT:
-        raise NotARationalError(f"{name}: decimal exponent {e[1]} outside +-{DECIMAL_MAX_EXPONENT}: {value!r}")
-    if isinstance(value, (str, float, numbers.Rational)) and not isinstance(value, bool):
+        rat = value
+    elif isinstance(value, (str, float, numbers.Rational)) and not isinstance(value, bool):
+        if isinstance(value, str) and len(value) > DECIMAL_MAX_CHARS:
+            raise NotARationalError(f"{name}: decimal literal longer than {DECIMAL_MAX_CHARS} characters")
+        if isinstance(value, str) and (e := _EXPONENT.search(value)) and abs(int(e[1])) > DECIMAL_MAX_EXPONENT:
+            raise NotARationalError(f"{name}: decimal exponent {e[1]} outside +-{DECIMAL_MAX_EXPONENT}: {value!r}")
         try:
-            return Fraction(value)
+            rat = Fraction(value)
         except ZeroDivisionError:
             raise NotARationalError(f"{name}: zero denominator: {value!r}") from None
         except (ValueError, OverflowError):  # not a literal, nan, inf
-            pass
-    raise NotARationalError(f"{name} must be a rational number, got {value!r}")
+            raise NotARationalError(f"{name} must be a rational number, got {_show(value)}") from None
+    else:
+        raise NotARationalError(f"{name} must be a rational number, got {_show(value)}")
+    if int(rat.numerator).bit_length() > RAT_MAX_BITS or int(rat.denominator).bit_length() > RAT_MAX_BITS:
+        raise NotARationalError(f"{name}: numerator or denominator of more than {RAT_MAX_DIGITS} digits")
+    return rat
 
 
-_RAT_RE = re.compile(r"^[+-]?\d{1,4000}(/\d{1,4000})?$")
+_RAT_RE = re.compile(rf"^[+-]?\d{{1,{RAT_MAX_DIGITS}}}(/\d{{1,{RAT_MAX_DIGITS}}})?$")
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse an exact rational literal, "p/q" or a bare integer, of at most 4000
-    digits a side (int() reads 4300); raises NotARationalError on anything else."""
+    """Parse an exact rational literal, "p/q" or a bare integer, of at most
+    RAT_MAX_DIGITS digits a side; raises NotARationalError on anything else."""
     s = text.strip().replace("−", "-") if isinstance(text, str) else ""  # tolerate unicode minus
     if not _RAT_RE.match(s):
-        raise NotARationalError(f"not a rational literal: {text!r}")
+        raise NotARationalError(f"not a rational literal: {_show(text)}")
     try:
         return Fraction(s)
     except ZeroDivisionError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,9 @@ def _dot(f: tuple[int, int, int], w: tuple[int, int, int]) -> int:
 
 def _total(forms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
     return tuple(map(sum, zip((0, 0, 0), *forms)))
+
+
+_EMPTY = range(0)  # shared: most line columns of `IntegerForm.column` are empty
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,40 @@ class IntegerForm:
         alpha = [Fraction(w[1], w[0]) for w in self.vertices]
         beta = [Fraction(w[2], w[0]) for w in self.vertices]
         return min(alpha), max(alpha), min(beta), max(beta)
+
+    def span(self, w0: int) -> tuple[range, range]:
+        """The integers w1 and w2 whose ratios to w0 lie in the closure's alpha and beta ranges."""
+        a_lo, a_hi, b_lo, b_hi = self.box
+        return (
+            range(-(-a_lo.numerator * w0 // a_lo.denominator), a_hi.numerator * w0 // a_hi.denominator + 1),
+            range(-(-b_lo.numerator * w0 // b_lo.denominator), b_hi.numerator * w0 // b_hi.denominator + 1),
+        )
+
+    def column(
+        self, w0: int, w1: int, rows: range, printed: bool = False, line: tuple[int, int, int] | None = None
+    ) -> range:
+        """The w2 of `rows` (a range of positive step) where (w0, w1, w2) lies strictly inside,
+        or inside with each side's strictness as printed, and on the line c.w = 0 if given.
+        At row j a side is c + d*j, and c + d*j >= 0 is c + 1 + d*j > 0: each side bounds j
+        from one side by floor division (or, with d = 0, keeps or empties the column)."""
+        start, step = rows.start, rows.step
+        lo, hi = 0, len(rows) - 1
+        if line:  # c.w = t + d*j is 0 at one row at most, unless d = 0
+            c0, c1, c2 = line
+            t, d = c0 * w0 + c1 * w1 + c2 * start, c2 * step
+            if t % d if d else t:
+                return _EMPTY
+            if d:
+                lo, hi = max(lo, -t // d), min(hi, -t // d)
+        for k, a, b, strict in self.sides:
+            c, d = k * w0 + a * w1 + b * start + (printed and not strict), b * step
+            if d > 0:
+                lo = max(lo, -c // d + 1)
+            elif d < 0:
+                hi = min(hi, (c - 1) // -d)
+            elif c <= 0:
+                return _EMPTY
+        return range(start + lo * step, start + (hi + 1) * step, step)
 
     def contains(self, w: tuple[int, int, int], closure: bool = False) -> bool:
         """Membership, strictness as printed or relaxed (closure); strict v > 0 is v >= 1 (True)."""
@@ -148,28 +186,30 @@ class ClassifyResult:
         return self.region is not None
 
 
-def _builtin_table_text() -> str:
-    return resources.files("detic.data").joinpath("regions.json").read_text()
-
-
-def load_region_table(path: str | Path | None = None) -> tuple[RegionSpec, ...]:
+def load_region_table(path: str | os.PathLike | None = None) -> tuple[RegionSpec, ...]:
     """Load and validate the catalog, preserving printed row order.
 
     The built-in catalog is parsed once per process (the table is immutable);
-    an explicit path is read on every call.  Raises TableInvalidError on the
-    empty path, which `Path` would read as the current directory, and on a
-    file that is not JSON text.
-    """
+    an explicit path is read on every call.  Raises TableInvalidError on a
+    non-path, the empty path (`Path` reads it as the current directory), a
+    file that cannot be read and a file that is not JSON text."""
     if path is None:
         return _builtin_table()
+    if not isinstance(path, (str, os.PathLike)):
+        raise TableInvalidError(f"cannot read region table: {type(path).__name__} is not a path")
     if path == "":
         raise TableInvalidError("cannot read region table '': the path is empty")
-    return _parse_table(Path(path).read_bytes())
+    try:
+        text = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # missing, a directory, unreadable, a NUL byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise TableInvalidError(f"cannot read region table {path!r}: {reason}") from None
+    return _parse_table(text)
 
 
 @cache
 def _builtin_table() -> tuple[RegionSpec, ...]:
-    return _parse_table(_builtin_table_text())
+    return _parse_table(resources.files("detic.data").joinpath("regions.json").read_text())
 
 
 def _parse_table(text: str | bytes) -> tuple[RegionSpec, ...]:
@@ -358,9 +398,9 @@ def atlas_rows(grid: int, table: Iterable[RegionSpec] | None = None) -> list[dic
 
     Each row carries exact "p/q" strings; uncovered points use region "-"
     and an empty rate field.  Column i (alpha = 1 + i/g, g = grid - 1) has
-    weights (g, g + i, j), where each side is c + b*j: one `_interior_rows`
-    solve per region gives the j it holds, and each j goes to the first
-    region in printed order that holds it.
+    weights (g, g + i, j): one `IntegerForm.column` solve per region gives the
+    j it holds as printed, and each j goes to the first region in printed
+    order that holds it.
     """
     grid = as_count(grid, "grid", 2)
     table = load_region_table() if table is None else tuple(table)
@@ -372,9 +412,7 @@ def atlas_rows(grid: int, table: Iterable[RegionSpec] | None = None) -> list[dic
         owner: list[RegionSpec | None] = [None] * grid
         left = grid
         for spec in table:
-            # Strict c + b*j > 0 as printed; non-strict c + b*j >= 0 is c + 1 + b*j > 0.
-            bounds = [(k * g + a * w1 + (not strict), b) for k, a, b, strict in spec.form.sides]
-            for j in _interior_rows(bounds, range(grid)):
+            for j in spec.form.column(g, w1, range(grid), printed=True):
                 if owner[j] is None:
                     owner[j] = spec
                     left -= 1
@@ -393,19 +431,3 @@ def atlas_rows(grid: int, table: Iterable[RegionSpec] | None = None) -> list[dic
                 }
             )
     return rows
-
-
-def _interior_rows(bounds: list[tuple[int, int]], rows: range) -> range:
-    """The j of `rows` with c + d*j > 0 for every (c, d) of `bounds`, the
-    values of a column's sides at row j.  Each pair bounds j from one side
-    (or, with d = 0, keeps or empties the column), so the column's interior
-    is the j between the tightest bounds, found by floor division."""
-    lo, hi = rows.start, rows.stop - 1
-    for c, d in bounds:
-        if d > 0:
-            lo = max(lo, -c // d + 1)
-        elif d < 0:
-            hi = min(hi, (c - 1) // -d)
-        elif c <= 0:
-            return range(0)
-    return range(lo, hi + 1)

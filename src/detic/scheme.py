@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from importlib import resources
 from itertools import chain, combinations, permutations
 from typing import Iterable, Iterator
@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ChannelParams, make_channel
 from .exactmath import Affine2, DeticError, Rat, TableInvalidError, as_count, as_rat, format_rat, parse_rat
 from .gf2 import DimensionMismatchError, to_bits
-from .regions import RegionSpec, _dot, _interior_rows, _total, point_weights
+from .regions import RegionSpec, _dot, _total, point_weights
 
 Weights = tuple[int, int, int]  # (w0, w1, w2) for the point (w1/w0, w2/w0)
 
@@ -429,49 +429,32 @@ def _ratio_points(region: RegionSpec) -> Iterator[Weights]:
                 yield w
 
 
-def _interior_weights(
-    region: RegionSpec, line: tuple[int, int, int] | None = None
-) -> Iterator[Weights]:
+def _interior_weights(region: RegionSpec, line: tuple[int, int, int] | None = None) -> Iterator[Weights]:
     """Weights (N, A, B) of every strictly interior point (A/N, B/N) whose
-    minimal N is N, for N = 1 ... _GRID_N_CAP, in (N, A, B) order.  A line c
-    keeps only the points where the integer v = c0*N + c1*A + c2*B is 0, so
-    it adds two bounds to each column: v + 1 > 0 and 1 - v > 0.  With no
-    line, v is 0 everywhere."""
-    c0, c1, c2 = line or (0, 0, 0)
-    a_lo, a_hi, b_lo, b_hi = region.form.box
+    minimal N is N, for N = 1 ... _GRID_N_CAP, in (N, A, B) order; a line c
+    keeps only the points with c0*N + c1*A + c2*B = 0."""
+    form = region.form
     for n in range(1, _GRID_N_CAP + 1):
-        rows = _multiples(b_lo, b_hi, n)
-        for a in _multiples(a_lo, a_hi, n):
-            t = c0 * n + c1 * a  # v = t + c2*B
-            if c2 and t % c2:
-                continue  # no integer B has v = 0
-            bounds = [(t + 1, c2), (1 - t, -c2)]
-            bounds += [(k * n + sa * a, sb) for k, sa, sb, _ in region.form.sides]
-            for b in _interior_rows(bounds, rows):
-                if region.form.minimal_n((n, a, b)) == n:
+        cols, rows = form.span(n)
+        for a in cols:
+            for b in form.column(n, a, rows, line=line):
+                if form.minimal_n((n, a, b)) == n:
                     yield n, a, b
-
-
-def _multiples(lo: Rat, hi: Rat, n: int) -> range:
-    """The integers x with lo <= x / n <= hi."""
-    return range(-(-lo.numerator * n // lo.denominator), hi.numerator * n // hi.denominator + 1)
 
 
 def _interior_lattice(region: RegionSpec, den: int) -> Iterator[Weights]:
     """Weights (N, A, B) at the minimal N of every strictly interior point of
     the region on the offset lattice (i/den, j/den) of its bounding box, in
     (alpha, beta) order."""
-    a_lo, a_hi, b_lo, b_hi = region.form.box
-    alpha, beta = region.anchor_alpha, region.anchor_beta
-    a0, a1, a2 = point_weights(alpha, beta)
-    w0, w2 = a0 * den, a2 * den  # w = anchor + (i, j)/den = (w0, w1, w2 + a0*j)
-    rows = _multiples(b_lo - beta, b_hi - beta, den)
-    for i in _multiples(a_lo - alpha, a_hi - alpha, den):
-        w1 = a1 * den + a0 * i
-        bounds = [(k * w0 + a * w1 + b * w2, b * a0) for k, a, b, _ in region.form.sides]
-        for j in _interior_rows(bounds, rows):
-            n = region.form.minimal_n((w0, w1, w2 + a0 * j))
-            yield n, w1 * n // w0, (w2 + a0 * j) * n // w0
+    form = region.form
+    a0, a1, a2 = point_weights(region.anchor_alpha, region.anchor_beta)
+    w0 = a0 * den  # anchor + (i, j)/den = (w0, a1*den + a0*i, a2*den + a0*j)
+    cols, rows = form.span(w0)
+    cols, rows = cols[(a1 * den - cols.start) % a0 :: a0], rows[(a2 * den - rows.start) % a0 :: a0]
+    for w1 in cols:
+        for w2 in form.column(w0, w1, rows):
+            n = form.minimal_n((w0, w1, w2))
+            yield n, w1 * n // w0, w2 * n // w0
 
 
 def rank_assignments(layout: Layout, points: list[CheckPoint]) -> list[AssignmentMatrix] | None:
@@ -573,18 +556,12 @@ def _read_frozen() -> tuple[dict, ...]:
 
 
 def layout_for(region: RegionSpec, frozen: dict[str, Layout] | None = None) -> Layout:
-    """Frozen layout when available, otherwise a fresh derivation: a region
-    whose blocks no longer match its built-in entry is re-derived."""
+    """The region's layout from `frozen`, else from the built-in layouts.json,
+    else a fresh derivation: a region whose blocks no longer match its
+    built-in entry, or that has none, is re-derived."""
     if frozen is not None and region.id in frozen:
         return frozen[region.id]
-    return _builtin_layout(region) or infer_roles(region)
-
-
-@lru_cache(maxsize=64)
-def _builtin_layout(region: RegionSpec) -> Layout | None:
-    """The region's layout from the built-in layouts.json, parsed once per
-    process and region (layouts are immutable); None when it has none."""
     try:
-        return load_frozen_layouts([region]).get(region.id)
-    except (FileNotFoundError, ValueError):
-        return None
+        return load_frozen_layouts([region])[region.id]
+    except (FileNotFoundError, KeyError, ValueError):  # no entry, or one for other blocks
+        return infer_roles(region)

@@ -1,13 +1,14 @@
-"""The input contract of the public surface: a malformed rational or count
-is refused at once by a `DeticError` that names the argument, and no call
-ends in any other error type.
+"""The input contract of the public surface: a malformed rational, count,
+table path or transmit input is refused at once by a `DeticError` that names
+the argument, and no call ends in any other error type.
 
 `TABLE` lists every public callable of `detic` that takes a rational or a
 count, plus `regions.atlas_rows` and `scheme.degenerate_channel_point`, which
-the CLI and the benchmark run.  Each entry gives valid base arguments and,
-per rational or count parameter, the name its refusal starts with (None for
-`parse_rat`, which quotes the literal instead).  Hypothesis swaps one or more
-of those parameters for junk.  `NO_RATIONAL_OR_COUNT` and `RECORDS` name the
+the CLI and the benchmark run, and `load_region_table` and `transmit`.  Each
+entry gives valid base arguments and, per checked parameter, the name its
+refusal starts with (None for `parse_rat`, which quotes the literal instead;
+"cannot read region table" for the path).  Hypothesis swaps one or more of
+those parameters for junk.  `NO_RATIONAL_OR_COUNT` and `RECORDS` name the
 other public callables, so the three sets together cover the package.
 """
 
@@ -32,7 +33,7 @@ TINY = detic.make_channel(3, 2, F(3, 2), F(1, 2))
 ASSIGN = detic.build_assignment(LAYOUT, DF, *WORKED, 20)
 HALF_PLANES = [detic.HalfPlane(detic.Affine2(F(1), F(-1), F(0)))]
 
-RAT, COUNT = "rational", "count"
+RAT, COUNT, OPTIONAL_COUNT, PATH, INPUTS = "rational", "count", "count or None", "path", "inputs"
 POINT = {"alpha": (RAT, "alpha"), "beta": (RAT, "beta")}
 OFFSET = {"eps": (RAT, "eps"), "delta": (RAT, "delta")}
 
@@ -60,7 +61,7 @@ TABLE = {
     "boundary_consistency": (
         detic.boundary_consistency,
         {"samples": 2, "seed": 0, "grid_denominator": 2},
-        {"samples": (COUNT, "samples"), "grid_denominator": (COUNT, "grid_denominator")},
+        {"samples": (COUNT, "samples"), "grid_denominator": (OPTIONAL_COUNT, "grid_denominator")},
     ),
     "classify": (detic.classify, {"alpha": WORKED[0], "beta": WORKED[1]}, POINT),
     "dsym_at": (detic.dsym_at, {"alpha": WORKED[0], "beta": WORKED[1]}, POINT),
@@ -80,11 +81,19 @@ TABLE = {
     "degenerate_channel_point": (
         scheme.degenerate_channel_point, {"alpha": WORKED[0], "beta": WORKED[1]}, POINT
     ),
+    "load_region_table": (
+        detic.load_region_table, {"path": None}, {"path": (PATH, "cannot read region table")}
+    ),
+    "transmit": (
+        detic.transmit,
+        {"ch": CH, "inputs": ASSIGN.encode(np.zeros((3, ASSIGN.m)))},
+        {"inputs": (INPUTS, "inputs")},
+    ),
 }
-# Public callables that take neither a rational nor a count.
+# Public callables that take no argument of a kind above.
 NO_RATIONAL_OR_COUNT = {
-    "interleave", "transmit", "peel_bits", "peel_structure", "rank_decodable",
-    "load_region_table", "check_validity", "infer_roles", "layout_for", "load_frozen_layouts",
+    "interleave", "peel_bits", "peel_structure", "rank_decodable",
+    "check_validity", "infer_roles", "layout_for", "load_frozen_layouts",
 }
 # Records: the checked entry points above build them, and their constructors
 # trust their fields (`Rat` is `Fraction` itself).
@@ -93,9 +102,30 @@ RECORDS = {
     "Rat", "ClassifyResult", "RegionSpec", "AssignmentMatrix", "BlockRole", "Layout",
 }
 
+
+class Huge:
+    """Junk holding an int of more than 4300 digits, which Python refuses to print:
+    the call gets `value`, and a report prints `label` in its place."""
+
+    def __init__(self, label, value):
+        self.label, self.value = label, value
+
+    def __repr__(self):
+        return self.label
+
+
+HUGE = [Huge("10**5000", 10**5000), Huge("F(10**5000 + 1, 2)", F(10**5000 + 1, 2))]
 # Every value is malformed for its kind; 1.5 and "8" are rationals, not counts.
-JUNK = [None, True, False, math.nan, math.inf, -math.inf, "abc", "1/0", "1e99999999"]
-MALFORMED = {RAT: JUNK, COUNT: JUNK + [1.5, "8"]}
+# None is the built-in table, and no grid, so it is junk for neither.
+JUNK = [None, True, False, math.nan, math.inf, -math.inf, "abc", "1/0", "1e99999999", *HUGE]
+MISSING = "/nonexistent/regions.json"
+MALFORMED = {
+    RAT: JUNK,
+    COUNT: JUNK + [1.5, "8"],
+    OPTIONAL_COUNT: JUNK[1:] + [1.5, "8"],
+    PATH: [5, 1.5, "/", MISSING, *HUGE],
+    INPUTS: [None, 5, 1.5, "/", MISSING, *HUGE],
+}
 
 
 def test_table_covers_every_public_callable():
@@ -137,13 +167,23 @@ def calls(draw) -> tuple[str, dict]:
 @example(call=("exhaustive_search", {"max_n": "8"}))
 @example(call=("atlas_rows", {"grid": 2.5}))
 @example(call=("boundary_consistency", {"samples": "3"}))
+@example(call=("classify", {"alpha": HUGE[0], "beta": 0}))
+@example(call=("make_channel", {"alpha": HUGE[0], "beta": 0}))
+@example(call=("make_channel", {"n": HUGE[1], "alpha": 2, "beta": 0}))
+@example(call=("parse_rat", {"text": HUGE[1]}))
+@example(call=("load_region_table", {"path": "/"}))
+@example(call=("load_region_table", {"path": MISSING}))
+@example(call=("load_region_table", {"path": 5}))
+@example(call=("transmit", {"inputs": None}))
+@example(call=("transmit", {"inputs": 5}))
 def test_malformed_arguments_are_refused_at_once_by_name(call):
     name, junk = call
     fn, base, slots = TABLE[name]
+    args = {**base, **{param: v.value if isinstance(v, Huge) else v for param, v in junk.items()}}
     named = tuple(f"{slots[param][1]}{sep}" for param in junk if slots[param][1] for sep in " :")
     start = time.perf_counter()
     try:
-        fn(**{**base, **junk})
+        fn(**args)
     except DeticError as exc:
         assert time.perf_counter() - start < 1, call
         assert not named or str(exc).startswith(named), (call, str(exc))

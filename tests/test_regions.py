@@ -29,15 +29,15 @@ ROW_IDS = [
 
 class TestLoad:
     def test_builtin_catalog_is_parsed_once(self, monkeypatch):
-        reads = []
-        text = regions._builtin_table_text()
-        monkeypatch.setattr(regions, "_builtin_table_text", lambda: reads.append(1) or text)
+        parses = []
+        parse = regions._parse_table
+        monkeypatch.setattr(regions, "_parse_table", lambda text: parses.append(1) or parse(text))
         regions._builtin_table.cache_clear()
         try:
             results = [classify(F(8, 5), F(9, 10)) for _ in range(5)]
         finally:
             regions._builtin_table.cache_clear()
-        assert len(reads) == 1
+        assert len(parses) == 1
         assert all(res == results[0] for res in results)
         assert results[0].region.id == "Df"
 
@@ -183,6 +183,18 @@ class TestLoad:
         with pytest.raises(TableInvalidError, match="^cannot read region table '': the path is empty$"):
             load_region_table("")
 
+    def test_loader_refuses_unreadable_paths_by_name(self, tmp_path):
+        # The CLI prints these messages as they are, so they keep its wording.
+        missing = str(tmp_path / "missing.json")
+        for path, want in [
+            ("/", "cannot read region table '/': Is a directory"),
+            (missing, f"cannot read region table {missing!r}: No such file or directory"),
+            (5, "cannot read region table: int is not a path"),
+            (b"/", "cannot read region table: bytes is not a path"),
+        ]:
+            with pytest.raises(TableInvalidError, match=f"^{re.escape(want)}$"):
+                load_region_table(path)
+
     def test_loader_accepts_letters_digits_underscore(self, tmp_path):
         rows = builtin_rows()
         rows[1]["id"] = "ab_9Z"
@@ -204,7 +216,7 @@ class TestIdentity:
     print the same region, whatever the spelling of its rationals."""
 
     def test_two_parses_are_equal_with_equal_hashes(self):
-        text = regions._builtin_table_text()
+        text = json.dumps(builtin_rows())
         first, second = regions._parse_table(text), regions._parse_table(text)
         for a, b in zip(first, second, strict=True):
             assert a is not b and a == b and hash(a) == hash(b), a.id

@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,11 +376,14 @@ class TestLayoutSerialization:
             assert again == layout
 
     def test_entry_with_another_block_count_is_refused(self, regions_by_id, frozen_layouts):
-        # A region with blocks appended must not reuse its shorter frozen entry.
+        # A region with blocks appended must not reuse its shorter frozen entry:
+        # layout_for re-derives it, and the derivation meets a negative block.
         longer = _parse_row(ab_with_tail())
         with pytest.raises(ValueError, match="layout Ab: 2 blocks, region has 4"):
             layout_from_json_dict(frozen_layouts["Ab"].to_json_dict(), longer)
-        assert scheme._builtin_layout(longer) is None  # so layout_for re-derives it
+        want = "block length ['1/10', '1/1', '0/1'] negative at (3/2, 1/2)"
+        with pytest.raises(OutsideRegionError, match=f"^{re.escape(want)}$"):
+            layout_for(longer)
 
     def test_builtin_layouts_are_parsed_once(self, table, frozen_layouts, monkeypatch):
         parses = []
@@ -390,14 +394,12 @@ class TestLayoutSerialization:
 
         monkeypatch.setattr(scheme, "json", SimpleNamespace(loads=loads))
         scheme._read_frozen.cache_clear()
-        scheme._builtin_layout.cache_clear()
         try:
             layouts = [layout_for(spec) for spec in table]
             assert load_frozen_layouts(table) == frozen_layouts
             assert len(load_frozen_interiors()) == len(table)
         finally:
             scheme._read_frozen.cache_clear()
-            scheme._builtin_layout.cache_clear()
         assert len(parses) == 1
         assert layouts == [frozen_layouts[spec.id] for spec in table]
 

@@ -12,15 +12,19 @@ The second draws a custom region: a rational triangle or convex quadrilateral
 inside the square, around a random anchor, with random blocks.  The lattice
 scan, the least interior point and the block-ratio points, which walk the
 closure's box on the integer form, must equal the per-point references of
-test_scheme.py, which test each point against the printed half-planes.
+test_scheme.py, which test each point against the printed half-planes.  The
+third holds the column rule they share, `IntegerForm.span` and `column`, on
+the same regions against a filter of each point over every printed side.
 """
 
+import math
 from fractions import Fraction as F
+from itertools import combinations
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from detic.exactmath import Affine2, affine_eval, format_rat
+from detic.exactmath import Affine2, affine_eval, format_rat, polygon_contains
 from detic.regions import _parse_row, load_region_table
 from detic.scheme import (
     SINGLE,
@@ -35,7 +39,7 @@ from detic.scheme import (
     check_validity,
     load_frozen_layouts,
 )
-from test_regions_reference import PRINTED, Printed, offset_vertices
+from test_regions_reference import PRINTED, Printed, offset_vertices, strictly_inside
 from test_scheme import _least_point_on, _per_line_ratio_points, _per_point_lattice
 
 TABLE = load_region_table()
@@ -161,3 +165,59 @@ def test_scanners_match_per_point_references_on_custom_regions(region, den):
     assert list(_interior_lattice(spec, den)) == _per_point_lattice(spec, row, den)
     assert _least_interior(spec) == _least_point_on(spec, row, (0, 0, 0))  # no line: every point
     assert set(_ratio_points(spec)) == _per_line_ratio_points(spec, row)
+
+
+def _printed_box(row):
+    """The closure's (alpha, beta) box from the printed half-planes alone: the
+    corners where two side lines meet inside every side."""
+    corners = []
+    for f, g in combinations([h.expr for h in row.halfplanes], 2):
+        det = f.c_eps * g.c_delta - f.c_delta * g.c_eps
+        if det:
+            eps = (f.c_delta * g.c0 - f.c0 * g.c_delta) / det
+            delta = (f.c0 * g.c_eps - f.c_eps * g.c0) / det
+            if polygon_contains(row.halfplanes, eps, delta, closure=True):
+                corners.append((row.anchor_alpha + eps, row.anchor_beta + delta))
+    alpha, beta = zip(*corners)
+    return min(alpha), max(alpha), min(beta), max(beta)
+
+
+@st.composite
+def columns(draw):
+    """A custom region, a w0, a column w1 of its span (often an end, where a
+    vertical side lies) or one next to it, rows of some step over all or part
+    of its span, a strictness mode and either no line or a line at a random
+    slope through a point near the box, often one of the column's closure, in
+    `rows` or past either end."""
+    spec, row = draw(custom_regions())
+    w0 = draw(st.integers(1, 60) | st.just(60))  # 60: every corner and edge meets lattice points
+    a_lo, a_hi, b_lo, b_hi = _printed_box(row)
+    cols = range(math.ceil(a_lo * w0), math.floor(a_hi * w0) + 1)
+    span = range(math.ceil(b_lo * w0), math.floor(b_hi * w0) + 1)
+    w1 = draw(st.sampled_from([cols.start, cols.stop - 1]) | st.integers(cols.start - 1, cols.stop))
+    start = draw(st.integers(span.start - 3, span.stop))
+    rows = range(start, draw(st.integers(start, span.stop + 3)), draw(st.integers(1, 4)))
+    line = None
+    if draw(st.integers(0, 2)):
+        c1, c2 = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        eps, b0 = F(w1, w0) - row.anchor_alpha, row.anchor_beta
+        closed = [(w1, w2) for w2 in span if polygon_contains(row.halfplanes, eps, F(w2, w0) - b0, True)]
+        near = st.tuples(st.integers(cols.start - 1, cols.stop), st.integers(span.start - 4, span.stop + 4))
+        p1, p2 = draw(st.sampled_from(closed) | near if closed else near)
+        line = (-(c1 * p1 + c2 * p2), c1 * w0, c2 * w0)  # c1*(w1 - p1) + c2*(w2 - p2) = 0, times w0
+    return spec, row, (cols, span), (w0, w1, rows, draw(st.booleans()), line)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=columns())
+def test_span_and_column_match_per_point_filter_on_custom_regions(case):
+    spec, row, spans, (w0, w1, rows, printed, line) = case
+    assert spec.form.span(w0) == spans
+    inside = polygon_contains if printed else (lambda sides, eps, delta: strictly_inside(row, eps, delta))
+    want = [
+        w2
+        for w2 in rows
+        if inside(row.halfplanes, F(w1, w0) - row.anchor_alpha, F(w2, w0) - row.anchor_beta)
+        and (line is None or line[0] * w0 + line[1] * w1 + line[2] * w2 == 0)
+    ]
+    assert list(spec.form.column(w0, w1, rows, printed=printed, line=line)) == want
