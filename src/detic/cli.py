@@ -5,7 +5,9 @@ turns a raised `DeticError` into one JSON error and its exit code, and lets
 any other error through as a bug.  Parameters are exact rationals ("8/5"),
 read by `exactmath.parse_rat`; *-decimal variants accept terminating
 decimals, read by `exactmath.as_rat` within its size bounds.
-Payloads go to standard output as JSON, CSV, or SVG.  `plan`, `simulate` and
+Payloads go to standard output as JSON, CSV, or SVG.  Every command that
+takes a point refuses one whose common denominator has more than
+POINT_MAX_DIGITS digits before classifying it.  `plan`, `simulate` and
 `render` refuse N > MAX_N, `simulate` also runs beyond its size budget
 (SIMULATE_MAX_*), and `atlas` grids above ATLAS_MAX_GRID, all before doing
 any work.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import regions as reg
 from .channel import make_channel, transmit
-from .decode import peel_bits, peel_structure, receiver_view
+from .decode import peel_bits, receiver_view
 from .exactmath import DeticError, as_rat, format_rat, parse_rat
 from .oracle import exhaustive_search
 from .render import atlas_csv, atlas_svg, render_scheme
@@ -42,8 +45,8 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 
 # Size budgets, from costs measured on a 2-vCPU x86_64 VM.  Compiling a
-# channel's peeling schedule takes 2-5 us per pipe at N = 600 and 3-9 us at
-# N = 6000 (0.02-0.06 s over the 18 frozen layouts, with up to 14 MB of
+# channel's peeling schedule takes 1.5-7 us per pipe at N = 600 and 2.5-12 us
+# at N = 6000 (0.015-0.07 s over the 18 frozen layouts, with up to 14 MB of
 # working memory), once per run: `simulate` decodes every receiver's word
 # with receiver 1's view.
 # A trial then draws, encodes, transmits and decodes one stack of K words, so
@@ -54,6 +57,14 @@ EXIT_USAGE = 2
 # `render` at N = 60000 took 8.9 s and 1.46 GB.  An atlas point costs about
 # 3 us as CSV and 5 us as SVG, so the largest grid (40,401 points) takes
 # 0.3-0.6 s end to end, a quarter second of it start-up.
+# A point's payload values (eps, delta, the rate, the converse bound, N and
+# the block counts) have denominators dividing the catalog's `den` times the
+# common denominator of alpha and beta, and `format_rat` prints no side of more
+# than 4000 digits.  So the common denominator is refused above 3990 digits,
+# which leaves room for a `den` of up to 10 digits (the built-in catalog's
+# are at most 10).
+POINT_MAX_DIGITS = 3990
+_POINT_MAX_DEN = 10**POINT_MAX_DIGITS
 MAX_N = 6000
 SIMULATE_MAX_COMPILE = 200_000  # N * K
 SIMULATE_MAX_DECODE = 320_000_000  # trials * (N * K + 4000)
@@ -81,12 +92,16 @@ def _emit(payload: dict) -> None:
 
 
 def _parse_point(args) -> tuple[Fraction, Fraction]:
-    """Each coordinate from its rational flag, else from its decimal one."""
-    return tuple(
+    """Each coordinate from its rational flag, else from its decimal one;
+    refuses a point whose common denominator exceeds POINT_MAX_DIGITS."""
+    alpha, beta = (
         parse_rat(text) if (text := getattr(args, name)) is not None
         else as_rat(getattr(args, f"{name}_decimal"), name)
         for name in ("alpha", "beta")
     )
+    if math.lcm(alpha.denominator, beta.denominator) >= _POINT_MAX_DEN:
+        raise UsageError(f"alpha and beta: common denominator of more than {POINT_MAX_DIGITS} digits")
+    return alpha, beta
 
 
 def _load_table(args):
@@ -185,14 +200,14 @@ def cmd_simulate(args, table) -> int:
     failures = 0
     for _ in range(args.trials):
         messages = rng.integers(0, 2, size=(ch.k, assign.m), dtype=np.uint8)
-        got, _ = peel_bits(view, transmit(ch, assign.encode(messages)))
+        got, trace = peel_bits(view, transmit(ch, assign.encode(messages)))
         wrong = np.ones(ch.k, dtype=bool) if got is None else (got != messages).any(axis=1)
         failed |= wrong
         failures += int(wrong.sum())
     # The trace does not depend on the bits, and relabelling for another
-    # receiver keeps each step's rule: every receiver and trial repeats one's.
-    counts = peel_structure(view)[1].rule_counts()
-    rules = {rule: cnt * ch.k * args.trials for rule, cnt in counts.items()}
+    # receiver keeps each step's rule: every receiver and trial repeats the
+    # last trial's.
+    rules = {rule: cnt * ch.k * args.trials for rule, cnt in trace.rule_counts().items()}
     payload = {
         **_classify_payload(res),
         "channel": ch.to_json_dict(),

@@ -1,20 +1,24 @@
 """Receiver-side model: block placement and a successive peeling decoder.
 
-Peeling runs a fixpoint at single-bit granularity with two mechanisms:
+Peeling runs a fixpoint at single-bit granularity with two rules:
 
 * a receive level with exactly one unknown contributing pipe reveals that
   pipe's message bit (a bit revealed through one twin copy is thereby known
   in the other copy);
 * a level whose unknowns reduce to exactly two bits pins down their XOR as a
-  known aggregate; aggregates cancel at other levels where the same two bits
-  reappear (twin copies land aligned at several levels), and an aggregate
-  with one known endpoint reveals the other.
+  known aggregate, which cancels at other levels where the same two bits
+  reappear (twin copies land aligned at several levels).
 
-The second mechanism is required: several catalog rows place twin pairs so
-that the pair is only ever observed through its sum, which is then removable
-elsewhere.  Both mechanisms are value-independent, so the schedule is
-deterministic and identical for every transmitted message; the whole decoder
-remains a restricted linear solver (success still implies rank decodability).
+The second rule is required: several catalog rows place twin pairs so that
+the pair is only ever observed through its sum, which is then removable
+elsewhere.  An aggregate needs no rule that reveals one endpoint from the
+other: it forms at a level whose unknowns are exactly its two bits, and that
+level stays open while it has two or more unknowns, so the pass that first
+knows one endpoint reads the other from it.  (Closing a level once a known
+pair cancels its unknowns would need that third rule back.)  Both rules are
+value-independent, so the schedule is deterministic and identical for every
+transmitted message; the whole decoder remains a restricted linear solver
+(success still implies rank decodability).
 Passes use snapshot semantics: a pass only consumes knowledge committed by
 earlier passes.  Success means the receiver's own pair's message bits are all
 known; interference is only ever decoded as a means of removal.
@@ -291,15 +295,17 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
     the received levels whose XOR is its value; a check is a mask whose XOR
     must be 0.  Returns the level table, the known bits' masks, the checks
     (mask -> origin, in execution order) and each pass's resolved bits
-    (bit -> (via a pair, mask)).
+    (bit -> mask).
 
     Bit j of sender s is the id (s - 1)*m + j, `known[id]` its mask or None, and ids
     u < v key their aggregate as u*K*m + v; both sort as (sender, bit) tuples do.
     `levels[l]` lists the ids on level l, placed once through `channel.paths`.  A pass
     walks only the open levels: a level leaves when it has no unknown (its mask is fixed
     and checked) or one (which this pass resolves, so it would next read 0 or repeat a
-    check).  A level whose unknowns a known pair cancelled stays open, as a later pass
-    can give it a new check.
+    check).  A level with two or more unknowns stays open, also when a known pair
+    cancels them, as a later pass can give it a new check.  That is also why a known
+    aggregate never reveals an endpoint: the pair (u, v) forms at a level whose unknowns
+    are exactly u and v, which stays open, so the first pass to know u resolves v there.
 
     A level has at most three contributors, one per path, from three distinct
     senders, hence at most three unknowns and three pairs among them.  The
@@ -318,14 +324,14 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
     known: list[int | None] = [None] * width
     pairs: dict[int, int] = {}
     checks: dict[int, tuple[int, int, int]] = {}
-    passes: list[dict[int, tuple[bool, int]]] = []
+    passes: list[dict[int, int]] = []
 
     def check(mask: int, kind: int, a: int, b: int = 0) -> None:
         if mask and mask not in checks:
             checks[mask] = (kind, a, b)
 
     while True:
-        resolved: dict[int, tuple[bool, int]] = {}
+        resolved: dict[int, int] = {}
         new_pairs: dict[int, int] = {}
         still_open = []
         for level0 in open_levels:
@@ -352,9 +358,9 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
                 b = unknowns[0]
                 prior = resolved.get(b)
                 if prior is not None:
-                    check(prior[1] ^ acc, _BIT_CONFLICT, b // m + 1, b % m)
+                    check(prior ^ acc, _BIT_CONFLICT, b // m + 1, b % m)
                 else:
-                    resolved[b] = (False, acc)
+                    resolved[b] = acc
             elif len(unknowns) == 2:
                 key = unknowns[0] * width + unknowns[1]
                 if key in new_pairs:
@@ -362,19 +368,10 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
                 else:  # a known pair would have been cancelled
                     new_pairs[key] = acc
         open_levels = still_open
-        # A known aggregate with one known endpoint reveals the other; the
-        # first such pair in sorted order wins a target.
-        for key, mask in sorted(pairs.items()):
-            u, v = divmod(key, width)
-            ku, kv = known[u], known[v]
-            if (ku is None) != (kv is None):
-                target, source = (v, ku) if kv is None else (u, kv)
-                if target not in resolved:
-                    resolved[target] = (True, mask ^ source)
         if not resolved and not new_pairs:
             return levels, known, checks, passes
         passes.append(resolved)
-        for b, (_, mask) in resolved.items():
+        for b, mask in resolved.items():
             known[b] = mask
         pairs.update(new_pairs)
 
@@ -382,24 +379,17 @@ def _fixpoint(assign: AssignmentMatrix, ch: ChannelParams, receiver: int) -> tup
 def _pass_steps(resolved: dict, pass_index: int, symbols: tuple) -> list[PeelStep]:
     """Trace steps of one pass: the bits it resolved, grouped by (sender, symbol)."""
     bit_symbol, twin_syms, sym_size = symbols
-    groups: Counter = Counter()  # (sender, symbol) -> bits resolved
-    via_pair: set[tuple[int, int]] = set()
-    for b, (pair, _) in resolved.items():
-        s0, bit = divmod(b, len(bit_symbol))  # bit_symbol has m entries
-        key = (s0 + 1, bit_symbol[bit])
-        groups[key] += 1
-        if pair:
-            via_pair.add(key)
+    m = len(bit_symbol)
+    # (sender, symbol) -> bits resolved
+    groups = Counter((b // m + 1, bit_symbol[b % m]) for b in resolved)
     pass_steps = []
-    for (s, sym), count in sorted(groups.items()):
-        if (s, sym) in via_pair:
-            rule = RULE_MIXED
-        elif count == sym_size[sym]:  # the pass read out the whole symbol
+    for (s, sym), count in groups.items():
+        if count == sym_size[sym]:  # the pass read out the whole symbol
             rule = RULE_DIRECT
         else:
             rule = RULE_TWIN if sym in twin_syms else RULE_MIXED
         pass_steps.append(PeelStep(pass_index, rule, s, sym))
-    # Whole-block readouts first, then twin progress, then aggregate work.
+    # Whole-symbol readouts first, then twin progress, then other partial readouts.
     pass_steps.sort(key=lambda st: (_RULE_ORDER[st.rule], st.sender, st.symbol_id))
     return pass_steps
 

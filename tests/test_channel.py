@@ -174,6 +174,22 @@ class TestInputContract:
             transmit(ch, [np.array([0, 0, 256, 0]), zeros, zeros])
         with pytest.raises(NotBinaryError):
             transmit(ch, [zeros, np.array([0, -1, 0, 0]), zeros])
+        with pytest.raises(NotBinaryError, match=r"^input has entries outside \{0, 1\}$"):
+            transmit(ch, [zeros, zeros, np.array([0, 0, 2, 0], dtype=np.uint8)])  # no cast
+
+    @pytest.mark.parametrize(
+        "inputs,bad",
+        [
+            ([np.zeros(4), np.zeros(3), np.zeros(4)], (3,)),
+            (np.zeros((3, 5), dtype=np.uint8), (5,)),
+            ([0, 0, 0], ()),
+        ],
+        ids=["ragged", "K x (N+1)", "scalars"],
+    )
+    def test_inputs_other_than_k_by_n_name_the_first_bad_shape(self, inputs, bad):
+        ch = make_channel(3, 4, F(2), F(0))
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(f'input shape {bad} != N = 4')}$"):
+            transmit(ch, inputs)
 
     @pytest.mark.parametrize("dtype", [np.int64, bool, np.float64])
     def test_output_is_uint8_for_any_input_dtype(self, dtype):

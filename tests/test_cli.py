@@ -71,6 +71,23 @@ class TestClassify:
         assert code == 2
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("command", ["classify", "plan", "simulate", "render"])
+    @pytest.mark.parametrize("beta_den", [10**3999 + 9, 9999999999])
+    def test_point_of_huge_common_denominator_is_refused_by_name(self, capsys, command, beta_den):
+        q = 10**3999 + 7
+        alpha, beta = f"{3 * q // 2}/{q}", f"{beta_den // 3}/{beta_den}"
+        code, out = run(capsys, command, "--alpha", alpha, "--beta", beta)
+        assert code == 2
+        assert json.loads(out) == {"error": "alpha and beta: common denominator of more than 3990 digits"}
+
+    def test_common_denominator_bound_is_3990_digits(self, capsys):
+        q = 10**cli.POINT_MAX_DIGITS - 1
+        code, out = run(capsys, "classify", "--alpha", f"{q + 1}/{q}", "--beta", "0")
+        assert code == 0
+        assert json.loads(out)["converseBound"] == f"{(q + 1) // 2}/{q}"
+        code, out = run(capsys, "classify", "--alpha", f"{q + 2}/{q + 1}", "--beta", "0")
+        assert code == 2
+
     @pytest.mark.parametrize("literal", ["1.6", "16e-1", "0.0016E+3", "1_6e-1", " +1.60 "])
     def test_ordinary_decimals_parse(self, capsys, literal):
         code, out = run(capsys, "classify", "--alpha-decimal", literal, "--beta", "9/10")
@@ -471,6 +488,24 @@ class TestTableOverride:
             code, out = run(capsys, "--table", str(path), command, "--alpha", "2", "--beta", "1/4")
             assert code == 2
             assert json.loads(out) == {"error": want}
+
+    @pytest.mark.parametrize(
+        "edit,want",
+        [
+            (lambda row: row["constraints"][0].update(expr=["0", "0/3", "-0"]),
+             "row Aa: half-plane expression is identically zero"),
+            (lambda row: row.update(blocks=[]), "row Aa: empty block list"),
+        ],
+        ids=["all-zero constraint", "no blocks"],
+    )
+    def test_degenerate_row_is_usage_error(self, capsys, tmp_path, edit, want):
+        rows = json.loads(resources.files("detic.data").joinpath("regions.json").read_text())
+        edit(rows[0])
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(rows))
+        code, out = run(capsys, "--table", str(path), "classify", "--alpha", "8/5", "--beta", "9/10")
+        assert code == 2
+        assert json.loads(out) == {"error": want}
 
     def test_id_with_a_comma_is_usage_error(self, capsys, tmp_path):
         # "A,a" once gave atlas CSV lines of 5 fields.

@@ -33,6 +33,13 @@ values = st.one_of(
     st.from_regex(r"\A[+-]?\d{0,2}\.\d{0,4}([eE][+-]?\d{1,4})?\Z"),
 )
 
+# A point whose coordinates have coprime denominators of about 4000 digits:
+# its payload would hold values of about 8000 digits.  The second is refused
+# too, its common denominator having about 4010 digits.
+HUGE_Q = 10**3999 + 7
+HUGE_POINT = {"--alpha": f"{3 * HUGE_Q // 2}/{HUGE_Q}", "--beta": f"{(HUGE_Q + 2) // 3}/{HUGE_Q + 2}"}
+LONG_POINT = {"--alpha": f"{3 * HUGE_Q // 2}/{HUGE_Q}", "--beta": "3333333333/9999999999"}
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
@@ -45,6 +52,11 @@ values = st.one_of(
 @example(command="plan", point={"--alpha-decimal": "1e9999", "--beta-decimal": "0.5"})
 @example(command="plan", point={"--alpha-decimal": "1.0001", "--beta-decimal": "0.5"})
 @example(command="classify", point={"--alpha": "-8/5", "--beta": "\x00"})
+@example(command="classify", point=HUGE_POINT)
+@example(command="plan", point=HUGE_POINT)
+@example(command="simulate", point=HUGE_POINT)
+@example(command="render", point=HUGE_POINT)
+@example(command="classify", point=LONG_POINT)
 def test_point_strings_always_end_in_json(command, point):
     argv = [command, *(f"{flag}={value}" for flag, value in point.items())]
     out = io.StringIO()

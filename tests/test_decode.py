@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ from detic.decode import (
     InconsistentSignalError,
     peel_bits,
     peel_structure,
+    peel_succeeds,
     receiver_view,
 )
 from detic.exactmath import NotACountError
@@ -100,6 +102,8 @@ class TestReceiverView:
         ch = make_channel(3, 120, *WORKED[:2])
         with pytest.raises(DimensionMismatchError, match="assignment N = 60 != channel N = 120"):
             receiver_view(df_assign, ch, 1)
+        with pytest.raises(DimensionMismatchError, match="^assignment N = 60 != channel N = 120$"):
+            peel_succeeds(df_assign, ch, 1)
 
     def test_blocks_and_program_are_built_on_first_use(self, df_assign, df_channel):
         view = receiver_view(df_assign, df_channel, 2)
@@ -218,6 +222,13 @@ class TestPeelBits:
         y[70] = 2
         with pytest.raises(NotBinaryError):
             peel_bits(receiver_view(df_assign, df_channel, 1), y)
+
+    @pytest.mark.parametrize("shape", [(119,), (3, 121), ()])
+    def test_word_without_2n_levels_is_refused(self, df_assign, df_channel, shape):
+        view = receiver_view(df_assign, df_channel, 1)
+        want = f"received word shape {shape} != (..., 120)"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(want)}$"):
+            peel_bits(view, np.zeros(shape, dtype=np.uint8))
 
     def test_bits_are_uint8_for_any_word_dtype(self, df_assign, df_channel):
         rng = np.random.default_rng(26)

@@ -14,7 +14,7 @@ import pytest
 from detic import oracle, scheme
 from detic.exactmath import Affine2, NotACountError
 from detic.gf2 import DimensionMismatchError, NotBinaryError
-from detic.regions import _parse_row, load_region_table, point_weights
+from detic.regions import TableInvalidError, _parse_row, load_region_table, point_weights
 from detic.scheme import (
     SINGLE,
     TWIN_FIRST,
@@ -384,6 +384,29 @@ class TestLayoutSerialization:
         want = "block length ['1/10', '1/1', '0/1'] negative at (3/2, 1/2)"
         with pytest.raises(OutsideRegionError, match=f"^{re.escape(want)}$"):
             layout_for(longer)
+
+    @pytest.mark.parametrize("role", ["single", "single:", "single:x", "single:-1", "Single:1", "twin:1", "zero:1"])
+    def test_bad_role_string_is_refused(self, regions_by_id, frozen_layouts, role):
+        entry = frozen_layouts["Ab"].to_json_dict()
+        entry["blocks"][1]["role"] = role
+        with pytest.raises(TableInvalidError, match=f"^{re.escape(f'bad role string: {role!r}')}$"):
+            layout_from_json_dict(entry, regions_by_id["Ab"])
+
+    @pytest.mark.parametrize("kind,symbol", [(ZERO, 1), (SINGLE, None), (TWIN_SECOND, None)])
+    def test_only_zero_roles_lack_a_symbol(self, kind, symbol):
+        want = f"bad role {kind}:{symbol}: only zero lacks a symbol"
+        with pytest.raises(TableInvalidError, match=f"^{re.escape(want)}$"):
+            BlockRole(kind, symbol)
+
+    def test_layout_for_returns_the_given_frozen_layout(self, regions_by_id, frozen_layouts, monkeypatch):
+        # The benchmark's simulate set-up passes its frozen layouts; neither
+        # layouts.json nor a derivation is read for a region they hold.
+        monkeypatch.setattr(scheme, "load_frozen_layouts", lambda *a: pytest.fail("read layouts.json"))
+        monkeypatch.setattr(scheme, "infer_roles", lambda *a: pytest.fail("derived"))
+        given = Layout("Df", frozen_layouts["Ab"].blocks)  # any object is passed through
+        assert layout_for(regions_by_id["Df"], {"Df": given}) is given
+        monkeypatch.undo()
+        assert layout_for(regions_by_id["Df"], {"Ab": given}) == frozen_layouts["Df"]
 
     def test_builtin_layouts_are_parsed_once(self, table, frozen_layouts, monkeypatch):
         parses = []
